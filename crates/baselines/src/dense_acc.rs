@@ -188,7 +188,7 @@ mod tests {
     use super::*;
     use spade_core::SpadeAccelerator;
     use spade_nn::graph::{execute_pattern, ExecutionContext};
-    use spade_nn::{Model, ModelKind};
+    use spade_nn::{ExecutionArena, Model, ModelKind};
     use spade_tensor::{GridShape, PillarCoord};
 
     fn run(kind: ModelKind) -> (NetworkTrace, Vec<spade_nn::graph::LayerWorkload>) {
@@ -210,6 +210,8 @@ mod tests {
             grid,
             10_000,
             &ExecutionContext::default(),
+            &mut ExecutionArena::new(),
+            None,
         )
     }
 

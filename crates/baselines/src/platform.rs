@@ -198,7 +198,7 @@ impl Platform {
 mod tests {
     use super::*;
     use spade_nn::graph::{execute_pattern, ExecutionContext};
-    use spade_nn::{Model, ModelKind};
+    use spade_nn::{ExecutionArena, Model, ModelKind};
     use spade_tensor::{GridShape, PillarCoord};
 
     fn trace(kind: ModelKind) -> NetworkTrace {
@@ -212,6 +212,8 @@ mod tests {
             grid,
             200_000,
             &ExecutionContext::default(),
+            &mut ExecutionArena::new(),
+            None,
         )
         .0
     }

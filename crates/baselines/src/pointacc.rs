@@ -257,7 +257,7 @@ mod tests {
     use super::*;
     use spade_core::SpadeAccelerator;
     use spade_nn::graph::{execute_pattern, ExecutionContext};
-    use spade_nn::{Model, ModelKind};
+    use spade_nn::{ExecutionArena, Model, ModelKind};
     use spade_tensor::{GridShape, PillarCoord};
 
     fn workloads(kind: ModelKind) -> (Vec<LayerWorkload>, u64) {
@@ -271,6 +271,8 @@ mod tests {
             grid,
             20_000,
             &ExecutionContext::default(),
+            &mut ExecutionArena::new(),
+            None,
         );
         (w, trace.encoder_macs)
     }

@@ -33,8 +33,9 @@
 //! export columns) and `--exhaustive` restores the simulate-everything
 //! default.
 
-use spade_bench::dse::{run_dse_with_jobs, DseParams, SweepAxes};
-use spade_bench::{default_jobs, run_experiment, WorkloadScale};
+use spade_bench::dse::{DseParams, SweepAxes};
+use spade_bench::experiments::all_experiment_ids;
+use spade_bench::{default_jobs, run_dse_on_pool, run_experiment, WorkerPool, WorkloadScale};
 use spade_pointcloud::NamedScenario;
 
 struct Cli {
@@ -117,7 +118,11 @@ fn parse_cli() -> Cli {
             flag if flag.starts_with("--") => {
                 usage_error(&format!("unknown flag: {flag}"));
             }
-            id => cli.ids.push(id.to_owned()),
+            id if all_experiment_ids().contains(&id) => cli.ids.push(id.to_owned()),
+            id => usage_error(&format!(
+                "unknown experiment id: {id} (expected one of {})",
+                all_experiment_ids().join(" | ")
+            )),
         }
     }
     cli
@@ -144,7 +149,7 @@ fn run_dse_with(cli: &Cli) {
     // The pool clamps 0 to 1 internally; clamp here too so the banner below
     // reports the worker count that actually runs.
     let jobs = cli.jobs.unwrap_or_else(default_jobs).max(1);
-    let result = run_dse_with_jobs(&params, jobs);
+    let result = run_dse_on_pool(&params, &WorkerPool::new(jobs));
     let drive = match cli.scenario {
         Some(s) => format!("{s} scenario"),
         None => "legacy i.i.d. drive".to_owned(),
@@ -176,10 +181,7 @@ fn run_dse_with(cli: &Cli) {
 fn main() {
     let cli = parse_cli();
     let ids: Vec<String> = if cli.ids.is_empty() {
-        spade_bench::experiments::all_experiment_ids()
-            .into_iter()
-            .map(String::from)
-            .collect()
+        all_experiment_ids().into_iter().map(String::from).collect()
     } else {
         cli.ids.clone()
     };
@@ -189,9 +191,9 @@ fn main() {
             run_dse_with(&cli);
             continue;
         }
-        match run_experiment(id, cli.scale) {
-            Some(out) => println!("\n=== {id} ===\n{out}"),
-            None => eprintln!("unknown experiment id: {id}"),
+        // `parse_cli` rejected unknown ids, so every id here runs.
+        if let Some(out) = run_experiment(id, cli.scale) {
+            println!("\n=== {id} ===\n{out}");
         }
     }
 }

@@ -13,8 +13,8 @@
 //! a drive passes through denser traffic.
 //!
 //! Every cell is an independent simulation, so the sweep fans out across a
-//! [`WorkerPool`]: [`run_dse_with_jobs`] builds an indexed work-list of
-//! cells, distributes it over `jobs` scoped threads, and reassembles the
+//! [`WorkerPool`]: [`run_dse_on_pool`] builds an indexed work-list of
+//! cells, distributes it over the pool's scoped threads, and reassembles the
 //! results in index order — parallel output is bit-identical to a serial
 //! run (`tests/dse_integration.rs` asserts it).
 //!
@@ -25,7 +25,7 @@
 //! pillars. The sweep measures that temporal locality and exports it as the
 //! `mean_pillar_overlap` column.
 //!
-//! Entry points: [`run_dse`] / [`run_dse_with_jobs`] with [`DseParams`],
+//! Entry points: [`run_dse`] / [`run_dse_on_pool`] with [`DseParams`],
 //! surfaced as the `dse` experiment of the `spade-experiments` binary
 //! (which can also export the full grid as CSV/JSON via [`ReportTable`] and
 //! takes `--jobs N` / `--scenario <name>` flags).
@@ -625,31 +625,24 @@ fn compute_cell(
     cell
 }
 
-/// Runs the sweep serially — shorthand for [`run_dse_with_jobs`] with one
-/// worker. Parallel runs produce bit-identical results, so this is also the
-/// reference the pool path is tested against.
+/// Runs the sweep serially — shorthand for [`run_dse_on_pool`] with a
+/// one-worker pool. Parallel runs produce bit-identical results, so this is
+/// also the reference the pool path is tested against.
 #[must_use]
 pub fn run_dse(params: &DseParams) -> DseResult {
-    run_dse_with_jobs(params, 1)
+    run_dse_on_pool(params, &WorkerPool::new(1))
 }
 
-/// Runs the sweep across `jobs` worker threads: every configuration ×
-/// accelerator × drive frame, then Pareto extraction per workload.
+/// Runs the sweep on a [`WorkerPool`]: every configuration × accelerator ×
+/// drive frame, then Pareto extraction per workload.
 ///
 /// The sweep is decomposed into an indexed work-list of independent cells,
-/// fanned out over a [`WorkerPool`], and reassembled in index order — the
-/// result is identical for any `jobs` value (`0` is clamped to `1`).
-#[must_use]
-pub fn run_dse_with_jobs(params: &DseParams, jobs: usize) -> DseResult {
-    run_dse_on_pool(params, &WorkerPool::new(jobs))
-}
-
-/// Runs the sweep on a caller-provided [`WorkerPool`] — the entry point the
-/// serving layer uses so many concurrent sweeps can share one
-/// [`crate::pool::ConcurrencyBudget`] instead of each spawning its own full
-/// thread complement. The result is bit-identical for any pool width or
-/// budget (including a zero-token budget, which degrades to a serial run on
-/// the calling thread).
+/// fanned out over the pool, and reassembled in index order — the result is
+/// bit-identical for any pool width (`WorkerPool::new(0)` is clamped to one
+/// worker) or budget, including a zero-token
+/// [`crate::pool::ConcurrencyBudget`], which degrades to a serial run on the
+/// calling thread. The serving layer passes one budgeted pool so many
+/// concurrent sweeps share it instead of each spawning its own threads.
 #[must_use]
 pub fn run_dse_on_pool(params: &DseParams, pool: &WorkerPool) -> DseResult {
     let plan = SweepPlan::build(params, pool);

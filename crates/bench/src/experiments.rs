@@ -6,9 +6,7 @@
 //! `ARCHITECTURE.md` maps every paper figure/table to its experiment and
 //! bench file.
 
-use crate::workload::{
-    model_run, model_run_with_pruning, simulate_on, simulate_on_spade, WorkloadScale,
-};
+use crate::workload::{frame_for, model_run, model_run_on_frame, simulate_on, WorkloadScale};
 use spade_baselines::{DenseAccelerator, Platform, PointAccModel, SpConv2dAccelerator};
 use spade_core::{Accelerator, AcceleratorReport, DataflowOptions, SpadeAccelerator, SpadeConfig};
 use spade_nn::rulegen::RuleGenMethod;
@@ -76,7 +74,11 @@ pub fn all_experiment_ids() -> Vec<&'static str> {
 /// persistent scenario, or export the full grid.
 #[must_use]
 pub fn dse(scale: WorkloadScale, jobs: usize) -> String {
-    crate::dse::run_dse_with_jobs(&crate::dse::DseParams::default_for(scale), jobs).summary()
+    crate::dse::run_dse_on_pool(
+        &crate::dse::DseParams::default_for(scale),
+        &crate::pool::WorkerPool::new(jobs),
+    )
+    .summary()
 }
 
 /// The full accelerator comparison set of Fig. 9/14 — SPADE, DenseAcc,
@@ -313,7 +315,7 @@ pub fn fig09(scale: WorkloadScale) -> String {
     ] {
         for kind in ModelKind::SPARSE {
             let run = model_run(kind, 51, scale);
-            let spade = simulate_on_spade(&run, cfg);
+            let spade = simulate_on(&SpadeAccelerator::new(cfg), &run);
             for p in &platforms {
                 let lat = p.run(&run.trace);
                 let speedup = lat.total_ms() / spade.latency_ms;
@@ -345,7 +347,7 @@ pub fn fig10(scale: WorkloadScale) -> String {
         let spade_rep = AcceleratorReport::for_spade(&format!("SPADE.{name}"), &cfg);
         let dense_rep = AcceleratorReport::for_dense(&format!("DenseAcc.{name}"), &cfg);
         let run = model_run(ModelKind::Spp2, 61, scale);
-        let spade_perf = simulate_on_spade(&run, cfg);
+        let spade_perf = simulate_on(&SpadeAccelerator::new(cfg), &run);
         let dense_acc: &dyn Accelerator = &DenseAccelerator::new(cfg);
         let dense_ops = run.trace.dense_macs() as f64 * 2.0;
         let _ = writeln!(
@@ -362,7 +364,7 @@ pub fn fig10(scale: WorkloadScale) -> String {
         );
         for kind in ModelKind::SPARSE {
             let run = model_run(kind, 61, scale);
-            let spade_perf = simulate_on_spade(&run, cfg);
+            let spade_perf = simulate_on(&SpadeAccelerator::new(cfg), &run);
             let dense_perf = simulate_on(dense_acc, &run);
             let speedup = dense_perf.total_cycles as f64 / spade_perf.total_cycles.max(1) as f64;
             let savings = dense_perf.energy.total_pj() / spade_perf.energy.total_pj().max(1e-9);
@@ -388,7 +390,7 @@ pub fn fig11(scale: WorkloadScale) -> String {
     let cfg = SpadeConfig::high_end();
     for kind in [ModelKind::Spp1, ModelKind::Spp2, ModelKind::Spp3] {
         let run = model_run(kind, 71, scale);
-        let spade = simulate_on_spade(&run, cfg);
+        let spade = simulate_on(&SpadeAccelerator::new(cfg), &run);
         let gpu = Platform::new(spade_baselines::PlatformKind::Gpu2080Ti);
         let lat = gpu.run(&run.trace);
         let _ = writeln!(
@@ -437,7 +439,7 @@ pub fn fig12(scale: WorkloadScale) -> String {
     let dense_acc: &dyn Accelerator = &DenseAccelerator::new(cfg);
     for kind in ModelKind::SPARSE {
         let run = model_run(kind, 81, scale);
-        let spade = simulate_on_spade(&run, cfg);
+        let spade = simulate_on(&SpadeAccelerator::new(cfg), &run);
         let dense = simulate_on(dense_acc, &run);
         let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { f64::INFINITY };
         let _ = writeln!(
@@ -459,13 +461,14 @@ pub fn fig12(scale: WorkloadScale) -> String {
 pub fn fig13(scale: WorkloadScale) -> String {
     let mut s = String::from("Fig 13(a) — accuracy vs computation savings (SPP2 pruning sweep)\nkeep_ratio | savings | mAP (finetuned) | mAP (naive)\n");
     let (base_map, _) = ModelKind::Spp2.baseline_accuracy();
+    let (preset, frame) = frame_for(ModelKind::Spp2, 91);
     for keep in [1.0, 0.8, 0.65, 0.5, 0.4, 0.3, 0.2] {
         let mut tuned_cfg = PruningConfig::with_keep_ratio(keep);
         tuned_cfg.finetuned = true;
         let mut naive_cfg = tuned_cfg;
         naive_cfg.finetuned = false;
-        let tuned = model_run_with_pruning(ModelKind::Spp2, 91, scale, tuned_cfg);
-        let naive = model_run_with_pruning(ModelKind::Spp2, 91, scale, naive_cfg);
+        let tuned = model_run_on_frame(ModelKind::Spp2, &preset, &frame, 91, scale, tuned_cfg);
+        let naive = model_run_on_frame(ModelKind::Spp2, &preset, &frame, 91, scale, naive_cfg);
         let dense = model_run(ModelKind::Pp, 91, scale);
         let savings = 1.0 - tuned.trace.total_macs() as f64 / dense.trace.total_macs() as f64;
         let tuned_map = AccuracyProxy::with_finetuning(base_map)

@@ -1,10 +1,7 @@
 //! Shared workload construction for the experiments.
 
-use spade_core::{Accelerator, NetworkPerf, SpadeAccelerator, SpadeConfig};
-use spade_nn::graph::{
-    execute_pattern_delta, execute_pattern_with_arena, ExecutionContext, LayerWorkload,
-    NetworkTrace,
-};
+use spade_core::{Accelerator, NetworkPerf};
+use spade_nn::graph::{execute_pattern, ExecutionContext, LayerWorkload, NetworkTrace};
 use spade_nn::{ExecutionArena, FrameDeltaState, Model, ModelKind, PruningConfig};
 use spade_pointcloud::dataset::{DatasetKind, DatasetPreset, Frame};
 use spade_tensor::GridShape;
@@ -49,20 +46,8 @@ pub fn frame_for(kind: ModelKind, seed: u64) -> (DatasetPreset, Frame) {
 /// Runs a model on a synthetic frame at the requested scale.
 #[must_use]
 pub fn model_run(kind: ModelKind, seed: u64, scale: WorkloadScale) -> ModelRun {
-    model_run_with_pruning(kind, seed, scale, PruningConfig::default())
-}
-
-/// Runs a model with an explicit pruning configuration (used for the
-/// accuracy-sparsity sweep of Fig. 13(a)).
-#[must_use]
-pub fn model_run_with_pruning(
-    kind: ModelKind,
-    seed: u64,
-    scale: WorkloadScale,
-    pruning: PruningConfig,
-) -> ModelRun {
     let (preset, frame) = frame_for(kind, seed);
-    model_run_on_frame(kind, &preset, &frame, seed, scale, pruning)
+    model_run_on_frame(kind, &preset, &frame, seed, scale, PruningConfig::default())
 }
 
 /// Runs a model on an externally generated frame (e.g. one frame of a
@@ -148,17 +133,16 @@ fn model_run_on_frame_inner(
         pillar_config: Some(&pillar_cfg),
         seed,
     };
-    let (trace, workloads) = ARENA.with_borrow_mut(|arena| match delta {
-        Some(state) => execute_pattern_delta(
+    let (trace, workloads) = ARENA.with_borrow_mut(|arena| {
+        execute_pattern(
             model.spec(),
             &coords,
             grid,
             encoder_macs,
             &ctx,
             arena,
-            state,
-        ),
-        None => execute_pattern_with_arena(model.spec(), &coords, grid, encoder_macs, &ctx, arena),
+            delta,
+        )
     });
     ModelRun {
         kind,
@@ -184,15 +168,10 @@ pub fn simulate_on(acc: &dyn Accelerator, run: &ModelRun) -> NetworkPerf {
     acc.simulate_network(&run.workloads, run.encoder_macs)
 }
 
-/// Convenience: simulates a model run on SPADE with a given configuration.
-#[must_use]
-pub fn simulate_on_spade(run: &ModelRun, config: SpadeConfig) -> NetworkPerf {
-    simulate_on(&SpadeAccelerator::new(config), run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spade_core::{SpadeAccelerator, SpadeConfig};
 
     #[test]
     fn reduced_runs_are_sparser_than_dense_baseline() {
@@ -221,7 +200,7 @@ mod tests {
     #[test]
     fn spade_simulation_produces_positive_fps() {
         let run = model_run(ModelKind::Spp2, 3, WorkloadScale::Reduced);
-        let perf = simulate_on_spade(&run, SpadeConfig::high_end());
+        let perf = simulate_on(&SpadeAccelerator::new(SpadeConfig::high_end()), &run);
         assert!(perf.fps > 0.0);
         assert_eq!(perf.layers.len(), run.workloads.len());
     }

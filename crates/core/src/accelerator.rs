@@ -214,7 +214,7 @@ impl Accelerator for SpadeAccelerator {
 mod tests {
     use super::*;
     use spade_nn::graph::{execute_pattern, ExecutionContext};
-    use spade_nn::{Model, ModelKind};
+    use spade_nn::{ExecutionArena, Model, ModelKind};
     use spade_tensor::{GridShape, PillarCoord};
 
     fn small_workloads(kind: ModelKind) -> (Vec<LayerWorkload>, u64) {
@@ -231,6 +231,8 @@ mod tests {
             grid,
             50_000,
             &ExecutionContext::default(),
+            &mut ExecutionArena::new(),
+            None,
         );
         (workloads, 50_000)
     }

@@ -8,10 +8,11 @@
 //! scatter for sparse deconvolution).
 //!
 //! The model is a cycle-level performance/energy simulator: it consumes the
-//! per-layer workloads produced by [`spade_nn::graph::execute_pattern`] and
-//! reports cycles, MXU utilisation, DRAM traffic, and an energy breakdown per
-//! layer and per network — the quantities behind Fig. 6–12 and 14–15 of the
-//! paper.
+//! per-layer workloads produced by [`spade_nn::graph::execute_pattern`] —
+//! the one pattern-level executor entry point, on both the plain and the
+//! temporal delta path — and reports cycles, MXU utilisation, DRAM traffic,
+//! and an energy breakdown per layer and per network — the quantities behind
+//! Fig. 6–12 and 14–15 of the paper.
 //!
 //! ## Example
 //!

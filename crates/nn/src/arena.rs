@@ -1,20 +1,22 @@
-//! Reusable scratch buffers for pattern-level network execution.
+//! Reusable scratch buffers and the one row sweep of pattern-level execution.
 //!
-//! The layer loop of [`crate::graph::execute_pattern`] used to pay per-layer
-//! allocations for everything it touched: a `CprTensor` built from the input
-//! coordinates, a `BTreeSet` for output dilation, and a third walk of the
-//! inputs to count rules. [`ExecutionArena`] holds the scratch state those
-//! passes need — a row index over the input slice, the merge streams of the
-//! fused sweep, output-coordinate buffers, and a cache of dense all-cells
-//! sets — so consecutive layers (and consecutive `execute_pattern` calls that
-//! share one arena) reuse the same capacity instead of reallocating.
+//! [`crate::graph::execute_pattern`] — the single executor entry point —
+//! runs every sparse layer through `ExecutionArena::sweep_layer`: the
+//! paper's streaming RGU row merge, applied output row by output row over a
+//! row index of the layer's input. On the temporal delta path the same loop
+//! copies clean rows from the previous frame instead of re-sweeping them.
+//! The arena holds the scratch that sweep needs — the row index, the merge
+//! streams, the output-coordinate buffer, the delta path's dirty-row flags
+//! and staged row structure, and a cache of dense all-cells sets — so
+//! consecutive layers (and consecutive `execute_pattern` calls that share one
+//! arena) reuse the same capacity instead of reallocating.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
-use crate::rulegen::delta::{FrameDeltaState, LayerDeltaCache};
+use crate::rulegen::delta::LayerDeltaCache;
 use crate::rulegen::output_grid;
 use crate::rulegen::streaming::{
-    fused_sweep, input_row_band, sweep_output_row, CoordSink, NullSink, SliceRows, StreamState,
+    input_row_band, sweep_output_row, CoordSink, SliceRows, StreamState,
 };
 use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
@@ -29,10 +31,16 @@ pub struct ExecutionArena {
     cols: Vec<u32>,
     /// Merge-stream state of the fused sweep (`kh·kw` entries at most).
     streams: Vec<StreamState>,
-    /// Output coordinates of the current fused sweep.
+    /// Output coordinates of the current sweep.
     out_coords: Vec<PillarCoord>,
     /// General coordinate scratch (union merging, input normalisation).
     pub(crate) scratch: Vec<PillarCoord>,
+    /// Delta path: dirty flag per input row of the current layer.
+    dirty_in: Vec<bool>,
+    /// Delta path: output row pointer being staged for the layer cache.
+    staged_row_ptr: Vec<usize>,
+    /// Delta path: per-row rule counts being staged for the layer cache.
+    staged_row_rules: Vec<u64>,
     /// Cached all-cells coordinate sets, one per dense grid seen.
     dense_cells: Vec<(GridShape, Arc<[PillarCoord]>)>,
 }
@@ -62,19 +70,32 @@ impl ExecutionArena {
         self.cols.extend(coords.iter().map(|c| c.col));
     }
 
-    /// One fused `O(P·K)` sweep for a dilating layer: computes the active
-    /// output coordinates (CPR order, in an internal buffer) *and* the rule
-    /// count together. Valid for every kind except [`ConvKind::Dense`] and
-    /// [`ConvKind::SpConvS`], whose output sets need no sweep.
+    /// Sweeps one sparse layer (any kind but [`ConvKind::Dense`]): indexes
+    /// the input rows once, then walks the output rows, producing the active
+    /// output coordinates (CPR order, in an internal buffer) and the rule
+    /// count together. [`ConvKind::SpConvS`] keeps its input set as its
+    /// output set, so the sweep emits no outputs for it and the returned
+    /// slice is empty.
     ///
-    /// Returns the output slice (borrowed from the arena) and the rule count.
-    pub fn dilate_and_count(
+    /// `delta` is `(cache, splice)` on the temporal delta path. The sweep
+    /// then records this frame's row structure — input row pointer, output
+    /// row spans, per-row rule counts — into `cache` for the next frame, and
+    /// with `splice` set, each output row whose receptive-field band saw no
+    /// input change since the cached frame is copied from the cache instead
+    /// of swept. Dirty rows are swept exactly as on the full path, so the
+    /// result is byte-identical either way. The cache's coordinate sets
+    /// (`input`, `dilated`) are the caller's to re-point.
+    ///
+    /// Returns the output slice, the rule count, and the number of output
+    /// rows actually swept.
+    pub(crate) fn sweep_layer(
         &mut self,
         coords: &[PillarCoord],
         in_grid: GridShape,
         kind: ConvKind,
         kernel: KernelShape,
-    ) -> (&[PillarCoord], u64) {
+        delta: Option<(&mut LayerDeltaCache, bool)>,
+    ) -> (&[PillarCoord], u64, u64) {
         let out_grid = output_grid(in_grid, kind);
         self.index_rows(coords, in_grid);
         let Self {
@@ -82,325 +103,90 @@ impl ExecutionArena {
             cols,
             streams,
             out_coords,
-            ..
-        } = self;
-        out_coords.clear();
-        let rows = SliceRows { row_ptr, cols };
-        let (_, rules) = fused_sweep(
-            &rows,
-            in_grid,
-            out_grid,
-            kind,
-            kernel,
-            streams,
-            &mut CoordSink(out_coords),
-        );
-        (out_coords, rules)
-    }
-
-    /// Rule count of a submanifold ([`ConvKind::SpConvS`]) layer in one fused
-    /// sweep (the output set is the input set, so nothing is materialised).
-    pub fn count_submanifold_rules(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kernel: KernelShape,
-    ) -> u64 {
-        self.index_rows(coords, in_grid);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
-        } = self;
-        let rows = SliceRows { row_ptr, cols };
-        let (_, rules) = fused_sweep(
-            &rows,
-            in_grid,
-            in_grid,
-            ConvKind::SpConvS,
-            kernel,
-            streams,
-            &mut NullSink,
-        );
-        rules
-    }
-
-    /// As [`ExecutionArena::dilate_and_count`], but additionally records the
-    /// per-row structure (input row pointer, output row spans, per-row rule
-    /// counts) into a layer's delta cache so the *next* frame can splice
-    /// clean rows instead of re-sweeping them. Same sweeps, same outputs.
-    pub(crate) fn dilate_count_and_record(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kind: ConvKind,
-        kernel: KernelShape,
-        cache: &mut LayerDeltaCache,
-    ) -> (&[PillarCoord], u64) {
-        let out_grid = output_grid(in_grid, kind);
-        self.index_rows(coords, in_grid);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            out_coords,
-            ..
-        } = self;
-        out_coords.clear();
-        cache.out_row_ptr.clear();
-        cache.out_row_ptr.push(0);
-        cache.row_rules.clear();
-        let rows = SliceRows { row_ptr, cols };
-        let mut rules = 0u64;
-        for o in 0..out_grid.height {
-            let base = out_coords.len();
-            let (_, row_rules) = sweep_output_row(
-                &rows,
-                in_grid,
-                out_grid,
-                kind,
-                kernel,
-                streams,
-                &mut CoordSink(out_coords),
-                o,
-                base,
-            );
-            cache.out_row_ptr.push(out_coords.len());
-            cache.row_rules.push(row_rules);
-            rules += row_rules;
-        }
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
-        cache.rules = rules;
-        (out_coords, rules)
-    }
-
-    /// As [`ExecutionArena::count_submanifold_rules`], recording the per-row
-    /// rule counts for the delta path (submanifold layers keep their input
-    /// set, so only the counts need caching).
-    pub(crate) fn count_submanifold_rules_and_record(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kernel: KernelShape,
-        cache: &mut LayerDeltaCache,
-    ) -> u64 {
-        self.index_rows(coords, in_grid);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
-        } = self;
-        cache.row_rules.clear();
-        let rows = SliceRows { row_ptr, cols };
-        let mut rules = 0u64;
-        for o in 0..in_grid.height {
-            let (_, row_rules) = sweep_output_row(
-                &rows,
-                in_grid,
-                in_grid,
-                ConvKind::SpConvS,
-                kernel,
-                streams,
-                &mut NullSink,
-                o,
-                0,
-            );
-            cache.row_rules.push(row_rules);
-            rules += row_rules;
-        }
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
-        cache.rules = rules;
-        rules
-    }
-
-    /// Marks the dirty input rows of a layer in `dirty_in`: rows whose column
-    /// set differs between the cached previous input and the current one.
-    fn mark_dirty_rows(
-        &self,
-        cache: &LayerDeltaCache,
-        in_grid: GridShape,
-        dirty_in: &mut Vec<bool>,
-    ) {
-        let prev_input = cache
-            .input
-            .as_ref()
-            .expect("delta splice requires a populated layer cache");
-        dirty_in.clear();
-        dirty_in.resize(in_grid.height as usize, false);
-        for (r, dirty) in dirty_in.iter_mut().enumerate() {
-            let prev = &prev_input[cache.in_row_ptr[r]..cache.in_row_ptr[r + 1]];
-            let next = &self.cols[self.row_ptr[r]..self.row_ptr[r + 1]];
-            *dirty = prev.len() != next.len() || prev.iter().zip(next).any(|(p, &n)| p.col != n);
-        }
-    }
-
-    /// Row-granular delta re-dilation: output rows whose receptive-field band
-    /// saw no input change are copied from the previous frame's cache; dirty
-    /// rows are re-swept with the same per-row sweep the full path uses, so
-    /// the spliced result is byte-identical to a from-scratch
-    /// [`ExecutionArena::dilate_and_count`]. The cache is updated to the new
-    /// frame (except `input`, which the caller owns and re-points).
-    ///
-    /// Returns the new dilated set (the previous frame's `Arc` is reused when
-    /// the value did not change, propagating pointer-equality downstream),
-    /// the rule count, and the number of rows actually swept.
-    pub(crate) fn delta_dilate_and_count(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kind: ConvKind,
-        kernel: KernelShape,
-        state: &mut FrameDeltaState,
-        layer_idx: usize,
-    ) -> (Arc<[PillarCoord]>, u64, u64) {
-        let out_grid = output_grid(in_grid, kind);
-        self.index_rows(coords, in_grid);
-        let FrameDeltaState {
-            layers,
             dirty_in,
-            staged_coords,
             staged_row_ptr,
             staged_row_rules,
             ..
-        } = state;
-        let cache = &mut layers[layer_idx];
-        self.mark_dirty_rows(cache, in_grid, dirty_in);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
         } = self;
+        // On the delta path, stage the new row structure; when splicing, a
+        // dirty input row is one whose column set differs between the cached
+        // previous input and the current one.
+        let record = delta.is_some();
+        let splice = delta.as_ref().filter(|(_, s)| *s).map(|(c, _)| &**c);
+        if record {
+            staged_row_ptr.clear();
+            staged_row_ptr.push(0);
+            staged_row_rules.clear();
+        }
+        if let Some(cache) = splice {
+            let prev = cache
+                .input
+                .as_deref()
+                .expect("splicing requires a recorded layer input");
+            dirty_in.clear();
+            dirty_in.extend((0..in_grid.height as usize).map(|r| {
+                let prev = &prev[cache.in_row_ptr[r]..cache.in_row_ptr[r + 1]];
+                let next = &cols[row_ptr[r]..row_ptr[r + 1]];
+                prev.len() != next.len() || prev.iter().zip(next).any(|(p, &n)| p.col != n)
+            }));
+        }
         let rows = SliceRows { row_ptr, cols };
-        let prev_dilated = cache
-            .dilated
-            .as_ref()
-            .expect("delta splice requires a recorded dilation");
-        staged_coords.clear();
-        staged_row_ptr.clear();
-        staged_row_ptr.push(0);
-        staged_row_rules.clear();
+        out_coords.clear();
         let mut rules = 0u64;
-        let mut rows_swept = 0u64;
+        let mut swept = 0u64;
         for o in 0..out_grid.height {
-            let dirty = input_row_band(o, in_grid, kind, kernel)
-                .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true));
-            let row_rules = if dirty {
-                rows_swept += 1;
-                let base = staged_coords.len();
-                let (_, rr) = sweep_output_row(
-                    &rows,
-                    in_grid,
-                    out_grid,
-                    kind,
-                    kernel,
-                    streams,
-                    &mut CoordSink(staged_coords),
-                    o,
-                    base,
-                );
-                rr
-            } else {
-                let span =
-                    &prev_dilated[cache.out_row_ptr[o as usize]..cache.out_row_ptr[o as usize + 1]];
-                staged_coords.extend_from_slice(span);
+            let clean = splice.filter(|_| {
+                !input_row_band(o, in_grid, kind, kernel)
+                    .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true))
+            });
+            let row_rules = if let Some(cache) = clean {
+                let prev_dilated = cache
+                    .dilated
+                    .as_deref()
+                    .expect("splicing requires a recorded dilation");
+                let span = cache.out_row_ptr[o as usize]..cache.out_row_ptr[o as usize + 1];
+                out_coords.extend_from_slice(&prev_dilated[span]);
                 cache.row_rules[o as usize]
+            } else {
+                swept += 1;
+                let base = out_coords.len();
+                let sink = &mut CoordSink(out_coords);
+                sweep_output_row(
+                    &rows, in_grid, out_grid, kind, kernel, streams, sink, o, base,
+                )
+                .1
             };
-            staged_row_ptr.push(staged_coords.len());
-            staged_row_rules.push(row_rules);
+            if record {
+                staged_row_ptr.push(out_coords.len());
+                staged_row_rules.push(row_rules);
+            }
             rules += row_rules;
         }
-        let dilated: Arc<[PillarCoord]> = if staged_coords[..] == prev_dilated[..] {
-            Arc::clone(prev_dilated)
-        } else {
-            Arc::from(&staged_coords[..])
-        };
-        // Commit the new frame into the cache, swapping the staged row
-        // structures in so the scratch capacity is reused next frame.
-        std::mem::swap(&mut cache.out_row_ptr, staged_row_ptr);
-        std::mem::swap(&mut cache.row_rules, staged_row_rules);
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
-        cache.dilated = Some(Arc::clone(&dilated));
-        cache.rules = rules;
-        (dilated, rules, rows_swept)
-    }
-
-    /// Row-granular delta rule recount for a submanifold layer (the output
-    /// set is the input set; only per-row rule counts are spliced).
-    ///
-    /// Returns the rule count and the number of rows re-swept.
-    pub(crate) fn delta_count_submanifold(
-        &mut self,
-        coords: &[PillarCoord],
-        in_grid: GridShape,
-        kernel: KernelShape,
-        state: &mut FrameDeltaState,
-        layer_idx: usize,
-    ) -> (u64, u64) {
-        self.index_rows(coords, in_grid);
-        let FrameDeltaState {
-            layers,
-            dirty_in,
-            staged_row_rules,
-            ..
-        } = state;
-        let cache = &mut layers[layer_idx];
-        self.mark_dirty_rows(cache, in_grid, dirty_in);
-        let Self {
-            row_ptr,
-            cols,
-            streams,
-            ..
-        } = self;
-        let rows = SliceRows { row_ptr, cols };
-        staged_row_rules.clear();
-        let mut rules = 0u64;
-        let mut rows_swept = 0u64;
-        for o in 0..in_grid.height {
-            let dirty = input_row_band(o, in_grid, ConvKind::SpConvS, kernel)
-                .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true));
-            let row_rules = if dirty {
-                rows_swept += 1;
-                let (_, rr) = sweep_output_row(
-                    &rows,
-                    in_grid,
-                    in_grid,
-                    ConvKind::SpConvS,
-                    kernel,
-                    streams,
-                    &mut NullSink,
-                    o,
-                    0,
-                );
-                rr
-            } else {
-                cache.row_rules[o as usize]
-            };
-            staged_row_rules.push(row_rules);
-            rules += row_rules;
+        // Commit this frame into the cache, swapping the staged row
+        // structures in so their capacity is reused next frame.
+        if let Some((cache, _)) = delta {
+            std::mem::swap(&mut cache.out_row_ptr, staged_row_ptr);
+            std::mem::swap(&mut cache.row_rules, staged_row_rules);
+            cache.in_row_ptr.clear();
+            cache.in_row_ptr.extend_from_slice(row_ptr);
+            cache.rules = rules;
         }
-        std::mem::swap(&mut cache.row_rules, staged_row_rules);
-        cache.in_row_ptr.clear();
-        cache.in_row_ptr.extend_from_slice(row_ptr);
-        cache.rules = rules;
-        (rules, rows_swept)
+        (out_coords, rules, swept)
     }
 
     /// Capacities of the arena's scratch buffers — pinned by the test that
     /// asserts the steady-state delta path stops allocating.
     #[must_use]
-    pub fn scratch_capacities(&self) -> [usize; 5] {
+    pub fn scratch_capacities(&self) -> [usize; 8] {
         [
             self.row_ptr.capacity(),
             self.cols.capacity(),
             self.streams.capacity(),
             self.out_coords.capacity(),
             self.scratch.capacity(),
+            self.dirty_in.capacity(),
+            self.staged_row_ptr.capacity(),
+            self.staged_row_rules.capacity(),
         ]
     }
 
@@ -454,24 +240,21 @@ mod tests {
         let cs = coords();
         let t = CprTensor::from_sorted_coords(grid, 1, &cs);
         let mut arena = ExecutionArena::new();
-        for kind in [ConvKind::SpConv, ConvKind::SpConvP, ConvKind::SpStConv] {
-            let (out, rules) = arena.dilate_and_count(&cs, grid, kind, KernelShape::k3x3());
+        for (kind, kernel) in [
+            (ConvKind::SpConv, KernelShape::k3x3()),
+            (ConvKind::SpConvP, KernelShape::k3x3()),
+            (ConvKind::SpStConv, KernelShape::k3x3()),
+            (ConvKind::SpDeconv, KernelShape::k2x2()),
+        ] {
+            let (out, rules, _) = arena.sweep_layer(&cs, grid, kind, kernel, None);
             assert_eq!(
                 out,
-                &rulegen::output_coords(&t, kind, KernelShape::k3x3())[..],
+                &rulegen::output_coords(&t, kind, kernel)[..],
                 "outputs for {kind}"
             );
-            let book = rulegen::generate_rules(&t, kind, KernelShape::k3x3());
+            let book = rulegen::generate_rules(&t, kind, kernel);
             assert_eq!(rules, book.num_rules() as u64, "rules for {kind}");
         }
-        let (out, rules) =
-            arena.dilate_and_count(&cs, grid, ConvKind::SpDeconv, KernelShape::k2x2());
-        assert_eq!(
-            out,
-            &rulegen::output_coords(&t, ConvKind::SpDeconv, KernelShape::k2x2())[..]
-        );
-        let book = rulegen::generate_rules(&t, ConvKind::SpDeconv, KernelShape::k2x2());
-        assert_eq!(rules, book.num_rules() as u64);
     }
 
     #[test]
@@ -480,7 +263,9 @@ mod tests {
         let cs = coords();
         let t = CprTensor::from_sorted_coords(grid, 1, &cs);
         let mut arena = ExecutionArena::new();
-        let rules = arena.count_submanifold_rules(&cs, grid, KernelShape::k3x3());
+        let (out, rules, _) =
+            arena.sweep_layer(&cs, grid, ConvKind::SpConvS, KernelShape::k3x3(), None);
+        assert!(out.is_empty(), "submanifold layers keep their input set");
         let book = rulegen::generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
         assert_eq!(rules, book.num_rules() as u64);
     }
@@ -514,53 +299,44 @@ mod tests {
             PillarCoord::new(12, 9),
         ];
         let prev_arc: Arc<[PillarCoord]> = Arc::from(&prev[..]);
+        // Submanifold counts splice row-wise through the same loop.
         for (kind, kernel) in [
             (ConvKind::SpConv, KernelShape::k3x3()),
             (ConvKind::SpStConv, KernelShape::k3x3()),
             (ConvKind::SpDeconv, KernelShape::k2x2()),
+            (ConvKind::SpConvS, KernelShape::k3x3()),
         ] {
-            let mut arena = ExecutionArena::new();
-            let mut state = crate::rulegen::delta::FrameDeltaState::default();
-            state.layers.push(Default::default());
-            let (out, rules) =
-                arena.dilate_count_and_record(&prev, grid, kind, kernel, &mut state.layers[0]);
-            let recorded: Arc<[PillarCoord]> = Arc::from(out);
-            state.layers[0].dilated = Some(Arc::clone(&recorded));
-            state.layers[0].input = Some(Arc::clone(&prev_arc));
-            let (full_out, full_rules) = {
-                let mut fresh = ExecutionArena::new();
-                let (o, r) = fresh.dilate_and_count(&prev, grid, kind, kernel);
+            let full = |coords: &[PillarCoord]| {
+                let mut arena = ExecutionArena::new();
+                let (o, r, _) = arena.sweep_layer(coords, grid, kind, kernel, None);
                 (o.to_vec(), r)
             };
+            let mut arena = ExecutionArena::new();
+            let mut cache = LayerDeltaCache::default();
+            let (out, rules, swept) =
+                arena.sweep_layer(&prev, grid, kind, kernel, Some((&mut cache, false)));
+            let recorded: Arc<[PillarCoord]> = Arc::from(out);
+            let out_rows = u64::from(output_grid(grid, kind).height);
+            assert_eq!(swept, out_rows, "recording sweeps every row for {kind}");
+            cache.dilated = Some(Arc::clone(&recorded));
+            cache.input = Some(Arc::clone(&prev_arc));
+            let (full_out, full_rules) = full(&prev);
             assert_eq!(&recorded[..], &full_out[..], "record diverged for {kind}");
             assert_eq!(rules, full_rules, "record rules diverged for {kind}");
             let (patched, rules, swept) =
-                arena.delta_dilate_and_count(&next, grid, kind, kernel, &mut state, 0);
-            let mut fresh = ExecutionArena::new();
-            let (oracle, oracle_rules) = fresh.dilate_and_count(&next, grid, kind, kernel);
-            assert_eq!(&patched[..], oracle, "splice diverged for {kind}");
+                arena.sweep_layer(&next, grid, kind, kernel, Some((&mut cache, true)));
+            let (oracle, oracle_rules) = full(&next);
+            assert_eq!(patched, &oracle[..], "splice diverged for {kind}");
             assert_eq!(rules, oracle_rules, "splice rules diverged for {kind}");
-            let out_rows = u64::from(crate::rulegen::output_grid(grid, kind).height);
             assert!(swept > 0 && swept < out_rows, "kind {kind}: swept {swept}");
         }
-        // Submanifold counts splice row-wise too.
-        let mut arena = ExecutionArena::new();
-        let mut state = crate::rulegen::delta::FrameDeltaState::default();
-        state.layers.push(Default::default());
-        let k = KernelShape::k3x3();
-        arena.count_submanifold_rules_and_record(&prev, grid, k, &mut state.layers[0]);
-        state.layers[0].input = Some(Arc::clone(&prev_arc));
-        let (rules, swept) = arena.delta_count_submanifold(&next, grid, k, &mut state, 0);
-        let mut fresh = ExecutionArena::new();
-        assert_eq!(rules, fresh.count_submanifold_rules(&next, grid, k));
-        assert!(swept > 0 && swept < u64::from(grid.height));
     }
 
     #[test]
     fn delta_path_stops_allocating_after_warm_up() {
         use crate::conv::LayerSpec;
         use crate::graph::{
-            execute_pattern_delta, ExecutionContext, LayerInput, NetworkLayer, NetworkSpec,
+            execute_pattern, ExecutionContext, LayerInput, NetworkLayer, NetworkSpec,
         };
         let grid = GridShape::new(32, 32);
         let spec = NetworkSpec {
@@ -604,16 +380,14 @@ mod tests {
         let mut state = crate::rulegen::delta::FrameDeltaState::default();
         // Warm-up: one full frame plus one delta frame of each flavour.
         for coords in [&a, &b, &a] {
-            let _ = execute_pattern_delta(&spec, coords, grid, 0, &ctx, &mut arena, &mut state);
+            let _ = execute_pattern(&spec, coords, grid, 0, &ctx, &mut arena, Some(&mut state));
         }
         let arena_caps = arena.scratch_capacities();
-        let state_caps = state.scratch_capacities();
         // Steady state: the coord-diff and halo-row scratch buffers must be
         // reused as-is — zero reallocation on the delta path.
         for coords in [&b, &a, &b, &a, &b] {
-            let _ = execute_pattern_delta(&spec, coords, grid, 0, &ctx, &mut arena, &mut state);
+            let _ = execute_pattern(&spec, coords, grid, 0, &ctx, &mut arena, Some(&mut state));
             assert_eq!(arena.scratch_capacities(), arena_caps);
-            assert_eq!(state.scratch_capacities(), state_caps);
         }
         assert_eq!(state.stats().frames_total, 8);
         assert_eq!(state.stats().frames_delta, 7);

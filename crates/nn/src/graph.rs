@@ -193,84 +193,45 @@ pub struct ExecutionContext<'a> {
     pub seed: u64,
 }
 
-/// Executes a network at pattern level.
+/// How one layer's dilated set and rule count are produced this frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LayerStep {
+    /// Closed form: a dense layer's output set is the whole grid.
+    Dense,
+    /// Full sweep, nothing recorded (no delta state).
+    Plain,
+    /// Full sweep that records the row structure for the next frame.
+    Record,
+    /// Re-sweeps only the output rows whose halo band changed; splices the rest.
+    Patch,
+    /// The input is unchanged since last frame: reuses the cached result.
+    Reuse,
+}
+
+/// Executes a network at pattern level — the one executor entry point.
 ///
 /// `initial_coords` are the active pillars produced by the pillar encoder on
-/// the base grid `grid`. Allocates a fresh [`ExecutionArena`]; loops that
-/// execute many networks or frames should hold one arena and call
-/// [`execute_pattern_with_arena`] so scratch capacity carries over.
+/// the base grid `grid`. Every sparse layer's dilation, rule count, and
+/// output set come from one fused streaming sweep over `arena`'s reusable
+/// buffers; loops that execute many networks or frames should keep one
+/// arena so scratch capacity carries over.
+///
+/// With `delta: None` (the plain path) nothing is recorded or compared.
+/// With a [`FrameDeltaState`], consecutive frames of **one** drive, fed in
+/// order, execute through the temporal delta path: a layer whose input did
+/// not change reuses last frame's result, and a changed layer re-sweeps only
+/// the output rows whose halo band is dirty, splicing the rest from the
+/// previous frame ([`crate::rulegen::delta`]). The result is byte-identical
+/// to the plain path on every frame — the delta path changes only *how* each
+/// layer's dilated set and rule count are produced (row splice vs full
+/// sweep — pinned equal by the delta property tests), never what is derived
+/// from them. Frames that changed too much (per
+/// [`crate::rulegen::delta::DeltaPolicy`]), the first frame, and
+/// network/grid switches fall back to full sweeps while still recording the
+/// caches for the next frame. [`FrameDeltaState::stats`] reports what the
+/// delta path did.
 #[must_use]
 pub fn execute_pattern(
-    spec: &NetworkSpec,
-    initial_coords: &[PillarCoord],
-    grid: GridShape,
-    encoder_macs: u64,
-    ctx: &ExecutionContext<'_>,
-) -> (NetworkTrace, Vec<LayerWorkload>) {
-    execute_pattern_with_arena(
-        spec,
-        initial_coords,
-        grid,
-        encoder_macs,
-        ctx,
-        &mut ExecutionArena::new(),
-    )
-}
-
-/// [`execute_pattern`] with caller-owned scratch: every layer's dilation,
-/// rule count, and output set come from one fused streaming sweep over the
-/// arena's reusable buffers, so the layer loop performs no per-layer
-/// `BTreeSet`/`CprTensor` construction and no repeated input walks.
-#[must_use]
-pub fn execute_pattern_with_arena(
-    spec: &NetworkSpec,
-    initial_coords: &[PillarCoord],
-    grid: GridShape,
-    encoder_macs: u64,
-    ctx: &ExecutionContext<'_>,
-    arena: &mut ExecutionArena,
-) -> (NetworkTrace, Vec<LayerWorkload>) {
-    execute_pattern_inner(spec, initial_coords, grid, encoder_macs, ctx, arena, None)
-}
-
-/// [`execute_pattern_with_arena`] with temporal delta execution: feed
-/// consecutive frames of **one** drive, in order, through the same
-/// [`FrameDeltaState`] and layers whose inputs barely changed are served by
-/// row-splicing the previous frame's outputs ([`crate::rulegen::delta`])
-/// instead of re-sweeping every output row.
-///
-/// The result is byte-identical to [`execute_pattern_with_arena`] on every
-/// frame: the delta path shares this single executor body with the full
-/// path, differing only in *how* each layer's dilated set and rule count
-/// are produced (row splice vs full sweep — pinned equal by the delta
-/// property tests), never in what is derived from them. Frames that changed
-/// too much (per [`crate::rulegen::delta::DeltaPolicy`]), the first frame,
-/// and network/grid switches automatically fall back to full sweeps while
-/// still recording the caches for the next frame. [`FrameDeltaState::stats`]
-/// reports what the delta path did.
-#[must_use]
-pub fn execute_pattern_delta(
-    spec: &NetworkSpec,
-    initial_coords: &[PillarCoord],
-    grid: GridShape,
-    encoder_macs: u64,
-    ctx: &ExecutionContext<'_>,
-    arena: &mut ExecutionArena,
-    state: &mut FrameDeltaState,
-) -> (NetworkTrace, Vec<LayerWorkload>) {
-    execute_pattern_inner(
-        spec,
-        initial_coords,
-        grid,
-        encoder_macs,
-        ctx,
-        arena,
-        Some(state),
-    )
-}
-
-/// The one executor body behind both the full and delta entry points.
-fn execute_pattern_inner(
     spec: &NetworkSpec,
     initial_coords: &[PillarCoord],
     grid: GridShape,
@@ -297,18 +258,31 @@ fn execute_pattern_inner(
         Arc::from(&arena.scratch[..])
     };
     // Frame-level delta gate: the delta path runs only when the caches hold
-    // the same network on the same grid and the frame-to-frame change stays
-    // within the policy threshold. Anything else (first frame, i.i.d. drive,
-    // scene cut, model switch) falls back to full sweeps — which still
-    // *record* the caches so the next frame can go incremental.
+    // the same network (layer by layer) on the same grid and the
+    // frame-to-frame change stays within the policy threshold. Anything else
+    // (first frame, i.i.d. drive, scene cut, model switch) falls back to full
+    // sweeps — which still *record* the caches so the next frame can go
+    // incremental.
     let mut frame_delta = false;
     if let Some(state) = delta.as_deref_mut() {
         state.stats.frames_total += 1;
-        let compatible = state.grid == Some(grid) && state.num_layers == Some(spec.layers.len());
+        let compatible = state.grid == Some(grid)
+            && state
+                .network
+                .iter()
+                .map(|(kind, kernel, input, densify)| (*kind, *kernel, input, *densify))
+                .eq(spec
+                    .layers
+                    .iter()
+                    .map(|l| (l.spec.kind, l.spec.kernel, &l.input, l.densify_input)));
         if !compatible {
             state.invalidate();
             state.grid = Some(grid);
-            state.num_layers = Some(spec.layers.len());
+            state.network = spec
+                .layers
+                .iter()
+                .map(|l| (l.spec.kind, l.spec.kernel, l.input.clone(), l.densify_input))
+                .collect();
             state
                 .layers
                 .resize_with(spec.layers.len(), LayerDeltaCache::default);
@@ -373,100 +347,76 @@ fn execute_pattern_inner(
         }
         let sp = &layer.spec;
         let out_grid = sp.output_grid(in_grid);
-        // One fused sweep per layer produces the dilated output set and the
-        // rule count together (dense layers need neither sweep: their output
-        // set is the whole grid and their rule count is closed-form;
-        // submanifold layers keep their input set as the output set). With a
-        // delta state, the sweep is served incrementally: a layer whose
-        // input is unchanged reuses last frame's result wholesale, a changed
-        // input re-sweeps only the output rows whose halo band is dirty, and
-        // full (fallback) frames record the row structure for the next one.
-        let (dilated, rules): (Arc<[PillarCoord]>, u64) = match sp.kind {
-            ConvKind::Dense => (
+        // Choose how this layer runs. Dense layers need no sweep: their
+        // output set is the whole grid and their rule count is closed-form.
+        // Every other kind runs one fused sweep (submanifold layers keep
+        // their input set as the output set) — served incrementally on the
+        // delta path: an unchanged input reuses last frame's result
+        // wholesale, a changed input re-sweeps only the output rows whose
+        // halo band is dirty, and full (fallback) frames record the row
+        // structure for the next one.
+        let step = match delta.as_deref() {
+            _ if sp.kind == ConvKind::Dense => LayerStep::Dense,
+            None => LayerStep::Plain,
+            Some(_) if !frame_delta => LayerStep::Record,
+            Some(state)
+                if state.layers[li]
+                    .input
+                    .as_ref()
+                    .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords) =>
+            {
+                LayerStep::Reuse
+            }
+            Some(_) => LayerStep::Patch,
+        };
+        let mut cache = delta.as_deref_mut().map(|state| &mut state.layers[li]);
+        let (dilated, rules, rows_swept): (Arc<[PillarCoord]>, u64, u64) = match step {
+            LayerStep::Dense => (
                 arena.dense_cells(out_grid),
                 out_grid.num_cells() as u64 * sp.kernel.num_taps() as u64,
+                0,
             ),
-            ConvKind::SpConvS => {
-                let rules = match delta.as_deref_mut() {
-                    Some(state) => {
-                        let out_rows = u64::from(in_grid.height);
-                        state.stats.rows_full_equivalent += out_rows;
-                        let reusable = frame_delta
-                            && state.layers[li]
-                                .input
-                                .as_ref()
-                                .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords);
-                        if reusable {
-                            state.stats.layers_reused += 1;
-                            state.layers[li].rules
-                        } else if frame_delta {
-                            let (rules, swept) = arena
-                                .delta_count_submanifold(&in_coords, in_grid, sp.kernel, state, li);
-                            state.stats.layers_patched += 1;
-                            state.stats.rows_swept += swept;
-                            state.layers[li].input = Some(Arc::clone(&in_coords));
-                            rules
-                        } else {
-                            let rules = arena.count_submanifold_rules_and_record(
-                                &in_coords,
-                                in_grid,
-                                sp.kernel,
-                                &mut state.layers[li],
-                            );
-                            state.stats.layers_full += 1;
-                            state.stats.rows_swept += out_rows;
-                            state.layers[li].input = Some(Arc::clone(&in_coords));
-                            rules
-                        }
-                    }
-                    None => arena.count_submanifold_rules(&in_coords, in_grid, sp.kernel),
-                };
-                (Arc::clone(&in_coords), rules)
+            LayerStep::Reuse => {
+                let cache = cache.expect("reuse requires a delta cache");
+                let dilated = cache.dilated.as_ref().expect("populated cache");
+                (Arc::clone(dilated), cache.rules, 0)
             }
-            _ => match delta.as_deref_mut() {
-                Some(state) => {
-                    let out_rows = u64::from(out_grid.height);
-                    state.stats.rows_full_equivalent += out_rows;
-                    let reusable = frame_delta
-                        && state.layers[li]
-                            .input
-                            .as_ref()
-                            .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords);
-                    if reusable {
-                        state.stats.layers_reused += 1;
-                        let cache = &state.layers[li];
-                        (
-                            Arc::clone(cache.dilated.as_ref().expect("populated cache")),
-                            cache.rules,
-                        )
-                    } else if frame_delta {
-                        let (out, rules, swept) = arena.delta_dilate_and_count(
-                            &in_coords, in_grid, sp.kind, sp.kernel, state, li,
-                        );
-                        state.stats.layers_patched += 1;
-                        state.stats.rows_swept += swept;
-                        state.layers[li].input = Some(Arc::clone(&in_coords));
-                        (out, rules)
-                    } else {
-                        let cache = &mut state.layers[li];
-                        let (out, rules) = arena.dilate_count_and_record(
-                            &in_coords, in_grid, sp.kind, sp.kernel, cache,
-                        );
-                        let out: Arc<[PillarCoord]> = Arc::from(out);
-                        cache.dilated = Some(Arc::clone(&out));
-                        cache.input = Some(Arc::clone(&in_coords));
-                        state.stats.layers_full += 1;
-                        state.stats.rows_swept += out_rows;
-                        (out, rules)
+            LayerStep::Plain | LayerStep::Record | LayerStep::Patch => {
+                let splice = step == LayerStep::Patch;
+                let (out, rules, swept) = arena.sweep_layer(
+                    &in_coords,
+                    in_grid,
+                    sp.kind,
+                    sp.kernel,
+                    cache.as_deref_mut().map(|c| (c, splice)),
+                );
+                // An unchanged dilated set reuses the previous frame's
+                // allocation, propagating pointer-equality downstream.
+                let dilated = if sp.kind == ConvKind::SpConvS {
+                    Arc::clone(&in_coords)
+                } else {
+                    match cache.as_deref().and_then(|c| c.dilated.as_ref()) {
+                        Some(prev) if prev[..] == *out => Arc::clone(prev),
+                        _ => Arc::from(out),
                     }
+                };
+                if let Some(cache) = cache {
+                    cache.input = Some(Arc::clone(&in_coords));
+                    cache.dilated = Some(Arc::clone(&dilated));
                 }
-                None => {
-                    let (out, rules) =
-                        arena.dilate_and_count(&in_coords, in_grid, sp.kind, sp.kernel);
-                    (Arc::from(out), rules)
-                }
-            },
+                (dilated, rules, swept)
+            }
         };
+        if let Some(state) = delta.as_deref_mut().filter(|_| step != LayerStep::Dense) {
+            let stats = &mut state.stats;
+            stats.rows_full_equivalent += u64::from(out_grid.height);
+            stats.rows_swept += rows_swept;
+            match step {
+                LayerStep::Reuse => stats.layers_reused += 1,
+                LayerStep::Patch => stats.layers_patched += 1,
+                _ => stats.layers_full += 1,
+            }
+        }
         // Dynamic pruning for SpConv-P layers.
         let out_coords: Arc<[PillarCoord]> = if sp.kind == ConvKind::SpConvP {
             let downsample = (grid.height / out_grid.height).max(1);
@@ -693,6 +643,25 @@ mod tests {
     use crate::kernel::KernelShape;
     use spade_tensor::CprTensor;
 
+    /// The plain path on a fresh arena.
+    fn run_plain(
+        spec: &NetworkSpec,
+        coords: &[PillarCoord],
+        grid: GridShape,
+        encoder_macs: u64,
+        ctx: &ExecutionContext<'_>,
+    ) -> (NetworkTrace, Vec<LayerWorkload>) {
+        execute_pattern(
+            spec,
+            coords,
+            grid,
+            encoder_macs,
+            ctx,
+            &mut ExecutionArena::new(),
+            None,
+        )
+    }
+
     fn simple_spec(kind: ConvKind) -> NetworkSpec {
         NetworkSpec {
             name: "test".into(),
@@ -728,7 +697,7 @@ mod tests {
     #[test]
     fn submanifold_network_preserves_active_count() {
         let (coords, grid) = initial();
-        let (trace, workloads) = execute_pattern(
+        let (trace, workloads) = run_plain(
             &simple_spec(ConvKind::SpConvS),
             &coords,
             grid,
@@ -748,7 +717,7 @@ mod tests {
     #[test]
     fn spconv_network_dilates_layer_by_layer() {
         let (coords, grid) = initial();
-        let (trace, _) = execute_pattern(
+        let (trace, _) = run_plain(
             &simple_spec(ConvKind::SpConv),
             &coords,
             grid,
@@ -764,8 +733,8 @@ mod tests {
     fn sparse_network_saves_computation_vs_dense() {
         let (coords, grid) = initial();
         let ctx = ExecutionContext::default();
-        let (sparse, _) = execute_pattern(&simple_spec(ConvKind::SpConvS), &coords, grid, 0, &ctx);
-        let (dense, _) = execute_pattern(&simple_spec(ConvKind::Dense), &coords, grid, 0, &ctx);
+        let (sparse, _) = run_plain(&simple_spec(ConvKind::SpConvS), &coords, grid, 0, &ctx);
+        let (dense, _) = run_plain(&simple_spec(ConvKind::Dense), &coords, grid, 0, &ctx);
         assert!(sparse.total_macs() < dense.total_macs());
         assert!(sparse.computation_savings() > 0.5);
         assert!(dense.computation_savings().abs() < 1e-9);
@@ -782,7 +751,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let (trace, _) = execute_pattern(&simple_spec(ConvKind::SpConvP), &coords, grid, 0, &ctx);
+        let (trace, _) = run_plain(&simple_spec(ConvKind::SpConvP), &coords, grid, 0, &ctx);
         for l in &trace.layers {
             assert!(l.out_active < l.dilated_active);
         }
@@ -793,8 +762,7 @@ mod tests {
         let (coords, grid) = initial();
         let mut spec = simple_spec(ConvKind::Dense);
         spec.layers[0].densify_input = true;
-        let (trace, workloads) =
-            execute_pattern(&spec, &coords, grid, 0, &ExecutionContext::default());
+        let (trace, workloads) = run_plain(&spec, &coords, grid, 0, &ExecutionContext::default());
         assert_eq!(trace.layers[0].in_active, grid.num_cells());
         assert_eq!(workloads[0].input_coords.len(), grid.num_cells());
     }
@@ -826,7 +794,7 @@ mod tests {
             ],
         };
         let (coords, grid) = initial();
-        let (trace, _) = execute_pattern(&spec, &coords, grid, 0, &ExecutionContext::default());
+        let (trace, _) = run_plain(&spec, &coords, grid, 0, &ExecutionContext::default());
         // The union contains at least as many pillars as the submanifold branch.
         assert!(trace.layers[2].in_active >= trace.layers[0].out_active);
         assert_eq!(trace.layers[2].in_active, trace.layers[1].out_active);
@@ -923,9 +891,16 @@ mod tests {
         let mut full_arena = ExecutionArena::new();
         let mut state = FrameDeltaState::default();
         for (i, coords) in drifting_frames(grid, 8).iter().enumerate() {
-            let incremental =
-                execute_pattern_delta(&spec, coords, grid, 50, &ctx, &mut delta_arena, &mut state);
-            let full = execute_pattern_with_arena(&spec, coords, grid, 50, &ctx, &mut full_arena);
+            let incremental = execute_pattern(
+                &spec,
+                coords,
+                grid,
+                50,
+                &ctx,
+                &mut delta_arena,
+                Some(&mut state),
+            );
+            let full = execute_pattern(&spec, coords, grid, 50, &ctx, &mut full_arena, None);
             assert_eq!(incremental, full, "frame {i} diverged");
         }
         let stats = state.stats();
@@ -954,11 +929,15 @@ mod tests {
             (simple_spec(ConvKind::SpConv), grid_a),
             (mixed_spec(), grid_b),
             (mixed_spec(), grid_b),
+            // Same grid and layer count, different layer kinds: the caches
+            // must not carry over (as between SPP1 and SPP3).
+            (simple_spec(ConvKind::SpConv), grid_b),
+            (simple_spec(ConvKind::SpConvS), grid_b),
         ] {
             for coords in &frames {
                 let incremental =
-                    execute_pattern_delta(&spec, coords, grid, 0, &ctx, &mut arena, &mut state);
-                let full = execute_pattern(&spec, coords, grid, 0, &ctx);
+                    execute_pattern(&spec, coords, grid, 0, &ctx, &mut arena, Some(&mut state));
+                let full = run_plain(&spec, coords, grid, 0, &ctx);
                 assert_eq!(incremental, full);
             }
         }
@@ -979,8 +958,9 @@ mod tests {
                 PillarCoord::new(base + 4, 5),
             ];
             let incremental =
-                execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut state);
-            assert_eq!(incremental, execute_pattern(&spec, &coords, grid, 0, &ctx));
+                execute_pattern(&spec, &coords, grid, 0, &ctx, &mut arena, Some(&mut state));
+            let full = run_plain(&spec, &coords, grid, 0, &ctx);
+            assert_eq!(incremental, full);
         }
         let stats = state.stats();
         assert_eq!(stats.frames_total, 3);
@@ -997,8 +977,8 @@ mod tests {
         let mut arena = ExecutionArena::new();
         let mut state = FrameDeltaState::default();
         let coords = drifting_frames(grid, 1).pop().unwrap();
-        let first = execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut state);
-        let second = execute_pattern_delta(&spec, &coords, grid, 0, &ctx, &mut arena, &mut state);
+        let first = execute_pattern(&spec, &coords, grid, 0, &ctx, &mut arena, Some(&mut state));
+        let second = execute_pattern(&spec, &coords, grid, 0, &ctx, &mut arena, Some(&mut state));
         assert_eq!(first, second);
         let stats = state.stats();
         assert_eq!(stats.frames_delta, 1);
@@ -1022,7 +1002,7 @@ mod tests {
             }],
         };
         let (coords, grid) = initial();
-        let (trace, _) = execute_pattern(&spec, &coords, grid, 0, &ExecutionContext::default());
+        let (trace, _) = run_plain(&spec, &coords, grid, 0, &ExecutionContext::default());
         assert_eq!(trace.layers[0].out_grid, GridShape::new(8, 8));
     }
 }

@@ -36,13 +36,17 @@
 //! tests pin [`patch_rule_book`] against the [`generate`] oracle on every
 //! frame of every named drive scenario.
 //!
-//! [`FrameDeltaState`] carries the cross-frame caches for the
-//! pattern-level executor ([`crate::graph::execute_pattern_delta`]): the
-//! previous frame's per-layer inputs, dilated outputs, per-row rule
-//! counts, and row spans, plus the scratch buffers the splice reuses so
-//! the steady-state delta path allocates nothing per frame.
+//! [`FrameDeltaState`] carries the cross-frame caches for the one
+//! pattern-level executor entry point, [`crate::graph::execute_pattern`]
+//! (pass `Some(&mut state)`): the previous frame's per-layer inputs,
+//! dilated outputs, per-row rule counts, and row spans. The executor's
+//! single row sweep (`ExecutionArena::sweep_layer`) records those on full
+//! frames and splices clean rows from them on delta frames, reusing the
+//! arena's scratch so the steady-state delta path allocates nothing per
+//! frame.
 
 use crate::conv::ConvKind;
+use crate::graph::LayerInput;
 use crate::kernel::KernelShape;
 use crate::rule::RuleBook;
 use crate::rulegen::output_grid;
@@ -374,11 +378,11 @@ impl LayerDeltaCache {
     }
 }
 
-/// Cross-frame state for [`crate::graph::execute_pattern_delta`]: one
-/// drive's rolling cache of the previous frame plus the scratch buffers the
-/// row splice reuses. Feed frames of **one** drive in order through a single
-/// state; the executor resets the caches automatically if the network or
-/// grid changes underneath it.
+/// Cross-frame state for [`crate::graph::execute_pattern`]: one drive's
+/// rolling cache of the previous frame. Feed frames of **one** drive in order
+/// through a single state; the executor resets the caches automatically if
+/// the network or grid changes underneath it. The row splice's scratch
+/// buffers live in the [`crate::ExecutionArena`].
 #[derive(Debug)]
 pub struct FrameDeltaState {
     /// Fallback policy.
@@ -389,19 +393,13 @@ pub struct FrameDeltaState {
     pub(crate) prev_initial: Option<Arc<[PillarCoord]>>,
     /// Grid the caches were recorded on.
     pub(crate) grid: Option<GridShape>,
-    /// Fingerprint of the network the caches were recorded for (layer
-    /// count; specs are static per model).
-    pub(crate) num_layers: Option<usize>,
+    /// What each cached layer's rows depend on besides its input coords:
+    /// `(kind, kernel, input source, densify_input)`. Two networks can share
+    /// a grid and a layer count (SPP1 and SPP3 both have 23 layers) and still
+    /// differ here, so the executor compares these per layer.
+    pub(crate) network: Vec<(ConvKind, KernelShape, LayerInput, bool)>,
     /// Per-layer caches, indexed like the pattern's layer list.
     pub(crate) layers: Vec<LayerDeltaCache>,
-    /// Scratch: dirty flag per input row of the current layer.
-    pub(crate) dirty_in: Vec<bool>,
-    /// Scratch: the spliced output coords being staged.
-    pub(crate) staged_coords: Vec<PillarCoord>,
-    /// Scratch: row pointer being staged alongside `staged_coords`.
-    pub(crate) staged_row_ptr: Vec<usize>,
-    /// Scratch: per-row rule counts being staged.
-    pub(crate) staged_row_rules: Vec<u64>,
 }
 
 impl FrameDeltaState {
@@ -413,12 +411,8 @@ impl FrameDeltaState {
             stats: DeltaStats::default(),
             prev_initial: None,
             grid: None,
-            num_layers: None,
+            network: Vec::new(),
             layers: Vec::new(),
-            dirty_in: Vec::new(),
-            staged_coords: Vec::new(),
-            staged_row_ptr: Vec::new(),
-            staged_row_rules: Vec::new(),
         }
     }
 
@@ -450,22 +444,10 @@ impl FrameDeltaState {
     pub fn invalidate(&mut self) {
         self.prev_initial = None;
         self.grid = None;
-        self.num_layers = None;
+        self.network.clear();
         for layer in &mut self.layers {
             *layer = LayerDeltaCache::default();
         }
-    }
-
-    /// Capacities of the reusable scratch buffers — pinned by the arena
-    /// test that asserts the steady-state delta path stops allocating.
-    #[must_use]
-    pub fn scratch_capacities(&self) -> [usize; 4] {
-        [
-            self.dirty_in.capacity(),
-            self.staged_coords.capacity(),
-            self.staged_row_ptr.capacity(),
-            self.staged_row_rules.capacity(),
-        ]
     }
 }
 
@@ -682,6 +664,5 @@ mod tests {
         state.invalidate();
         assert!(!state.layers[0].is_populated());
         assert_eq!(state.stats().frames_total, 3);
-        assert!(state.scratch_capacities().iter().all(|&c| c == 0));
     }
 }

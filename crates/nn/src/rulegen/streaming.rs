@@ -18,10 +18,11 @@
 //! Each active pillar is touched a constant number of times (once per kernel
 //! tap), giving the `O(P·K)` complexity the RGU exploits; the k-way head
 //! comparison is a fixed `K ≤ 9`-wide scan that hardware evaluates in
-//! parallel. The crate-internal `fused_sweep` is the shared core:
-//! [`generate`] drives it to build a full [`RuleBook`], while the
-//! pattern-level executor ([`crate::arena::ExecutionArena`]) drives it to
-//! produce output coordinates and rule counts without materialising rules.
+//! parallel. The crate-internal `sweep_output_row` is the shared core:
+//! [`generate`] drives it over every row to build a full [`RuleBook`], while
+//! the pattern-level executor (`ExecutionArena::sweep_layer`)
+//! drives it row by row to produce output coordinates and rule counts
+//! without materialising rules, splicing clean rows on the delta path.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
@@ -125,21 +126,14 @@ pub(crate) trait SweepSink {
     fn rule(&mut self, tap: usize, input: usize, output: usize);
 }
 
-/// A sink that only collects output coordinates (pattern-level execution).
+/// A sink that only collects output coordinates (pattern-level execution;
+/// a submanifold sweep emits no outputs, so it only counts rules).
 pub(crate) struct CoordSink<'a>(pub &'a mut Vec<PillarCoord>);
 
 impl SweepSink for CoordSink<'_> {
     fn output(&mut self, coord: PillarCoord) {
         self.0.push(coord);
     }
-    fn rule(&mut self, _tap: usize, _input: usize, _output: usize) {}
-}
-
-/// A sink that discards everything (rule counting only).
-pub(crate) struct NullSink;
-
-impl SweepSink for NullSink {
-    fn output(&mut self, _coord: PillarCoord) {}
     fn rule(&mut self, _tap: usize, _input: usize, _output: usize) {}
 }
 

@@ -93,7 +93,7 @@ mod tests {
     use super::*;
     use crate::conv::ConvKind;
     use crate::graph::{execute_pattern, ExecutionContext, LayerInput, NetworkLayer, NetworkSpec};
-    use crate::LayerSpec;
+    use crate::{ExecutionArena, LayerSpec};
     use spade_tensor::{GridShape, PillarCoord};
 
     fn tiny_trace(kind: ConvKind) -> NetworkTrace {
@@ -114,6 +114,8 @@ mod tests {
             GridShape::new(16, 16),
             0,
             &ExecutionContext::default(),
+            &mut ExecutionArena::new(),
+            None,
         )
         .0
     }

@@ -13,7 +13,7 @@ use spade::baselines::{
 };
 use spade::core::{Accelerator, SpadeAccelerator, SpadeConfig};
 use spade::nn::graph::{execute_pattern, ExecutionContext};
-use spade::nn::{Model, ModelKind};
+use spade::nn::{ExecutionArena, Model, ModelKind};
 use spade::pointcloud::dataset::DatasetKind;
 use spade::pointcloud::DatasetPreset;
 
@@ -48,6 +48,8 @@ fn main() {
             preset.grid_shape(),
             encoder_macs,
             &ctx,
+            &mut ExecutionArena::new(),
+            None,
         );
 
         println!(

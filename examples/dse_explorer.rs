@@ -15,8 +15,8 @@
 //! spade-experiments -- dse --jobs 4 --scenario stop-and-go --csv pareto.csv`.
 
 use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
-use spade_bench::dse::{run_dse_with_jobs, DseParams, SweepAxes};
-use spade_bench::{default_jobs, WorkloadScale};
+use spade_bench::dse::{run_dse_on_pool, DseParams, SweepAxes};
+use spade_bench::{default_jobs, WorkerPool, WorkloadScale};
 
 fn print_drive(name: &str, frames: &[spade::pointcloud::DriveFrame]) {
     println!("{name}:");
@@ -71,6 +71,6 @@ fn main() {
         params.axes.expand_configs().len(),
         jobs,
     );
-    let result = run_dse_with_jobs(&params, jobs);
+    let result = run_dse_on_pool(&params, &WorkerPool::new(jobs));
     println!("\n{}", result.summary());
 }

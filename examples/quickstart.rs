@@ -8,7 +8,7 @@
 use spade::baselines::DenseAccelerator;
 use spade::core::{Accelerator, SpadeAccelerator, SpadeConfig};
 use spade::nn::graph::{execute_pattern, ExecutionContext};
-use spade::nn::{Model, ModelKind};
+use spade::nn::{ExecutionArena, Model, ModelKind};
 use spade::pointcloud::DatasetPreset;
 
 fn main() {
@@ -38,6 +38,8 @@ fn main() {
         preset.grid_shape(),
         encoder_macs,
         &ctx,
+        &mut ExecutionArena::new(),
+        None,
     );
     println!(
         "SPP2: {:.1} GOPs per frame, {:.1}% computation savings vs dense",

@@ -6,7 +6,7 @@
 //! ```
 
 use spade::nn::graph::{execute_pattern, ExecutionContext};
-use spade::nn::{Model, ModelKind, PruningConfig};
+use spade::nn::{ExecutionArena, Model, ModelKind, PruningConfig};
 use spade::pointcloud::{AccuracyProxy, DatasetPreset};
 
 fn main() {
@@ -24,6 +24,8 @@ fn main() {
         preset.grid_shape(),
         encoder_macs,
         &ExecutionContext::default(),
+        &mut ExecutionArena::new(),
+        None,
     );
     let (base_map, _) = ModelKind::Spp2.baseline_accuracy();
     let proxy = AccuracyProxy::with_finetuning(base_map);
@@ -42,6 +44,8 @@ fn main() {
             preset.grid_shape(),
             encoder_macs,
             &ctx,
+            &mut ExecutionArena::new(),
+            None,
         );
         let savings = 1.0 - trace.total_macs() as f64 / dense_trace.total_macs() as f64;
         let coverage = trace.foreground_coverage.unwrap_or(1.0);

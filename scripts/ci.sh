@@ -15,7 +15,7 @@
 #   7. serve smoke              — spade-serve + 50 spade-loadgen requests:
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
 #                                 wall time vs committed reference
-#   8. cargo bench --no-run     — all 13 figure benches must compile
+#   8. cargo bench --no-run     — the experiments bench must compile
 #   9. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
 
 set -euo pipefail

@@ -19,10 +19,11 @@
 //! ```
 //! use spade::pointcloud::DatasetPreset;
 //! use spade::nn::graph::{execute_pattern, ExecutionContext};
-//! use spade::nn::{Model, ModelKind};
+//! use spade::nn::{ExecutionArena, Model, ModelKind};
 //! use spade::core::{SpadeAccelerator, SpadeConfig};
 //!
-//! // Generate a synthetic KITTI-like frame and run SPP2 on SPADE.HE.
+//! // Generate a synthetic KITTI-like frame and run SPP2 on SPADE.HE. The
+//! // arena is reusable scratch; `None` takes the plain (non-delta) path.
 //! let preset = DatasetPreset::kitti_like();
 //! let frame = preset.generate_frame(7);
 //! let model = Model::build(ModelKind::Spp2);
@@ -33,6 +34,8 @@
 //!     preset.grid_shape(),
 //!     1_000_000,
 //!     &ctx,
+//!     &mut ExecutionArena::new(),
+//!     None,
 //! );
 //! let perf = SpadeAccelerator::new(SpadeConfig::high_end())
 //!     .simulate_network(&workloads, trace.encoder_macs);

@@ -5,7 +5,7 @@
 use spade::baselines::{DenseAccelerator, PointAccModel, SpConv2dAccelerator};
 use spade::core::{Accelerator, NetworkPerf, SpadeAccelerator, SpadeConfig};
 use spade::nn::graph::{execute_pattern, ExecutionContext, LayerWorkload};
-use spade::nn::{Model, ModelKind};
+use spade::nn::{ExecutionArena, Model, ModelKind};
 use spade::tensor::{GridShape, PillarCoord};
 
 /// The shared fixture: SPP2 executed at pattern level on a 96×96 grid with
@@ -28,6 +28,8 @@ fn spp2_fixture() -> (Vec<LayerWorkload>, u64) {
         grid,
         encoder_macs,
         &ExecutionContext::default(),
+        &mut ExecutionArena::new(),
+        None,
     );
     (workloads, encoder_macs)
 }

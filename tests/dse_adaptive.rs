@@ -6,9 +6,9 @@
 use spade::core::{DataflowOptions, SpadeAccelerator, SpadeConfig};
 use spade::nn::{ModelKind, PruningConfig};
 use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
-use spade_bench::dse::{adaptive, run_dse, run_dse_with_jobs, DseCell, DseParams, SweepAxes};
+use spade_bench::dse::{adaptive, run_dse, run_dse_on_pool, DseCell, DseParams, SweepAxes};
 use spade_bench::workload::{model_run_on_frame, simulate_on};
-use spade_bench::WorkloadScale;
+use spade_bench::{WorkerPool, WorkloadScale};
 
 /// A small grid that still sweeps both of the new axes, so the screen has
 /// dominated buffer-split / banking points to discard.
@@ -39,8 +39,8 @@ fn adaptive_frontier_is_byte_identical_to_exhaustive() {
     let mut adaptive_params = exhaustive_params.clone();
     adaptive_params.adaptive = true;
 
-    let exhaustive = run_dse_with_jobs(&exhaustive_params, 4);
-    let adaptive_run = run_dse_with_jobs(&adaptive_params, 4);
+    let exhaustive = run_dse_on_pool(&exhaustive_params, &WorkerPool::new(4));
+    let adaptive_run = run_dse_on_pool(&adaptive_params, &WorkerPool::new(4));
 
     assert_eq!(exhaustive.cells.len(), adaptive_run.cells.len());
     assert_eq!(
@@ -104,8 +104,8 @@ fn adaptive_frontier_equality_holds_for_scenarios_and_delta() {
         let mut adaptive_params = exhaustive_params.clone();
         adaptive_params.adaptive = true;
 
-        let exhaustive = run_dse_with_jobs(&exhaustive_params, 4);
-        let adaptive_run = run_dse_with_jobs(&adaptive_params, 4);
+        let exhaustive = run_dse_on_pool(&exhaustive_params, &WorkerPool::new(4));
+        let adaptive_run = run_dse_on_pool(&adaptive_params, &WorkerPool::new(4));
         assert_eq!(
             frontier_cells(&exhaustive),
             frontier_cells(&adaptive_run),
@@ -120,8 +120,8 @@ fn adaptive_sweep_is_bit_identical_across_worker_counts() {
     // result — screened bounds included — must not depend on `--jobs`.
     let mut params = small_params();
     params.adaptive = true;
-    let serial = run_dse_with_jobs(&params, 1);
-    let parallel = run_dse_with_jobs(&params, 4);
+    let serial = run_dse_on_pool(&params, &WorkerPool::new(1));
+    let parallel = run_dse_on_pool(&params, &WorkerPool::new(4));
     assert_eq!(serial, parallel);
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_json(), parallel.to_json());

@@ -9,8 +9,8 @@ use spade::core::DataflowOptions;
 use spade::pointcloud::{
     DatasetPreset, DensityProfile, DriveScenario, DriveScenarioConfig, NamedScenario,
 };
-use spade_bench::dse::{run_dse, run_dse_with_jobs, DseParams, SweepAxes};
-use spade_bench::WorkloadScale;
+use spade_bench::dse::{run_dse, run_dse_on_pool, DseParams, SweepAxes};
+use spade_bench::{WorkerPool, WorkloadScale};
 
 fn small_params() -> DseParams {
     let mut params = DseParams::default_for(WorkloadScale::Reduced);
@@ -43,13 +43,13 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     // `DseResult` — every cell, the frontier marks, the dominance tally —
     // must be *equal*, not just equivalent, for any worker count.
     let params = small_params();
-    let serial = run_dse_with_jobs(&params, 1);
-    let parallel = run_dse_with_jobs(&params, 4);
+    let serial = run_dse_on_pool(&params, &WorkerPool::new(1));
+    let parallel = run_dse_on_pool(&params, &WorkerPool::new(4));
     assert_eq!(serial, parallel);
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_json(), parallel.to_json());
     // More workers than cells degrades gracefully to the same result too.
-    let overprovisioned = run_dse_with_jobs(&params, 64);
+    let overprovisioned = run_dse_on_pool(&params, &WorkerPool::new(64));
     assert_eq!(serial, overprovisioned);
     // run_dse is the jobs=1 shorthand.
     assert_eq!(serial, run_dse(&params));
@@ -277,8 +277,8 @@ fn scripted_scenario_sweep_is_deterministic_and_parallel_safe() {
     // legacy path.
     let mut params = small_params();
     params.scenario = Some(NamedScenario::Tunnel);
-    let serial = run_dse_with_jobs(&params, 1);
-    let parallel = run_dse_with_jobs(&params, 4);
+    let serial = run_dse_on_pool(&params, &WorkerPool::new(1));
+    let parallel = run_dse_on_pool(&params, &WorkerPool::new(4));
     assert_eq!(serial, parallel);
     assert_eq!(serial.to_csv(), run_dse(&params).to_csv());
 }
@@ -337,8 +337,8 @@ fn delta_sweep_is_bit_identical_across_worker_counts() {
     let mut params = small_params();
     params.scenario = Some(NamedScenario::StopAndGo);
     params.delta = true;
-    let serial = run_dse_with_jobs(&params, 1);
-    let parallel = run_dse_with_jobs(&params, 4);
+    let serial = run_dse_on_pool(&params, &WorkerPool::new(1));
+    let parallel = run_dse_on_pool(&params, &WorkerPool::new(4));
     assert_eq!(serial, parallel);
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_json(), parallel.to_json());

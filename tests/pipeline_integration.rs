@@ -7,7 +7,7 @@ use spade::baselines::{
 };
 use spade::core::{Accelerator, SpadeAccelerator, SpadeConfig};
 use spade::nn::graph::{execute_pattern, ExecutionContext};
-use spade::nn::{Model, ModelKind};
+use spade::nn::{ExecutionArena, Model, ModelKind};
 use spade::pointcloud::DatasetPreset;
 use spade::tensor::GridShape;
 
@@ -46,7 +46,15 @@ fn reduced_run(
         seed,
         ..Default::default()
     };
-    execute_pattern(Model::build(kind).spec(), &coords, grid, 500_000, &ctx)
+    execute_pattern(
+        Model::build(kind).spec(),
+        &coords,
+        grid,
+        500_000,
+        &ctx,
+        &mut ExecutionArena::new(),
+        None,
+    )
 }
 
 #[test]
