@@ -62,16 +62,6 @@ const SINK_CALLS: &[(Option<&str>, &str)] = &[
     (Some("RuleBook"), "push"),
 ];
 
-/// Everything the taint pass computes: findings plus the per-file coverage
-/// set the legacy-list regression check asserts against.
-#[derive(Debug, Default)]
-pub struct TaintAnalysis {
-    pub findings: Vec<Finding>,
-    /// Workspace-relative paths of files with at least one covered
-    /// production function.
-    pub covered_files: BTreeSet<String>,
-}
-
 /// How a covered function connects to a sink, for chain rendering.
 struct Coverage {
     /// `sym → (next sym toward the sink, sink callee name if this sym holds
@@ -82,40 +72,21 @@ struct Coverage {
     via_caller: BTreeMap<usize, usize>,
 }
 
-pub fn taint_pass(files: &[SourceFile], index: &SymbolIndex, graph: &CallGraph) -> TaintAnalysis {
+pub fn taint_pass(files: &[SourceFile], index: &SymbolIndex, graph: &CallGraph) -> Vec<Finding> {
     let coverage = compute_coverage(index, graph);
-    let mut analysis = TaintAnalysis::default();
+    let mut findings = Vec::new();
     for (si, sym) in index.syms.iter().enumerate() {
         if sym.is_test || !is_covered(&coverage, si) {
             continue;
         }
-        let file = &files[sym.file];
-        analysis.covered_files.insert(file.rel.clone());
         let chain = render_chain(index, &coverage, si);
-        source_sites(file, sym.fn_idx, &chain, &mut analysis.findings);
+        source_sites(&files[sym.file], sym.fn_idx, &chain, &mut findings);
     }
-    analysis
+    findings
 }
 
 fn is_covered(coverage: &Coverage, si: usize) -> bool {
     coverage.toward_sink.contains_key(&si) || coverage.via_caller.contains_key(&si)
-}
-
-/// Files with at least one covered production fn, without scanning for
-/// sources — used by `analyze_tree`'s legacy-list cross-check.
-pub fn covered_files(
-    files: &[SourceFile],
-    index: &SymbolIndex,
-    graph: &CallGraph,
-) -> BTreeSet<String> {
-    let coverage = compute_coverage(index, graph);
-    index
-        .syms
-        .iter()
-        .enumerate()
-        .filter(|(si, sym)| !sym.is_test && is_covered(&coverage, *si))
-        .map(|(_, sym)| files[sym.file].rel.clone())
-        .collect()
 }
 
 fn compute_coverage(index: &SymbolIndex, graph: &CallGraph) -> Coverage {

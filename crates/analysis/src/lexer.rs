@@ -8,17 +8,15 @@
 //! `'a'` char-literal ambiguity. Everything it cannot classify becomes a
 //! single-character punctuation token.
 
-/// Token class. Normal string-literal payloads are kept under `Str` (the
-/// schema-drift pass reads column names and format strings out of them);
-/// raw/byte strings and char literals become empty `Str`/`Literal` tokens.
+/// Token class. String and char literals become payload-free `Str` /
+/// `Literal` tokens: no pass reads what is inside them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     Ident,
     Punct(char),
     /// Numeric or char literal; payload kept for numbers only.
     Literal,
-    /// String literal; payload is the raw source between the quotes
-    /// (escapes unprocessed), empty for raw and byte strings.
+    /// String literal of any flavour (plain, raw, byte); no payload.
     Str,
     Lifetime,
 }
@@ -103,13 +101,10 @@ pub fn lex(src: &str) -> Lexed {
             });
         } else if c == '"' {
             let start_line = line;
-            let start = i + 1;
             i = skip_string(&chars, i, &mut line);
             out.toks.push(Tok {
                 kind: TokKind::Str,
-                text: chars[start..i.saturating_sub(1).max(start)]
-                    .iter()
-                    .collect(),
+                text: String::new(),
                 line: start_line,
             });
         } else if c == '\'' {
@@ -324,8 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_byte_strings_are_str_tokens_without_payload() {
-        let lexed = lex("let a = r#\"raw\"#; let b = b\"bytes\"; let n = 42;");
+    fn strings_are_str_tokens_without_payload() {
+        let lexed = lex("let a = r#\"raw\"#; let b = b\"bytes\"; let c = \"s\"; let n = 42;");
         let kinds: Vec<_> = lexed
             .toks
             .iter()
@@ -335,6 +330,7 @@ mod tests {
         assert_eq!(
             kinds,
             [
+                (TokKind::Str, String::new()),
                 (TokKind::Str, String::new()),
                 (TokKind::Str, String::new()),
                 (TokKind::Literal, "42".to_string()),
@@ -348,18 +344,6 @@ mod tests {
         let lexed = lex(src);
         let b = lexed.toks.iter().find(|t| t.is_ident("b")).unwrap();
         assert_eq!(b.line, 4);
-    }
-
-    #[test]
-    fn string_literal_payloads_are_kept() {
-        let lexed = lex("let h = vec![\"workload\", \"pe_rows\"];");
-        let lits: Vec<&str> = lexed
-            .toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Str)
-            .map(|t| t.text.as_str())
-            .collect();
-        assert_eq!(lits, ["workload", "pe_rows"]);
     }
 
     #[test]

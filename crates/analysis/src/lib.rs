@@ -1,5 +1,5 @@
 //! `spade-lint`: a dependency-free static analyzer for this repository's
-//! concurrency, determinism, unit, and schema invariants.
+//! concurrency, determinism, and panic-surface invariants.
 //!
 //! All passes run over a hand-rolled token stream (no `syn`; the build
 //! container has no registry access). A workspace-wide [`symbols::SymbolIndex`]
@@ -7,91 +7,40 @@
 //!
 //! 1. **Lock order** ([`locks`]) — mutex acquisitions must follow the
 //!    declared order `state → stream-entry → inflight-slot → budget-tokens`.
-//!    Every workspace file that acquires a ranked lock is discovered and
-//!    walked; inversions and cross-function cycles are findings.
+//!    Every workspace file is walked; inversions and cross-function cycles
+//!    are findings.
 //! 2. **Determinism taint** ([`determinism`]) — source→sink propagation over
 //!    the call graph: hash-container iteration, wall-clock/thread-id reads,
 //!    and unseeded RNG construction are flagged in any function that can
 //!    feed a pinned export (report tables, rule books, protocol payloads,
-//!    cache keys), with the full call chain in the message. The old
-//!    hand-maintained file list survives only as a regression cross-check:
-//!    taint coverage must stay a superset of it.
+//!    cache keys), with the full call chain in the message.
 //! 3. **Panic surface** ([`panics`]) — potential panics reachable from the
 //!    request-handling call graph must be individually justified.
-//! 4. **Units of measure** ([`units`]) — cost-model quantities (cycles, ns,
-//!    pJ, mJ, mm², bytes, GHz, …) inferred from name suffixes and `// unit:`
-//!    annotations may not be added or compared across units.
-//! 5. **Export schema** ([`schema`]) — exporter column lists and `STATS`
-//!    keys are extracted statically and diffed against the committed goldens
-//!    and the keys consumers actually read.
+//!
+//! Units of measure and export schemas are not lint passes: cycle and byte
+//! counts are `spade_sim::units` newtypes the compiler checks, and the
+//! export headers and `STATS` keys are pinned by golden tests.
 //!
 //! Suppressions use `// lint:allow(<lint>): <reason>` with a mandatory
 //! reason; `spade-lint --summary` renders them all for the committed
 //! allowlist (`crates/analysis/ALLOWLIST.md`) that CI diffs against.
-//! `lock-order`, `schema-drift`, and `taint-coverage` findings are not
-//! suppressible by design.
+//! `lock-order` findings are not suppressible by design.
 
 pub mod callgraph;
 pub mod determinism;
 pub mod lexer;
 pub mod locks;
 pub mod panics;
-pub mod schema;
 pub mod source;
 pub mod symbols;
-pub mod units;
 
 use callgraph::CallGraph;
 use source::{Finding, SourceFile};
-use std::collections::BTreeSet;
 use std::path::Path;
 use symbols::SymbolIndex;
 
-/// Files known to acquire ranked locks. Discovery over the workspace must
-/// find at least these; a miss is a hard error (the discovery heuristic has
-/// gone stale, not the code).
-pub const LOCK_FILES: &[&str] = &["crates/bench/src/serve.rs", "crates/bench/src/pool.rs"];
-
-/// The pre-call-graph determinism scope: result-affecting modules as they
-/// were hand-maintained. Kept only as a regression cross-check — the taint
-/// pass must report every one of these as sink-reachable, or it emits a
-/// non-suppressible `taint-coverage` finding.
-pub const DETERMINISM_FILES: &[&str] = &[
-    "crates/baselines/src/pointacc.rs",
-    "crates/bench/src/adaptive.rs",
-    "crates/bench/src/dse.rs",
-    "crates/bench/src/loadgen.rs",
-    "crates/bench/src/protocol.rs",
-    "crates/bench/src/serve.rs",
-    "crates/bench/src/workload.rs",
-    "crates/core/src/report.rs",
-    "crates/nn/src/graph.rs",
-    "crates/nn/src/pruning.rs",
-    "crates/nn/src/rulegen/delta.rs",
-    "crates/nn/src/rulegen/hash.rs",
-    "crates/nn/src/rulegen/mod.rs",
-    "crates/nn/src/rulegen/sort.rs",
-    "crates/nn/src/rulegen/streaming.rs",
-    "crates/tensor/src/coord.rs",
-];
-
 /// Files whose call graph the panic-surface audit covers.
 pub const PANIC_FILES: &[&str] = &["crates/bench/src/serve.rs", "crates/bench/src/protocol.rs"];
-
-/// `(exporter file, exporter fn, golden CSV)` triples the table-schema check
-/// walks: the fn's base column list must match the golden's header line.
-pub const TABLE_SCHEMAS: &[(&str, &str, &str)] = &[(
-    "crates/bench/src/dse.rs",
-    "to_table",
-    "tests/golden/dse_legacy_reduced.csv",
-)];
-
-/// The serve-loop formatter file whose `key={}\n` strings define the STATS
-/// namespace, the committed golden key list, and the consumers that read
-/// keys back.
-pub const STATS_PRODUCER: &str = "crates/bench/src/serve.rs";
-pub const STATS_GOLDEN: &str = "tests/golden/stats_keys.txt";
-pub const STATS_CONSUMERS: &[&str] = &["tests/serve_integration.rs", "crates/bench/src/loadgen.rs"];
 
 /// Everything one full run produces.
 #[derive(Debug, Default)]
@@ -106,10 +55,9 @@ pub struct Analysis {
     pub files_analyzed: usize,
 }
 
-/// Production `.rs` files the cross-file passes walk: every workspace
-/// crate's `src/` tree plus the root facade — not `vendor/` (stub code),
-/// not `crates/analysis/fixtures/` (deliberate violations), not `tests/`
-/// (integration tests are loaded separately as schema consumers only), and
+/// Production `.rs` files the passes walk: every workspace crate's `src/`
+/// tree plus the root facade — not `vendor/` (stub code), not
+/// `crates/analysis/fixtures/` (deliberate violations), not `tests/`, and
 /// not `examples/` (demo code feeds no pinned export).
 pub fn walk_workspace(root: &Path) -> Result<Vec<String>, String> {
     let mut rels = vec!["src/lib.rs".to_string()];
@@ -151,17 +99,14 @@ pub fn analyze_tree(root: &Path) -> Result<Analysis, String> {
     // A listed file the walk did not find is a hard error, never a silent
     // skip: a rename must update the list (or the list is stale — either way
     // a human decides).
-    let missing: Vec<&str> = LOCK_FILES
+    let missing: Vec<&str> = PANIC_FILES
         .iter()
-        .chain(DETERMINISM_FILES)
-        .chain(PANIC_FILES)
-        .chain(TABLE_SCHEMAS.iter().map(|(f, _, _)| f))
         .copied()
         .filter(|rel| !rels.iter().any(|r| r == rel))
         .collect();
     if !missing.is_empty() {
         return Err(format!(
-            "listed file(s) missing from the workspace walk: {} — update the lists in \
+            "listed file(s) missing from the workspace walk: {} — update PANIC_FILES in \
              crates/analysis/src/lib.rs to match the tree",
             missing.join(", ")
         ));
@@ -173,153 +118,15 @@ pub fn analyze_tree(root: &Path) -> Result<Analysis, String> {
 
     let index = SymbolIndex::build(&files);
     let graph = CallGraph::build(&files, &index);
-    let mut analysis = Analysis {
-        files_analyzed: files.len(),
-        ..Analysis::default()
-    };
-    let mut raw: Vec<Finding> = Vec::new();
-
-    // 1. Lock order, over every file that acquires a ranked lock.
-    let lock_rels = discover_lock_files(&files);
-    for listed in LOCK_FILES {
-        if !lock_rels.iter().any(|r| r == listed) {
-            return Err(format!(
-                "lock-site discovery no longer finds {listed} — the acquisition heuristic \
-                 in crates/analysis/src/lib.rs has gone stale"
-            ));
-        }
-    }
-    let lock_files: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| lock_rels.contains(&f.rel))
-        .collect();
-    raw.extend(locks::lock_order_pass(&lock_files));
-
-    // 2. Determinism taint over the call graph, plus the legacy-list
-    //    regression cross-check.
-    let taint = determinism::taint_pass(&files, &index, &graph);
-    for rel in DETERMINISM_FILES {
-        if !taint.covered_files.contains(*rel) {
-            raw.push(Finding {
-                file: (*rel).to_string(),
-                line: 1,
-                lint: "taint-coverage",
-                message: format!(
-                    "{rel} was in the hand-maintained determinism scope but taint analysis \
-                     no longer reaches it from any export sink — a sink pattern or call \
-                     edge went missing"
-                ),
-            });
-        }
-    }
-    raw.extend(taint.findings);
-
-    // 3. Panic surface over the serve-path files.
+    let all: Vec<&SourceFile> = files.iter().collect();
     let panic_files: Vec<&SourceFile> = files
         .iter()
         .filter(|f| PANIC_FILES.contains(&f.rel.as_str()))
         .collect();
+    let mut raw = locks::lock_order_pass(&all);
+    raw.extend(determinism::taint_pass(&files, &index, &graph));
     raw.extend(panics::panic_pass(&panic_files));
-
-    // 4. Units of measure, workspace-wide.
-    for file in &files {
-        raw.extend(units::units_pass(file));
-    }
-
-    // 5. Export schemas vs goldens and consumers.
-    raw.extend(schema_pass(root, &files)?);
-
-    for file in &files {
-        raw.extend(file.malformed.iter().cloned());
-        for a in &file.allows {
-            analysis
-                .allows
-                .push((file.rel.clone(), a.lint.clone(), a.reason.clone()));
-        }
-    }
-    finish(&files, raw, &mut analysis);
-    Ok(analysis)
-}
-
-/// Files with at least one ranked-lock acquisition in production code:
-/// a `lock_ranked(…)` call or a `recv.lock(…)` site.
-fn discover_lock_files(files: &[SourceFile]) -> Vec<String> {
-    let mut rels = Vec::new();
-    for file in files {
-        let toks = file.toks();
-        let acquires = file.production_fns().any(|func| {
-            func.body.clone().any(|i| {
-                let t = &toks[i];
-                (t.is_ident("lock_ranked") && toks.get(i + 1).is_some_and(|t| t.is_punct('(')))
-                    || (t.is_ident("lock")
-                        && i >= 1
-                        && toks[i - 1].is_punct('.')
-                        && toks.get(i + 1).is_some_and(|t| t.is_punct('(')))
-            })
-        });
-        if acquires {
-            rels.push(file.rel.clone());
-        }
-    }
-    rels
-}
-
-/// The schema-drift pass over the real tree: exporter columns vs golden CSV
-/// headers, and STATS keys vs the golden list and consumer reads.
-fn schema_pass(root: &Path, files: &[SourceFile]) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    let by_rel = |rel: &str| files.iter().find(|f| f.rel == rel);
-    for (exporter_rel, fn_name, golden_rel) in TABLE_SCHEMAS {
-        let file = by_rel(exporter_rel)
-            .ok_or_else(|| format!("{exporter_rel}: not in the workspace walk"))?;
-        let golden = read_rel(root, golden_rel)?;
-        let header = golden
-            .lines()
-            .next()
-            .ok_or_else(|| format!("{golden_rel}: empty golden"))?;
-        match schema::table_columns(file, fn_name) {
-            Some(cols) => findings.extend(schema::check_table_against_golden(
-                exporter_rel,
-                fn_name,
-                &cols,
-                golden_rel,
-                header,
-            )),
-            None => {
-                return Err(format!(
-                    "{exporter_rel}: fn `{fn_name}` builds no all-string `vec![…]` column \
-                     list the schema extractor recognizes — update the extractor with the \
-                     exporter's new shape"
-                ))
-            }
-        }
-    }
-    let producer = by_rel(STATS_PRODUCER)
-        .ok_or_else(|| format!("{STATS_PRODUCER}: not in the workspace walk"))?;
-    let produced = schema::keys_produced(producer);
-    let golden: BTreeSet<String> = read_rel(root, STATS_GOLDEN)?
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(str::to_string)
-        .collect();
-    let mut consumers = Vec::new();
-    for rel in STATS_CONSUMERS {
-        // Consumers may live outside the production walk (integration tests).
-        let consumed = match by_rel(rel) {
-            Some(f) => schema::keys_consumed(f),
-            None => schema::keys_consumed(&load(root, rel)?),
-        };
-        consumers.push((*rel, consumed));
-    }
-    findings.extend(schema::check_stats_keys(
-        STATS_PRODUCER,
-        &produced,
-        STATS_GOLDEN,
-        &golden,
-        &consumers,
-    ));
-    Ok(findings)
+    Ok(finish(&files, raw))
 }
 
 /// Runs a single pass over explicit file paths (fixtures, ad-hoc checks).
@@ -329,10 +136,6 @@ pub enum Pass {
     /// built over exactly the given files.
     Determinism,
     Panics,
-    Units,
-    /// Table-schema check: the golden CSV whose header the fixture exporter
-    /// fns (`fn to_table`) are diffed against.
-    Schema(String),
 }
 
 pub fn analyze_files(paths: &[String], pass: &Pass) -> Result<Analysis, String> {
@@ -342,67 +145,39 @@ pub fn analyze_files(paths: &[String], pass: &Pass) -> Result<Analysis, String> 
         files.push(SourceFile::parse(p, &src));
     }
     let refs: Vec<&SourceFile> = files.iter().collect();
-    let mut raw = match pass {
+    let raw = match pass {
         Pass::LockOrder => locks::lock_order_pass(&refs),
         Pass::Determinism => {
             let index = SymbolIndex::build(&files);
             let graph = CallGraph::build(&files, &index);
-            determinism::taint_pass(&files, &index, &graph).findings
+            determinism::taint_pass(&files, &index, &graph)
         }
         Pass::Panics => panics::panic_pass(&refs),
-        Pass::Units => files.iter().flat_map(units::units_pass).collect(),
-        Pass::Schema(golden_path) => {
-            let golden =
-                std::fs::read_to_string(golden_path).map_err(|e| format!("{golden_path}: {e}"))?;
-            let header = golden
-                .lines()
-                .next()
-                .ok_or_else(|| format!("{golden_path}: empty golden"))?;
-            let mut findings = Vec::new();
-            for file in &files {
-                let Some(cols) = schema::table_columns(file, "to_table") else {
-                    return Err(format!("{}: no `to_table` column list found", file.rel));
-                };
-                findings.extend(schema::check_table_against_golden(
-                    &file.rel,
-                    "to_table",
-                    &cols,
-                    golden_path,
-                    header,
-                ));
-            }
-            findings
-        }
     };
-    for file in &files {
-        raw.extend(file.malformed.iter().cloned());
-    }
+    Ok(finish(&files, raw))
+}
+
+fn load(root: &Path, rel: &str) -> Result<SourceFile, String> {
+    let path = root.join(rel);
+    let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(SourceFile::parse(rel, &src))
+}
+
+/// Collects the files' annotations and malformed-annotation findings,
+/// applies suppression, and sorts what remains.
+fn finish(files: &[SourceFile], mut raw: Vec<Finding>) -> Analysis {
     let mut analysis = Analysis {
         files_analyzed: files.len(),
         ..Analysis::default()
     };
-    for file in &files {
+    for file in files {
+        raw.extend(file.malformed.iter().cloned());
         for a in &file.allows {
             analysis
                 .allows
                 .push((file.rel.clone(), a.lint.clone(), a.reason.clone()));
         }
     }
-    finish(&files, raw, &mut analysis);
-    Ok(analysis)
-}
-
-fn load(root: &Path, rel: &str) -> Result<SourceFile, String> {
-    Ok(SourceFile::parse(rel, &read_rel(root, rel)?))
-}
-
-fn read_rel(root: &Path, rel: &str) -> Result<String, String> {
-    let path = root.join(rel);
-    std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Applies annotation suppression and sorts what remains.
-fn finish(files: &[SourceFile], raw: Vec<Finding>, analysis: &mut Analysis) {
     for finding in raw {
         let allowed = source::ALLOW_LINTS.contains(&finding.lint)
             && files
@@ -418,6 +193,7 @@ fn finish(files: &[SourceFile], raw: Vec<Finding>, analysis: &mut Analysis) {
     analysis.findings.sort();
     analysis.findings.dedup();
     analysis.allows.sort();
+    analysis
 }
 
 /// Renders the committed allowlist. Deliberately line-number-free so the

@@ -1,4 +1,4 @@
-//! Lock-order analysis over the serve-path sources.
+//! Lock-order analysis over every workspace source file.
 //!
 //! The repo declares one total acquisition order — `state → stream-entry →
 //! inflight-slot`, with the worker-pool budget tokens as a leaf class that

@@ -7,21 +7,27 @@
 //! spade-lint --lock-order FILE...          # lock pass only, explicit files
 //! spade-lint --determinism FILE...         # taint pass only
 //! spade-lint --panics FILE...              # panic-surface pass only
-//! spade-lint --units FILE...               # units-of-measure pass only
-//! spade-lint --schema GOLDEN.csv FILE...   # table schema vs a golden header
 //! ```
+//!
+//! A pass flag's file list ends at the next `--` argument, so output flags
+//! may follow it (`--determinism f.rs --json`).
 
 use spade_analysis::{analyze_files, analyze_tree, render_json, render_summary, Analysis, Pass};
+use std::iter::Peekable;
 use std::path::PathBuf;
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
     eprintln!(
         "usage: spade-lint [--root DIR] [--summary] [--json] \
-         [--lock-order|--determinism|--panics|--units FILE...] \
-         [--schema GOLDEN FILE...]"
+         [--lock-order|--determinism|--panics FILE...]"
     );
     std::process::exit(2);
+}
+
+/// A pass flag's file arguments: everything up to the next `--` flag.
+fn files(it: &mut Peekable<impl Iterator<Item = String>>) -> Vec<String> {
+    std::iter::from_fn(|| it.next_if(|arg| !arg.starts_with("--"))).collect()
 }
 
 fn main() {
@@ -29,7 +35,7 @@ fn main() {
     let mut summary = false;
     let mut json = false;
     let mut pass: Option<(Pass, Vec<String>)> = None;
-    let mut it = std::env::args().skip(1);
+    let mut it = std::env::args().skip(1).peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--root" => {
@@ -40,16 +46,9 @@ fn main() {
             }
             "--summary" => summary = true,
             "--json" => json = true,
-            "--lock-order" => pass = Some((Pass::LockOrder, it.by_ref().collect())),
-            "--determinism" => pass = Some((Pass::Determinism, it.by_ref().collect())),
-            "--panics" => pass = Some((Pass::Panics, it.by_ref().collect())),
-            "--units" => pass = Some((Pass::Units, it.by_ref().collect())),
-            "--schema" => {
-                let golden = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--schema expects a golden CSV then files"));
-                pass = Some((Pass::Schema(golden), it.by_ref().collect()));
-            }
+            "--lock-order" => pass = Some((Pass::LockOrder, files(&mut it))),
+            "--determinism" => pass = Some((Pass::Determinism, files(&mut it))),
+            "--panics" => pass = Some((Pass::Panics, files(&mut it))),
             flag => usage_error(&format!("unknown flag: {flag}")),
         }
     }

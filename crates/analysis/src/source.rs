@@ -5,16 +5,8 @@ use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
 use std::ops::Range;
 
 /// The annotation kinds `// lint:allow(<lint>): <reason>` may name.
-/// `lock-order`, `schema-drift`, and `taint-coverage` findings are
-/// deliberately not suppressible.
-pub const ALLOW_LINTS: &[&str] = &[
-    "hash-iter",
-    "wall-clock",
-    "panic",
-    "unseeded-rng",
-    "unit-mismatch",
-    "unit-missing",
-];
+/// `lock-order` findings are deliberately not suppressible.
+pub const ALLOW_LINTS: &[&str] = &["hash-iter", "wall-clock", "panic", "unseeded-rng"];
 
 /// One reported defect. Sorted by file then line for stable output.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -51,11 +43,6 @@ pub struct FnItem {
     pub name: String,
     pub body: Range<usize>,
     pub line: usize,
-    /// Token index of the `fn` keyword (the signature start).
-    pub fn_tok: usize,
-    /// Whether the item is `pub` (bare `pub` only; `pub(crate)` and friends
-    /// count as private for the unit-annotation audit).
-    pub is_pub: bool,
 }
 
 /// One lexed file with everything the passes pattern-match over.
@@ -168,8 +155,6 @@ fn functions(toks: &[Tok]) -> Vec<FnItem> {
                 name: name_tok.text.clone(),
                 body: open..close + 1,
                 line: name_tok.line,
-                fn_tok: i,
-                is_pub: i >= 1 && toks[i - 1].is_ident("pub"),
             });
         }
     }

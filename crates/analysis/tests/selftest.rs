@@ -104,31 +104,6 @@ fn taint_chain_crosses_files_with_at_least_two_hops() {
 }
 
 #[test]
-fn taint_coverage_is_a_superset_of_the_legacy_determinism_list() {
-    use spade_analysis::source::SourceFile;
-    use spade_analysis::{callgraph::CallGraph, determinism, symbols::SymbolIndex};
-    let root = workspace_root();
-    let rels = spade_analysis::walk_workspace(&root).expect("workspace walkable");
-    let files: Vec<SourceFile> = rels
-        .iter()
-        .map(|rel| {
-            let src = std::fs::read_to_string(root.join(rel)).expect("listed file readable");
-            SourceFile::parse(rel, &src)
-        })
-        .collect();
-    let index = SymbolIndex::build(&files);
-    let graph = CallGraph::build(&files, &index);
-    let covered = determinism::covered_files(&files, &index, &graph);
-    for rel in spade_analysis::DETERMINISM_FILES {
-        assert!(
-            covered.contains(*rel),
-            "{rel} was in the hand-maintained determinism scope but taint analysis does \
-             not reach it from any sink"
-        );
-    }
-}
-
-#[test]
 fn good_determinism_fixture_is_clean_and_annotations_counted() {
     let analysis = run("determinism_good.rs", Pass::Determinism);
     assert!(
@@ -167,71 +142,12 @@ fn good_panic_fixture_is_clean() {
 }
 
 #[test]
-fn bad_units_fixture_flags_cross_unit_arithmetic_and_missing_annotations() {
-    let analysis = run("units_bad.rs", Pass::Units);
-    let by_lint = |lint: &str| analysis.findings.iter().filter(|f| f.lint == lint).count();
-    assert_eq!(by_lint("unit-mismatch"), 2, "{:?}", analysis.findings);
-    assert_eq!(by_lint("unit-missing"), 1, "{:?}", analysis.findings);
-    assert!(
-        analysis
-            .findings
-            .iter()
-            .any(|f| f.message.contains("pj") && f.message.contains("cycles")),
-        "the pj + cycles mix must name both units: {:?}",
-        analysis.findings
-    );
-}
-
-#[test]
-fn good_units_fixture_is_clean() {
-    let analysis = run("units_good.rs", Pass::Units);
-    assert!(
-        analysis.findings.is_empty(),
-        "false positives: {:?}",
-        analysis.findings
-    );
-}
-
-#[test]
-fn bad_schema_fixture_detects_golden_drift_and_duplicate_columns() {
-    let golden = fixtures(&["schema_golden.csv"]).remove(0);
-    let analysis =
-        analyze_files(&fixture("schema_bad.rs"), &Pass::Schema(golden)).expect("fixture readable");
-    let rendered: Vec<String> = analysis.findings.iter().map(|f| f.render()).collect();
-    assert_eq!(rendered.len(), 2, "{rendered:?}");
-    assert!(
-        rendered
-            .iter()
-            .any(|f| f.contains("exporter adds [rows_swept]")),
-        "added-column drift missing: {rendered:?}"
-    );
-    assert!(
-        rendered
-            .iter()
-            .any(|f| f.contains("duplicate column `pe_rows`")),
-        "duplicate push missing: {rendered:?}"
-    );
-}
-
-#[test]
-fn good_schema_fixture_is_clean() {
-    let golden = fixtures(&["schema_golden.csv"]).remove(0);
-    let analysis =
-        analyze_files(&fixture("schema_good.rs"), &Pass::Schema(golden)).expect("fixture readable");
-    assert!(
-        analysis.findings.is_empty(),
-        "false positives: {:?}",
-        analysis.findings
-    );
-}
-
-#[test]
 fn json_rendering_escapes_payloads_and_reports_counts() {
-    let analysis = run("units_bad.rs", Pass::Units);
+    let analysis = run("determinism_bad.rs", Pass::Determinism);
     let json = spade_analysis::render_json(&analysis);
     assert!(json.contains("\"findings\": ["), "{json}");
-    assert!(json.contains("\"lint\": \"unit-mismatch\""), "{json}");
-    // Messages quote identifiers in backticks and units verbatim; the
+    assert!(json.contains("\"lint\": \"hash-iter\""), "{json}");
+    // Messages quote identifiers in backticks and call chains verbatim; the
     // escaper must keep the output a single well-formed JSON document
     // (no raw quotes or newlines inside string values).
     for line in json.lines() {

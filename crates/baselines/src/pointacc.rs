@@ -14,6 +14,7 @@ use spade_core::{
 };
 use spade_nn::graph::LayerWorkload;
 use spade_nn::rulegen::RuleGenMethod;
+use spade_sim::units::Bytes;
 use spade_sim::{EnergyBreakdown, EnergyModel};
 
 /// Miss count of the statistical gather walk, in closed form.
@@ -58,8 +59,7 @@ fn cache_walk_misses(cache_kib: u64, cache_line: u64, inputs: usize, c: u64, pas
 pub struct PointAccModel {
     config: SpadeConfig,
     cache_kib: u64,
-    // unit: bytes
-    cache_line: u64,
+    cache_line: Bytes,
     energy: EnergyModel,
 }
 
@@ -99,7 +99,7 @@ impl PointAccModel {
     pub fn new(config: SpadeConfig) -> Self {
         Self {
             cache_kib: config.total_sram_kib(),
-            cache_line: 64,
+            cache_line: Bytes::new(64),
             config,
             energy: EnergyModel::asic_32nm(),
         }
@@ -130,12 +130,12 @@ impl PointAccModel {
         let passes = (workload.spec.kernel.kh as u64).max(1);
         let misses = cache_walk_misses(
             self.cache_kib,
-            self.cache_line,
+            self.cache_line.get(),
             workload.input_coords.len(),
             c,
             passes,
         );
-        let refetch_bytes = misses * self.cache_line;
+        let refetch_bytes = misses * self.cache_line.get();
         let base_bytes = a * c + q * m + workload.spec.kernel.num_taps() as u64 * c * m;
         let dram_bytes = base_bytes + refetch_bytes.saturating_sub(a * c).min(base_bytes / 2);
         let gather_scatter_cycles = r / 4 + misses * 8;

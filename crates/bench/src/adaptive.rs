@@ -51,6 +51,7 @@ use spade_core::{
     AcceleratorReport, ActiveTileManager, NetworkPerf, SpadeAccelerator, SpadeConfig,
     ENCODER_MXU_UTILIZATION, GATHER_SCATTER_LANES,
 };
+use spade_sim::units::Cycles;
 use spade_sim::EnergyModel;
 
 /// How the adaptive explorer spent its cell budget. The exhaustive path
@@ -176,12 +177,11 @@ struct ModelTables {
     /// Exact gather/scatter bank-conflict stall `r·(lanes − banks)/lanes`
     /// per banking class — banking stalls do not depend on the dataflow
     /// schedule.
-    // unit: cycles
-    stall: Vec<Vec<u64>>,
+    stall: Vec<Vec<Cycles>>,
     /// Exact DRAM-interface cycles `ceil(dram_bytes / bpc)` per DRAM class.
-    dram_cycles: Vec<Vec<u64>>,
+    dram_cycles: Vec<Vec<Cycles>>,
     /// Encoder MXU cycles per PE class and frame.
-    encoder_cycles: Vec<Vec<u64>>,
+    encoder_cycles: Vec<Vec<Cycles>>,
     /// Per-frame `(macs, sram_bytes, dram_bytes)` totals for the energy
     /// activity terms — configuration-independent, so they are *equalities*.
     totals: Vec<(u64, u64, u64)>,
@@ -255,13 +255,17 @@ impl BoundCtx {
                         .collect(),
                     stall: banks
                         .iter()
-                        .map(|&b| layers().map(|l| l.r * (lanes - b) / lanes).collect())
+                        .map(|&b| {
+                            layers()
+                                .map(|l| Cycles::new(l.r * (lanes - b) / lanes))
+                                .collect()
+                        })
                         .collect(),
                     dram_cycles: bpcs
                         .iter()
                         .map(|&bpc| {
                             layers()
-                                .map(|l| (l.dram_bytes as f64 / bpc).ceil() as u64)
+                                .map(|l| Cycles::new((l.dram_bytes as f64 / bpc).ceil() as u64))
                                 .collect()
                         })
                         .collect(),
@@ -271,9 +275,12 @@ impl BoundCtx {
                             frames
                                 .iter()
                                 .map(|fs| {
-                                    (fs.encoder_macs as f64
-                                        / ((rows * cols).max(1) as f64 * ENCODER_MXU_UTILIZATION))
-                                        .ceil() as u64
+                                    Cycles::new(
+                                        (fs.encoder_macs as f64
+                                            / ((rows * cols).max(1) as f64
+                                                * ENCODER_MXU_UTILIZATION))
+                                            .ceil() as u64,
+                                    )
                                 })
                                 .collect()
                         })
@@ -316,15 +323,16 @@ impl BoundCtx {
         let dram = &md.dram_cycles[cls.bpc];
         (0..md.offsets.len() - 1)
             .map(|f| {
-                let mut cycles: u64 = 0;
+                let mut cycles = Cycles::default();
                 for i in md.offsets[f]..md.offsets[f + 1] {
-                    let compute_floor = md.r[i] * ch_tiles[i]
-                        + stall[i]
-                        + md.taps[i] * ch_tiles[i] * num_tiles[i] * pe_rows
-                        + 16;
+                    let compute_floor = Cycles::new(
+                        md.r[i] * ch_tiles[i]
+                            + md.taps[i] * ch_tiles[i] * num_tiles[i] * pe_rows
+                            + 16,
+                    ) + stall[i];
                     cycles += compute_floor.max(dram[i]);
                 }
-                let total_cycles = cycles + md.encoder_cycles[cls.pe][f];
+                let total_cycles = (cycles + md.encoder_cycles[cls.pe][f]).get();
                 let (macs, sram_bytes, dram_bytes) = md.totals[f];
                 let latency_ms = total_cycles as f64 / (config.freq_ghz * 1e9) * 1e3;
                 let energy_mj = energy

@@ -265,8 +265,8 @@ pub fn fig06c() -> String {
             s,
             "{:>7} | {:>11.2} | {:>7.2} | {:>5.2}",
             pillars,
-            cache_cycles as f64 / ideal as f64,
-            spade as f64 / ideal as f64,
+            cache_cycles.get() as f64 / ideal.get() as f64,
+            spade.get() as f64 / ideal.get() as f64,
             1.0
         );
     }

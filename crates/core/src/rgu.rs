@@ -10,6 +10,7 @@
 use spade_nn::rule::RuleBook;
 use spade_nn::rulegen::RuleGenMethod;
 use spade_nn::{ConvKind, KernelShape};
+use spade_sim::units::Cycles;
 use spade_tensor::{CprTensor, GridShape, PillarCoord};
 
 /// The RGU model: produces rule books and their generation cycle counts.
@@ -22,8 +23,7 @@ pub struct RuleGenResult {
     /// The generated rule book.
     pub rules: RuleBook,
     /// Cycles the streaming pipeline needs to produce it.
-    // unit: cycles
-    pub cycles: u64,
+    pub cycles: Cycles,
 }
 
 impl RuleGenerationUnit {
@@ -63,7 +63,7 @@ impl RuleGenerationUnit {
         );
         RuleGenResult {
             rules,
-            cycles: cost.cycles,
+            cycles: Cycles::new(cost.cycles),
         }
     }
 
@@ -96,8 +96,8 @@ mod tests {
         assert!(res.rules.check_monotone());
         assert!(res.rules.num_outputs() >= coords.len());
         // Streaming cost is linear-ish in the larger of inputs/outputs.
-        assert!(res.cycles as usize >= res.rules.num_outputs());
-        assert!(res.cycles as usize <= res.rules.num_outputs() + coords.len() + 64);
+        assert!(res.cycles.get() as usize >= res.rules.num_outputs());
+        assert!(res.cycles.get() as usize <= res.rules.num_outputs() + coords.len() + 64);
     }
 
     #[test]

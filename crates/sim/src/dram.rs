@@ -5,6 +5,7 @@
 //! activations, while random accesses pay a row-miss penalty on most requests
 //! (Fig. 6(c), Fig. 14).
 
+use crate::units::Cycles;
 use serde::{Deserialize, Serialize};
 
 /// Cumulative DRAM activity statistics.
@@ -19,7 +20,7 @@ pub struct DramStats {
     /// Number of row activations modelled.
     pub row_activations: u64,
     /// Accumulated access cycles (at the accelerator clock).
-    pub cycles: u64,
+    pub cycles: Cycles,
 }
 
 /// A bandwidth/row-buffer DRAM model.
@@ -60,26 +61,24 @@ impl DramModel {
 
     /// Records a sequential (streaming) transfer of `bytes`.
     /// Returns the cycles this transfer occupies the DRAM interface.
-    // unit: cycles
-    pub fn read_sequential(&mut self, bytes: u64) -> u64 {
-        let rows = bytes.div_ceil(self.row_bytes);
-        let cycles =
-            (bytes as f64 / self.bytes_per_cycle).ceil() as u64 + rows * self.row_activation_cycles;
+    pub fn read_sequential(&mut self, bytes: u64) -> Cycles {
+        let cycles = self.ideal_cycles(bytes);
         self.stats.total_bytes += bytes;
         self.stats.sequential_bytes += bytes;
-        self.stats.row_activations += rows;
+        self.stats.row_activations += bytes.div_ceil(self.row_bytes);
         self.stats.cycles += cycles;
         cycles
     }
 
     /// Records `count` random transfers of `granule` bytes each (e.g. cache
     /// line fills). Most of them pay a row activation.
-    // unit: cycles
-    pub fn read_random(&mut self, count: u64, granule: u64) -> u64 {
+    pub fn read_random(&mut self, count: u64, granule: u64) -> Cycles {
         let bytes = count * granule;
         let misses = (count as f64 * self.random_row_miss_rate).round() as u64;
-        let cycles = (bytes as f64 / self.bytes_per_cycle).ceil() as u64
-            + misses * self.row_activation_cycles;
+        let cycles = Cycles::new(
+            (bytes as f64 / self.bytes_per_cycle).ceil() as u64
+                + misses * self.row_activation_cycles,
+        );
         self.stats.total_bytes += bytes;
         self.stats.random_bytes += bytes;
         self.stats.row_activations += misses;
@@ -88,8 +87,7 @@ impl DramModel {
     }
 
     /// Records a sequential write (same cost model as a sequential read).
-    // unit: cycles
-    pub fn write_sequential(&mut self, bytes: u64) -> u64 {
+    pub fn write_sequential(&mut self, bytes: u64) -> Cycles {
         self.read_sequential(bytes)
     }
 
@@ -103,9 +101,11 @@ impl DramModel {
     /// single row activation per row — the "ideal DRAM latency" reference of
     /// Fig. 6(c).
     #[must_use]
-    pub fn ideal_cycles(&self, bytes: u64) -> u64 {
-        (bytes as f64 / self.bytes_per_cycle).ceil() as u64
-            + bytes.div_ceil(self.row_bytes) * self.row_activation_cycles
+    pub fn ideal_cycles(&self, bytes: u64) -> Cycles {
+        Cycles::new(
+            (bytes as f64 / self.bytes_per_cycle).ceil() as u64
+                + bytes.div_ceil(self.row_bytes) * self.row_activation_cycles,
+        )
     }
 
     /// Resets the statistics.
@@ -132,7 +132,7 @@ mod tests {
         let seq = a.read_sequential(64 * 1024);
         let rnd = b.read_random(1024, 64);
         assert_eq!(a.stats().total_bytes, b.stats().total_bytes);
-        assert!(rnd > seq, "random {rnd} should exceed sequential {seq}");
+        assert!(rnd > seq, "random {rnd:?} should exceed sequential {seq:?}");
     }
 
     #[test]
@@ -145,7 +145,7 @@ mod tests {
         assert_eq!(s.total_bytes, 1000 + 500 + 640);
         assert_eq!(s.sequential_bytes, 1500);
         assert_eq!(s.random_bytes, 640);
-        assert!(s.cycles > 0);
+        assert!(s.cycles > Cycles::default());
         d.reset();
         assert_eq!(d.stats(), DramStats::default());
     }

@@ -31,6 +31,7 @@ pub mod cache;
 pub mod dram;
 pub mod energy;
 pub mod sram;
+pub mod units;
 
 pub use area::AreaModel;
 pub use cache::{CacheStats, DirectMappedCache};

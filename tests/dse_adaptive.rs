@@ -9,6 +9,7 @@ use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
 use spade_bench::dse::{adaptive, run_dse, run_dse_on_pool, DseCell, DseParams, SweepAxes};
 use spade_bench::workload::{model_run_on_frame, simulate_on};
 use spade_bench::{WorkerPool, WorkloadScale};
+use std::collections::BTreeSet;
 
 /// A small grid that still sweeps both of the new axes, so the screen has
 /// dominated buffer-split / banking points to discard.
@@ -86,6 +87,19 @@ fn adaptive_frontier_is_byte_identical_to_exhaustive() {
     ] {
         assert!(adaptive_header.contains(column), "missing column {column}");
     }
+    // Extension columns only append to the golden legacy header, once each.
+    let legacy_header = include_str!("golden/dse_legacy_reduced.csv").lines().next();
+    assert!(
+        adaptive_header.starts_with(&format!("{},", legacy_header.unwrap())),
+        "{adaptive_header}"
+    );
+    let columns: Vec<&str> = adaptive_header.split(',').collect();
+    let unique: BTreeSet<&str> = columns.iter().copied().collect();
+    assert_eq!(
+        unique.len(),
+        columns.len(),
+        "duplicate column: {adaptive_header}"
+    );
     let exhaustive_header = exhaustive.to_csv().lines().next().unwrap().to_owned();
     assert!(!exhaustive_header.contains("simulated"));
     assert!(adaptive_run.summary().contains("adaptive exploration"));

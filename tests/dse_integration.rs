@@ -11,6 +11,7 @@ use spade::pointcloud::{
 };
 use spade_bench::dse::{run_dse, run_dse_on_pool, DseParams, SweepAxes};
 use spade_bench::{WorkerPool, WorkloadScale};
+use std::collections::BTreeSet;
 
 fn small_params() -> DseParams {
     let mut params = DseParams::default_for(WorkloadScale::Reduced);
@@ -323,6 +324,19 @@ fn delta_sweep_simulates_the_same_cells_as_the_full_sweep() {
         let delta_header = delta.to_csv().lines().next().unwrap().to_owned();
         assert!(delta_header.contains("frames_delta_executed"));
         assert!(delta_header.contains("delta_speedup"));
+        // Extension columns only append to the golden legacy header, once each.
+        let legacy_header = include_str!("golden/dse_legacy_reduced.csv").lines().next();
+        assert!(
+            delta_header.starts_with(&format!("{},", legacy_header.unwrap())),
+            "{delta_header}"
+        );
+        let columns: Vec<&str> = delta_header.split(',').collect();
+        let unique: BTreeSet<&str> = columns.iter().copied().collect();
+        assert_eq!(
+            unique.len(),
+            columns.len(),
+            "duplicate column: {delta_header}"
+        );
         let full_header = full.to_csv().lines().next().unwrap().to_owned();
         assert!(!full_header.contains("delta"));
         assert!(delta.summary().contains("delta execution"));

@@ -1,8 +1,9 @@
 //! Integration tests of the serving layer, end-to-end over a real
 //! loopback socket: canonical byte-identity of served sweeps, the result
 //! cache, in-flight dedupe of concurrent duplicates, malformed-frame
-//! resilience, persistent-world `FRAME` streams, and the closed-loop
-//! load generator's measured hit-rate against its analytic expectation.
+//! resilience, persistent-world `FRAME` streams, the `FRAME`/`STATS` key
+//! set against its golden list, and the closed-loop load generator's
+//! measured hit-rate against its analytic expectation.
 
 use spade::core::DataflowOptions;
 use spade::nn::{DeltaPolicy, FrameDeltaState, ModelKind, PruningConfig};
@@ -16,6 +17,7 @@ use spade_bench::protocol::{
 use spade_bench::serve::parse_stats_body;
 use spade_bench::workload::model_run_on_frame_delta;
 use spade_bench::{ServeConfig, Server, WorkloadScale};
+use std::collections::BTreeSet;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 
@@ -375,6 +377,55 @@ fn frame_stream_matches_direct_delta_execution() {
         .and_then(|v| v.parse().ok())
         .expect("delta_frames_total in STATS");
     assert_eq!(total, FRAMES);
+
+    server.shutdown();
+    server.join();
+}
+
+/// The `key=` lines of a FRAME reply and a STATS reply together are exactly
+/// the committed key list, so a renamed, added, or dropped key shows up as
+/// a diff against `tests/golden/stats_keys.txt`.
+#[test]
+fn frame_and_stats_keys_match_the_golden_list() {
+    let server = test_server();
+    let mut client = connect(&server);
+    let frame = send(
+        &mut client,
+        &Request::Frame(FrameRequest {
+            drive: "veh-keys".to_owned(),
+            scenario: NamedScenario::Tunnel,
+            model: ModelKind::Spp2,
+            scale: WorkloadScale::Reduced,
+            seed: 3,
+            frames: 2,
+            index: 0,
+        }),
+    );
+    let Response::Ok { body, .. } = &frame else {
+        panic!("FRAME failed: {frame:?}");
+    };
+    let mut served: BTreeSet<String> = parse_stats_body(body).into_keys().collect();
+    served.extend(stats(&mut client).into_keys());
+
+    let golden_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/stats_keys.txt");
+    let golden: BTreeSet<String> = std::fs::read_to_string(golden_path)
+        .expect("tests/golden/stats_keys.txt is committed")
+        .lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(str::to_owned)
+        .collect();
+    assert_eq!(
+        served.difference(&golden).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "served keys missing from the golden list"
+    );
+    assert_eq!(
+        golden.difference(&served).collect::<Vec<_>>(),
+        Vec::<&String>::new(),
+        "golden keys the server no longer sends"
+    );
 
     server.shutdown();
     server.join();
