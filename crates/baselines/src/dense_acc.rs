@@ -6,7 +6,6 @@
 //! "ideal dense accelerator design" reference of the abstract and Fig. 9–12.
 
 use serde::{Deserialize, Serialize};
-use spade_core::gsu::TilePlan;
 use spade_core::{simulate_network_via_layers, Accelerator, LayerPerf, NetworkPerf, SpadeConfig};
 use spade_nn::graph::{dense_macs_for, LayerWorkload, NetworkTrace};
 use spade_sim::{EnergyBreakdown, EnergyModel};
@@ -137,10 +136,9 @@ impl Accelerator for DenseAccelerator {
         let macs = dense_macs_for(spec, workload.input_grid, workload.output_grid);
         let compute_cycles =
             (macs as f64 / (self.config.num_pes() as f64 * self.utilization)).ceil() as u64;
-        let input_bytes = workload.input_grid.num_cells() as u64 * c;
-        let output_bytes = workload.output_grid.num_cells() as u64 * m;
-        let weight_bytes = spec.kernel.num_taps() as u64 * c * m;
-        let dram_bytes = input_bytes + output_bytes + weight_bytes;
+        let dram_bytes = workload.input_grid.num_cells() as u64 * c
+            + workload.output_grid.num_cells() as u64 * m
+            + spec.kernel.num_taps() as u64 * c * m;
         let dram_cycles = (dram_bytes as f64 / self.config.dram_bytes_per_cycle).ceil() as u64;
         let total_cycles = compute_cycles.max(dram_cycles);
         let sram_bytes = macs / self.config.pe_rows as u64 + dram_bytes;
@@ -156,15 +154,6 @@ impl Accelerator for DenseAccelerator {
             macs,
             dram_bytes,
             sram_bytes,
-            // Dense execution streams the whole feature map as one tile.
-            tiles: TilePlan {
-                input_tile: workload.input_grid.num_cells(),
-                num_tiles: 1,
-                output_span: workload.output_grid.num_cells(),
-                input_bytes,
-                output_bytes,
-                weight_bytes,
-            },
         }
     }
 

@@ -7,9 +7,8 @@
 //! active-tile boundaries (≈20 % extra DRAM traffic on SPP workloads).
 
 use serde::{Deserialize, Serialize};
-use spade_core::gsu::TilePlan;
 use spade_core::{
-    simulate_network_via_layers, Accelerator, LayerPerf, NetworkPerf, SpadeConfig,
+    encoder_cycles, simulate_network_via_layers, Accelerator, LayerPerf, NetworkPerf, SpadeConfig,
     ENCODER_MXU_UTILIZATION,
 };
 use spade_nn::graph::LayerWorkload;
@@ -165,9 +164,8 @@ impl PointAccModel {
     ) -> PointAccPerf {
         let layers: Vec<PointAccLayerPerf> =
             workloads.iter().map(|w| self.layer_breakdown(w)).collect();
-        let encoder_cycles = (encoder_macs as f64
-            / (self.config.num_pes() as f64 * ENCODER_MXU_UTILIZATION))
-            .ceil() as u64;
+        let encoder_cycles =
+            encoder_cycles(encoder_macs, self.config.num_pes(), ENCODER_MXU_UTILIZATION);
         let total_cycles: u64 = layers.iter().map(|l| l.total_cycles).sum::<u64>() + encoder_cycles;
         let total_dram_bytes: u64 = layers.iter().map(|l| l.dram_bytes).sum();
         // `rules.max(1)` matches the layer cycle model (and the trait view),
@@ -207,13 +205,8 @@ impl Accelerator for PointAccModel {
     fn simulate_layer(&self, workload: &LayerWorkload) -> LayerPerf {
         let detail = self.layer_breakdown(workload);
         let spec = &workload.spec;
-        let a = workload.input_coords.len().max(1) as u64;
-        let q = workload.output_coords.len().max(1) as u64;
         let c = spec.in_channels as u64;
         let m = spec.out_channels as u64;
-        let input_bytes = a * c;
-        let output_bytes = q * m;
-        let weight_bytes = spec.kernel.num_taps() as u64 * c * m;
         LayerPerf {
             name: spec.name.clone(),
             kind: spec.kind,
@@ -228,14 +221,6 @@ impl Accelerator for PointAccModel {
             // The direct-mapped cache reads each line once per access, so SRAM
             // traffic tracks DRAM traffic plus the writeback pass.
             sram_bytes: detail.dram_bytes * 2,
-            tiles: TilePlan {
-                input_tile: workload.input_coords.len().max(1),
-                num_tiles: 1,
-                output_span: workload.output_coords.len().max(1),
-                input_bytes,
-                output_bytes,
-                weight_bytes,
-            },
         }
     }
 

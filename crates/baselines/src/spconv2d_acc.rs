@@ -11,7 +11,6 @@
 //!    as the condensed indices become more irregular with sparsity.
 
 use serde::{Deserialize, Serialize};
-use spade_core::gsu::TilePlan;
 use spade_core::{
     simulate_network_via_layers, Accelerator, LayerPerf, NetworkPerf, ENCODER_MXU_UTILIZATION,
 };
@@ -132,10 +131,7 @@ impl Accelerator for SpConv2dAccelerator {
         let mxu_cycles = (ideal_cycles as f64 / b.utilization.max(1e-6)).ceil() as u64;
         let total_cycles = (ideal_cycles as f64 / b.effective_throughput.max(1e-6)).ceil() as u64;
         let scatter_cycles = total_cycles.saturating_sub(mxu_cycles);
-        let input_bytes = a * c;
-        let output_bytes = q * m;
-        let weight_bytes = spec.kernel.num_taps() as u64 * c * m;
-        let dram_bytes = input_bytes + output_bytes + weight_bytes;
+        let dram_bytes = a * c + q * m + spec.kernel.num_taps() as u64 * c * m;
         LayerPerf {
             name: spec.name.clone(),
             kind: spec.kind,
@@ -148,14 +144,6 @@ impl Accelerator for SpConv2dAccelerator {
             macs,
             dram_bytes,
             sram_bytes: macs / self.pe_rows.max(1) as u64 + dram_bytes,
-            tiles: TilePlan {
-                input_tile: workload.input_coords.len().max(1),
-                num_tiles: 1,
-                output_span: workload.output_coords.len().max(1),
-                input_bytes,
-                output_bytes,
-                weight_bytes,
-            },
         }
     }
 

@@ -10,14 +10,13 @@
 //!
 //! 1. **Roofline screen.** For every SPADE cell a per-frame *lower bound* on
 //!    latency and energy is computed from the layer workload counts alone
-//!    (no simulation): per layer, the MXU streaming cycles `r·ch_tiles`, the
-//!    exact gather/scatter bank-conflict stall, the weight-load floor
-//!    `k·ch_tiles·num_tiles·pe_rows` (using the exact
-//!    [`ActiveTileManager::plan_for_counts`] tile plan — weight reuse can
-//!    only re-load tiles, never skip them), and the 16-cycle rule-generation
-//!    floor, all maxed against the exact DRAM-interface cycles. Energy is
-//!    the exact MAC/SRAM/DRAM activity energy plus leakage at the bound
-//!    cycle count (leakage is monotone in cycles, so the bound is sound).
+//!    (no simulation): [`SpadeAccelerator::roofline_bound`], which charges
+//!    each layer the floor `schedule_layer` itself builds on — MXU
+//!    streaming, bank stall, one weight load per ATM tile, and the 16-cycle
+//!    rule-generation minimum, maxed against the DRAM-interface cycles —
+//!    without the dataflow surcharges. Energy is the exact MAC/SRAM/DRAM
+//!    activity energy plus leakage at the bound cycle count (leakage is
+//!    monotone in cycles, so the bound is sound).
 //!    A small *seed* set — the Pareto frontier of the bounds — plus every
 //!    baseline cell is fully simulated; any cell whose bound is dominated
 //!    by a simulated cell is screened out.
@@ -47,12 +46,7 @@
 use super::{compute_cell, pareto_frontier, spade_cell, CellKind, DseCell, DseParams, SweepPlan};
 use crate::pool::WorkerPool;
 use crate::workload::{simulate_on, ModelRun};
-use spade_core::{
-    AcceleratorReport, ActiveTileManager, NetworkPerf, SpadeAccelerator, SpadeConfig,
-    ENCODER_MXU_UTILIZATION, GATHER_SCATTER_LANES,
-};
-use spade_sim::units::Cycles;
-use spade_sim::EnergyModel;
+use spade_core::{AcceleratorReport, LayerCounts, NetworkPerf, SpadeAccelerator, SpadeConfig};
 
 /// How the adaptive explorer spent its cell budget. The exhaustive path
 /// reports `cells_screened = 0` and every cell simulated.
@@ -67,293 +61,19 @@ pub struct ScreenCounters {
     pub frames_saved: usize,
 }
 
-/// Per-layer workload counts, extracted once per (model, frame) — everything
-/// the roofline bound needs, without touching coordinate arrays again.
-struct LayerStat {
-    /// Raw active input / output pillar counts (pre-clamp, as
-    /// [`ActiveTileManager::plan_for_counts`] expects them).
-    a_len: usize,
-    q_len: usize,
-    in_ch: usize,
-    out_ch: usize,
-    taps: usize,
-    /// Rules, clamped to ≥ 1 exactly as `schedule_layer` clamps them.
-    r: u64,
-    /// Exact DRAM bytes of the layer (ATM moves every element once).
-    dram_bytes: u64,
-}
-
-/// One drive frame's aggregate counts for a model.
-struct FrameStat {
-    layers: Vec<LayerStat>,
-    encoder_macs: u64,
-    /// Exact totals mirrored from `NetworkPerf::from_layers` — these are
-    /// configuration-independent, so the bound's energy activity terms are
-    /// *equalities*, not bounds.
-    total_macs: u64,
-    total_sram_bytes: u64,
-    total_dram_bytes: u64,
-}
-
-fn frame_stat(run: &ModelRun) -> FrameStat {
-    let mut layers = Vec::with_capacity(run.workloads.len());
-    let mut total_macs = run.encoder_macs;
-    let mut total_sram = 0u64;
-    let mut total_dram = 0u64;
-    for w in &run.workloads {
-        let a_len = w.input_coords.len();
-        let q_len = w.output_coords.len();
-        let a = a_len.max(1) as u64;
-        let q = q_len.max(1) as u64;
-        let r = w.rules.max(1);
-        let c = w.spec.in_channels as u64;
-        let m = w.spec.out_channels as u64;
-        let k = w.spec.kernel.num_taps() as u64;
-        // The tile plan clamps channels to ≥ 1 for its byte counts.
-        let cp = (w.spec.in_channels.max(1)) as u64;
-        let mp = (w.spec.out_channels.max(1)) as u64;
-        let dram_bytes = a * cp + k * cp * mp + q * mp;
-        total_macs += r * c * m;
-        total_sram += r * (c + 4 * m) + a * c + q * m;
-        total_dram += dram_bytes;
-        layers.push(LayerStat {
-            a_len,
-            q_len,
-            in_ch: w.spec.in_channels,
-            out_ch: w.spec.out_channels,
-            taps: w.spec.kernel.num_taps(),
-            r,
-            dram_bytes,
-        });
-    }
-    FrameStat {
-        layers,
-        encoder_macs: run.encoder_macs,
-        total_macs,
-        total_sram_bytes: total_sram,
-        total_dram_bytes: total_dram,
-    }
-}
-
-/// Appends `x` to `pool` if absent and returns its index — tiny linear-scan
-/// interner for the handful of distinct values each swept axis takes.
-fn intern<T: PartialEq + Copy>(pool: &mut Vec<T>, x: T) -> usize {
-    pool.iter().position(|&y| y == x).unwrap_or_else(|| {
-        pool.push(x);
-        pool.len() - 1
-    })
-}
-
-/// Class indices of one configuration under the four independent axes the
-/// per-layer bound arithmetic depends on. A swept grid *crosses* the axes,
-/// so the class counts stay tiny while configurations multiply: the
-/// enlarged grid's 2 184 configurations collapse onto 26 buffer geometries
-/// × 3 PE shapes × 7 bankings × 2 DRAM widths.
-struct ConfigClasses {
-    /// `(buf_in_kib, buf_out_kib)` class — selects the `num_tiles` table.
-    atm: usize,
-    /// `(pe_rows, pe_cols)` class — selects `ch_tiles` and encoder tables.
-    pe: usize,
-    /// `min(sram_banks, lanes)` class — selects the bank-stall table.
-    banks: usize,
-    /// `dram_bytes_per_cycle` class — selects the DRAM-cycles table.
-    bpc: usize,
-}
-
-/// Per-model lookup tables: one flat `(frame, layer)` entry per drive layer
-/// (frame `f` spans `offsets[f]..offsets[f + 1]`), with the
-/// configuration-dependent term of each bound axis tabulated per class.
-struct ModelTables {
-    offsets: Vec<usize>,
-    /// Rules per layer, clamped ≥ 1 (the MXU streaming term's multiplier).
-    r: Vec<u64>,
-    taps: Vec<u64>,
-    /// Exact [`ActiveTileManager::plan_for_counts`] tile count, per ATM
-    /// class — weight reuse can only re-load tiles, never skip them, so
-    /// this is the weight-load floor's tile multiplier.
-    num_tiles: Vec<Vec<u64>>,
-    /// `ceil(in_ch / pe_rows) · ceil(out_ch / pe_cols)` per PE class.
-    ch_tiles: Vec<Vec<u64>>,
-    /// Exact gather/scatter bank-conflict stall `r·(lanes − banks)/lanes`
-    /// per banking class — banking stalls do not depend on the dataflow
-    /// schedule.
-    stall: Vec<Vec<Cycles>>,
-    /// Exact DRAM-interface cycles `ceil(dram_bytes / bpc)` per DRAM class.
-    dram_cycles: Vec<Vec<Cycles>>,
-    /// Encoder MXU cycles per PE class and frame.
-    encoder_cycles: Vec<Vec<Cycles>>,
-    /// Per-frame `(macs, sram_bytes, dram_bytes)` totals for the energy
-    /// activity terms — configuration-independent, so they are *equalities*.
-    totals: Vec<(u64, u64, u64)>,
-}
-
-/// Roofline-bound evaluator over a configuration grid: precomputes each
-/// bound axis once per distinct class and assembles any configuration's
-/// per-frame bound from table lookups. The lookup path evaluates exactly
-/// the arithmetic of `schedule_layer` / `NetworkPerf::from_layers` with the
-/// dataflow-dependent terms dropped — term by term identical to evaluating
-/// the closed form per configuration, so cached and uncached bounds are
-/// bit-equal.
-struct BoundCtx {
-    classes: Vec<ConfigClasses>,
-    models: Vec<ModelTables>,
-}
-
-impl BoundCtx {
-    fn new(configs: &[SpadeConfig], stats_by_model: &[Vec<FrameStat>]) -> Self {
-        let lanes = u64::from(GATHER_SCATTER_LANES);
-        let mut atms: Vec<(u64, u64)> = Vec::new();
-        let mut pes: Vec<(usize, usize)> = Vec::new();
-        let mut banks: Vec<u64> = Vec::new();
-        let mut bpcs: Vec<f64> = Vec::new();
-        let classes = configs
-            .iter()
-            .map(|c| ConfigClasses {
-                atm: intern(&mut atms, (c.buf_in_kib, c.buf_out_kib)),
-                pe: intern(&mut pes, (c.pe_rows, c.pe_cols)),
-                banks: intern(&mut banks, u64::from(c.sram_banks).min(lanes)),
-                bpc: intern(&mut bpcs, c.dram_bytes_per_cycle),
-            })
-            .collect();
-        let models = stats_by_model
-            .iter()
-            .map(|frames| {
-                let mut offsets = vec![0usize];
-                let mut r = Vec::new();
-                let mut taps = Vec::new();
-                for fs in frames {
-                    for l in &fs.layers {
-                        r.push(l.r);
-                        taps.push(l.taps as u64);
-                    }
-                    offsets.push(r.len());
-                }
-                let layers = || frames.iter().flat_map(|fs| fs.layers.iter());
-                ModelTables {
-                    num_tiles: atms
-                        .iter()
-                        .map(|&(buf_in, buf_out)| {
-                            let atm = ActiveTileManager::new(buf_in, buf_out);
-                            layers()
-                                .map(|l| {
-                                    atm.plan_for_counts(l.a_len, l.q_len, l.in_ch, l.out_ch, l.taps)
-                                        .num_tiles as u64
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                    ch_tiles: pes
-                        .iter()
-                        .map(|&(rows, cols)| {
-                            layers()
-                                .map(|l| {
-                                    (l.in_ch.div_ceil(rows) as u64)
-                                        * (l.out_ch.div_ceil(cols) as u64)
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                    stall: banks
-                        .iter()
-                        .map(|&b| {
-                            layers()
-                                .map(|l| Cycles::new(l.r * (lanes - b) / lanes))
-                                .collect()
-                        })
-                        .collect(),
-                    dram_cycles: bpcs
-                        .iter()
-                        .map(|&bpc| {
-                            layers()
-                                .map(|l| Cycles::new((l.dram_bytes as f64 / bpc).ceil() as u64))
-                                .collect()
-                        })
-                        .collect(),
-                    encoder_cycles: pes
-                        .iter()
-                        .map(|&(rows, cols)| {
-                            frames
-                                .iter()
-                                .map(|fs| {
-                                    Cycles::new(
-                                        (fs.encoder_macs as f64
-                                            / ((rows * cols).max(1) as f64
-                                                * ENCODER_MXU_UTILIZATION))
-                                            .ceil() as u64,
-                                    )
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                    totals: frames
-                        .iter()
-                        .map(|fs| (fs.total_macs, fs.total_sram_bytes, fs.total_dram_bytes))
-                        .collect(),
-                    offsets,
-                    r,
-                    taps,
-                }
-            })
-            .collect();
-        BoundCtx { classes, models }
-    }
-
-    /// Lower bound on each frame's `(latency_ms, energy_mj)` under
-    /// `configs[config_idx]`, valid for *every* dataflow setting (reuse
-    /// inefficiency and conservative tiling only ever add weight-load
-    /// cycles; scatter exposure only adds scatter cycles). Per layer the
-    /// compute floor `r·ch_tiles + stall + taps·ch_tiles·num_tiles·pe_rows +
-    /// 16` (16 = the exposed rule-generation clamp) is maxed against the
-    /// exact DRAM-interface cycles. MAC/SRAM/DRAM activity energy is
-    /// workload-exact; only the leakage term sees the bound cycle count,
-    /// and leakage is monotone in cycles — sound.
-    fn per_frame(
-        &self,
-        config_idx: usize,
-        model_idx: usize,
-        config: &SpadeConfig,
-    ) -> Vec<(f64, f64)> {
-        let cls = &self.classes[config_idx];
-        let md = &self.models[model_idx];
-        let energy = EnergyModel::asic_32nm();
-        let pe_rows = config.pe_rows as u64;
-        let num_tiles = &md.num_tiles[cls.atm];
-        let ch_tiles = &md.ch_tiles[cls.pe];
-        let stall = &md.stall[cls.banks];
-        let dram = &md.dram_cycles[cls.bpc];
-        (0..md.offsets.len() - 1)
-            .map(|f| {
-                let mut cycles = Cycles::default();
-                for i in md.offsets[f]..md.offsets[f + 1] {
-                    let compute_floor = Cycles::new(
-                        md.r[i] * ch_tiles[i]
-                            + md.taps[i] * ch_tiles[i] * num_tiles[i] * pe_rows
-                            + 16,
-                    ) + stall[i];
-                    cycles += compute_floor.max(dram[i]);
-                }
-                let total_cycles = (cycles + md.encoder_cycles[cls.pe][f]).get();
-                let (macs, sram_bytes, dram_bytes) = md.totals[f];
-                let latency_ms = total_cycles as f64 / (config.freq_ghz * 1e9) * 1e3;
-                let energy_mj = energy
-                    .breakdown(macs, sram_bytes, dram_bytes, total_cycles, config.freq_ghz)
-                    .total_mj();
-                (latency_ms, energy_mj)
-            })
-            .collect()
-    }
-}
-
 /// Per-frame roofline lower bounds `(latency_ms, energy_mj)` of `config`
-/// over a drive's model runs — the quantity the adaptive screen prunes on,
-/// exposed so the soundness property (`bound ≤ simulated`, for every frame,
-/// configuration, dataflow setting, and scenario) is testable from outside
-/// the explorer. Runs through the same `BoundCtx` lookup path the
-/// explorer uses, so the tested bound *is* the screening bound.
+/// over a drive's model runs — the quantity the adaptive screen prunes on.
+/// Each frame is [`SpadeAccelerator::roofline_bound`]: every layer at the
+/// floor `schedule_layer` adds its dataflow surcharges to, so the bound
+/// holds for every dataflow setting. Public so the soundness property
+/// (`bound ≤ simulated`, for every frame, configuration, dataflow setting,
+/// and scenario) is testable from outside the explorer.
 #[must_use]
 pub fn roofline_bound(config: &SpadeConfig, runs: &[ModelRun]) -> Vec<(f64, f64)> {
-    let stats: Vec<FrameStat> = runs.iter().map(frame_stat).collect();
-    BoundCtx::new(std::slice::from_ref(config), &[stats]).per_frame(0, 0, config)
+    let acc = SpadeAccelerator::new(*config);
+    runs.iter()
+        .map(|run| acc.roofline_bound(&run.workloads, run.encoder_macs))
+        .collect()
 }
 
 /// Roofline bound of one SPADE cell: per-frame `(latency, energy)` lower
@@ -400,22 +120,23 @@ pub(super) fn explore(
         )
     };
 
-    // Workload counts per (model, frame) — the bound's only input.
-    let stats_by_model: Vec<Vec<FrameStat>> = plan
-        .runs_by_model
-        .iter()
-        .map(|runs| runs.iter().map(frame_stat).collect())
-        .collect();
     // Mean DRAM traffic is configuration-independent; computed with the
     // same operation order as `mean_cell` so screened cells export the
     // exact value.
-    let mean_dram_by_model: Vec<f64> = stats_by_model
+    let mean_dram_by_model: Vec<f64> = plan
+        .runs_by_model
         .iter()
-        .map(|frames| {
-            let n = frames.len().max(1) as f64;
-            frames
-                .iter()
-                .map(|f| f.total_dram_bytes as f64 / (1024.0 * 1024.0))
+        .map(|runs| {
+            let n = runs.len().max(1) as f64;
+            runs.iter()
+                .map(|run| {
+                    let bytes: u64 = run
+                        .workloads
+                        .iter()
+                        .map(|w| LayerCounts::of(w).dram_bytes())
+                        .sum();
+                    bytes as f64 / (1024.0 * 1024.0)
+                })
                 .sum::<f64>()
                 / n
         })
@@ -470,11 +191,10 @@ pub(super) fn explore(
             pair_slot[key]
         })
         .collect();
-    let ctx = BoundCtx::new(&plan.configs, &stats_by_model);
     let pair_bounds: Vec<CellBound> = pool.run(pairs.len(), |i| {
         let (config_idx, model_idx) = pairs[i];
         let config = &plan.configs[config_idx];
-        let per_frame = ctx.per_frame(config_idx, model_idx, config);
+        let per_frame = roofline_bound(config, &plan.runs_by_model[model_idx]);
         let n = per_frame.len().max(1) as f64;
         let mean = [
             per_frame.iter().map(|b| b.0).sum::<f64>() / n,

@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn every_experiment_id_runs_at_reduced_scale() {
-        for id in ["fig02b", "fig05b", "fig06c"] {
+        for id in all_experiment_ids() {
             let out = run_experiment(id, WorkloadScale::Reduced).unwrap();
             assert!(!out.is_empty(), "{id} produced no output");
         }

@@ -410,12 +410,24 @@ fn dataflow_from_mask(mask: u8) -> DataflowOptions {
     }
 }
 
+/// Smallest clock (`ghz`) and DRAM bandwidth (`bpc`, bytes per cycle) a
+/// sweep may ask for. Rates near zero push the cycle counts past `u64`.
+const MIN_RATE: f64 = 1.0 / 1024.0;
+/// Largest SRAM scale a sweep may ask for; far larger buffers overflow
+/// their byte counts.
+const MAX_SRAM_SCALE: f64 = 1024.0;
+/// Largest PE-array dimension a sweep may ask for; far larger arrays
+/// overflow the PE count.
+const MAX_PE_DIM: usize = 4096;
+
 /// Decodes the [`encode_params`] line back into sweep params.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending field for missing keys,
-/// unknown enum names, non-finite floats, and unparsable numbers.
+/// unknown enum names, non-finite floats, unparsable numbers, and
+/// hardware the cost model cannot price: a PE dimension outside 1..=4096,
+/// an SRAM scale above 1024, and a `ghz` or `bpc` below 1/1024.
 pub fn decode_params(line: &str) -> Result<DseParams, String> {
     let fields = parse_fields(line)?;
     let get = |key: &str| field(&fields, key);
@@ -452,12 +464,26 @@ pub fn decode_params(line: &str) -> Result<DseParams, String> {
             let (r, c) = tok
                 .split_once('x')
                 .ok_or_else(|| format!("malformed PE dim '{tok}'"))?;
-            Ok((parse_num(r, "pe")?, parse_num(c, "pe")?))
+            let dims: (usize, usize) = (parse_num(r, "pe")?, parse_num(c, "pe")?);
+            if !(1..=MAX_PE_DIM).contains(&dims.0) || !(1..=MAX_PE_DIM).contains(&dims.1) {
+                return Err(format!("pe dimensions must be in 1..=4096, got '{tok}'"));
+            }
+            Ok(dims)
         })
         .collect::<Result<Vec<(usize, usize)>, String>>()?;
     let floats = |key: &str| -> Result<Vec<f64>, String> {
         split_list(field(&fields, key)?)
             .map(|tok| parse_f64(tok, key))
+            .collect()
+    };
+    // The floats of `key`, each accepted by `ok`; a rejection names the
+    // field and the `bound` it broke.
+    let checked = |key: &str, ok: fn(f64) -> bool, bound: &str| -> Result<Vec<f64>, String> {
+        split_list(field(&fields, key)?)
+            .map(|tok| match parse_f64(tok, key)? {
+                v if ok(v) => Ok(v),
+                _ => Err(format!("{key} must be {bound}, got '{tok}'")),
+            })
             .collect()
     };
     let dataflow = split_list(get("df")?)
@@ -493,9 +519,9 @@ pub fn decode_params(line: &str) -> Result<DseParams, String> {
         scale,
         axes: SweepAxes {
             pe_dims,
-            sram_scales: floats("sram")?,
-            freq_ghz: floats("ghz")?,
-            dram_bytes_per_cycle: floats("bpc")?,
+            sram_scales: checked("sram", |v| v <= MAX_SRAM_SCALE, "at most 1024")?,
+            freq_ghz: checked("ghz", |v| v >= MIN_RATE, "at least 1/1024")?,
+            dram_bytes_per_cycle: checked("bpc", |v| v >= MIN_RATE, "at least 1/1024")?,
             buffer_splits,
             sram_banks,
             dataflow,
@@ -763,6 +789,17 @@ mod tests {
             ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=ramp:0.5:inf;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7", "finite"),
             ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7;adaptive=2", "adaptive expects 0 or 1"),
             ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7;bank=many", "bank expects an integer"),
+            // Hardware the cost model cannot price: zero PE dims divide by
+            // zero, near-zero rates and huge buffers or arrays overflow its
+            // counters.
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=0x8;sram=1;ghz=1;bpc=12.8;df=7", "pe dimensions must be in"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16+8x0;sram=1;ghz=1;bpc=12.8;df=7", "pe dimensions must be in"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=4294967296x4294967296;sram=1;ghz=1;bpc=12.8;df=7", "pe dimensions must be in"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1e300;ghz=1;bpc=12.8;df=7", "sram must be at most"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=0;df=7", "bpc must be at least"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=1e-300;df=7", "bpc must be at least"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8+-1;df=7", "bpc must be at least"),
+            ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=0;bpc=12.8;df=7", "ghz must be at least"),
         ] {
             let err = decode_request(payload).unwrap_err();
             assert!(err.contains(needle), "'{err}' lacks '{needle}'");

@@ -2,7 +2,7 @@
 //! accelerator models implement.
 
 use crate::config::{DataflowOptions, SpadeConfig};
-use crate::dataflow::{schedule_layer, LayerPerf};
+use crate::dataflow::{schedule_layer, LayerCounts, LayerPerf};
 use serde::{Deserialize, Serialize};
 use spade_nn::graph::LayerWorkload;
 use spade_sim::{EnergyBreakdown, EnergyModel};
@@ -50,9 +50,32 @@ pub fn simulate_network_via_layers<A: Accelerator + ?Sized>(
     energy: &EnergyModel,
 ) -> NetworkPerf {
     let layers: Vec<LayerPerf> = workloads.iter().map(|w| acc.simulate_layer(w)).collect();
-    let encoder_cycles =
-        (encoder_macs as f64 / (num_pes.max(1) as f64 * encoder_utilization)).ceil() as u64;
+    let encoder_cycles = encoder_cycles(encoder_macs, num_pes, encoder_utilization);
     NetworkPerf::from_layers(layers, encoder_cycles, encoder_macs, freq_ghz, energy)
+}
+
+/// Cycles the pillar feature encoder's `encoder_macs` take on `num_pes`
+/// processing elements at `utilization` — the one encoder formula every
+/// model and the roofline bound use.
+#[must_use]
+pub fn encoder_cycles(encoder_macs: u64, num_pes: usize, utilization: f64) -> u64 {
+    (encoder_macs as f64 / (num_pes.max(1) as f64 * utilization)).ceil() as u64
+}
+
+/// Latency (ms) and energy of a network run from its cycle count and its
+/// activity totals — the one cycles→latency/energy assembly, shared by
+/// [`NetworkPerf::from_layers`] and [`SpadeAccelerator::roofline_bound`].
+fn latency_and_energy(
+    total_cycles: u64,
+    total_macs: u64,
+    total_sram: u64,
+    total_dram: u64,
+    freq_ghz: f64,
+    energy: &EnergyModel,
+) -> (f64, EnergyBreakdown) {
+    let latency_ms = total_cycles as f64 / (freq_ghz * 1e9) * 1e3;
+    let energy = energy.breakdown(total_macs, total_sram, total_dram, total_cycles, freq_ghz);
+    (latency_ms, energy)
 }
 
 /// The SPADE accelerator model.
@@ -122,8 +145,14 @@ impl NetworkPerf {
         let total_macs: u64 = encoder_macs + layers.iter().map(|l| l.macs).sum::<u64>();
         let total_dram: u64 = layers.iter().map(|l| l.dram_bytes).sum();
         let total_sram: u64 = layers.iter().map(|l| l.sram_bytes).sum();
-        let latency_ms = total_cycles as f64 / (freq_ghz * 1e9) * 1e3;
-        let energy = energy.breakdown(total_macs, total_sram, total_dram, total_cycles, freq_ghz);
+        let (latency_ms, energy) = latency_and_energy(
+            total_cycles,
+            total_macs,
+            total_sram,
+            total_dram,
+            freq_ghz,
+            energy,
+        );
         NetworkPerf {
             layers,
             encoder_cycles,
@@ -193,6 +222,36 @@ impl SpadeAccelerator {
             self.config.freq_ghz,
             &self.energy,
         )
+    }
+
+    /// Lower bound on [`SpadeAccelerator::simulate_network`]'s
+    /// `(latency_ms, energy_mj)` for this configuration under *every*
+    /// [`DataflowOptions`]: each layer at its roofline floor
+    /// ([`LayerCounts::floor_cycles`]). The MAC/SRAM/DRAM activity is
+    /// workload-exact, and only leakage sees the floor cycle count; leakage
+    /// grows with cycles, so the energy is a lower bound too.
+    #[must_use]
+    pub fn roofline_bound(&self, workloads: &[LayerWorkload], encoder_macs: u64) -> (f64, f64) {
+        let mut cycles = 0u64;
+        let (mut macs, mut sram, mut dram) = (encoder_macs, 0u64, 0u64);
+        for w in workloads {
+            let counts = LayerCounts::of(w);
+            cycles += counts.floor_cycles(&self.config);
+            macs += counts.macs;
+            sram += counts.sram_bytes;
+            dram += counts.dram_bytes;
+        }
+        let total_cycles =
+            cycles + encoder_cycles(encoder_macs, self.config.num_pes(), ENCODER_MXU_UTILIZATION);
+        let (latency_ms, energy) = latency_and_energy(
+            total_cycles,
+            macs,
+            sram,
+            dram,
+            self.config.freq_ghz,
+            &self.energy,
+        );
+        (latency_ms, energy.total_mj())
     }
 }
 

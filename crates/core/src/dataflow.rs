@@ -8,7 +8,7 @@
 //! overheads that the weight-grouping and ganged-scatter optimisations attack
 //! (Fig. 8).
 
-use crate::config::{DataflowOptions, SpadeConfig};
+use crate::config::{DataflowOptions, SpadeConfig, GATHER_SCATTER_LANES};
 use crate::gsu::{ActiveTileManager, TilePlan};
 use crate::rgu::RuleGenerationUnit;
 use serde::{Deserialize, Serialize};
@@ -40,8 +40,6 @@ pub struct LayerPerf {
     pub dram_bytes: u64,
     /// SRAM bytes moved.
     pub sram_bytes: u64,
-    /// The tile plan used.
-    pub tiles: TilePlan,
 }
 
 impl LayerPerf {
@@ -56,7 +54,131 @@ impl LayerPerf {
     }
 }
 
-/// Schedules one layer on SPADE and returns its performance.
+/// Rule generation overlaps computation after the first tile, but at least
+/// this many cycles of it are always exposed.
+const MIN_EXPOSED_RULEGEN_CYCLES: u64 = 16;
+
+/// The configuration-independent work of one layer: every count SPADE's layer
+/// cost is built from. [`schedule_layer`] and the roofline floor
+/// ([`LayerCounts::floor_cycles`]) both start from this record, and its
+/// methods are the configuration-dependent terms they share.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerCounts {
+    /// Active input pillars, as the workload holds them (may be 0).
+    inputs: usize,
+    /// Active output pillars, as the workload holds them (may be 0).
+    outputs: usize,
+    /// Rules, clamped to ≥ 1: every layer streams at least one.
+    rules: u64,
+    /// Input channels.
+    in_channels: usize,
+    /// Output channels.
+    out_channels: usize,
+    /// Kernel taps.
+    taps: usize,
+    /// Multiply-accumulates executed.
+    pub(crate) macs: u64,
+    /// SRAM bytes moved: the input vector and the int32 partial sums of
+    /// every rule, plus tile fills and drains.
+    pub(crate) sram_bytes: u64,
+    /// DRAM bytes moved ([`LayerCounts::dram_bytes`]).
+    pub(crate) dram_bytes: u64,
+}
+
+impl LayerCounts {
+    /// Counts the work of `workload`.
+    #[must_use]
+    pub fn of(workload: &LayerWorkload) -> Self {
+        let spec = &workload.spec;
+        let (inputs, outputs) = (workload.input_coords.len(), workload.output_coords.len());
+        let a = inputs.max(1) as u64;
+        let q = outputs.max(1) as u64;
+        let r = workload.rules.max(1);
+        let c = spec.in_channels as u64;
+        let m = spec.out_channels as u64;
+        let taps = spec.kernel.num_taps();
+        // DRAM traffic moves at least one byte per element.
+        let (cp, mp) = (c.max(1), m.max(1));
+        Self {
+            inputs,
+            outputs,
+            rules: r,
+            in_channels: spec.in_channels,
+            out_channels: spec.out_channels,
+            taps,
+            macs: r * c * m,
+            sram_bytes: r * (c + 4 * m) + a * c + q * m,
+            dram_bytes: a * cp + taps as u64 * cp * mp + q * mp,
+        }
+    }
+
+    /// DRAM bytes the layer moves: the ATM moves every input, weight, and
+    /// output element exactly once.
+    #[must_use]
+    pub fn dram_bytes(&self) -> u64 {
+        self.dram_bytes
+    }
+
+    /// Channel tiles `(⌈C / pe_rows⌉, ⌈M / pe_cols⌉)`: how many passes the
+    /// input and output channels need through the array.
+    fn channel_tiles(&self, config: &SpadeConfig) -> (u64, u64) {
+        (
+            self.in_channels.div_ceil(config.pe_rows) as u64,
+            self.out_channels.div_ceil(config.pe_cols) as u64,
+        )
+    }
+
+    /// The ATM's tile plan under `config`'s buffers.
+    fn tile_plan(&self, config: &SpadeConfig) -> TilePlan {
+        ActiveTileManager::new(config.buf_in_kib, config.buf_out_kib).plan_for_counts(
+            self.inputs,
+            self.outputs,
+            self.in_channels,
+            self.out_channels,
+        )
+    }
+
+    /// Gather/scatter bank-conflict stall. Banking below the lane count
+    /// serialises conflicting accesses: each rule loses (lanes - banks)/lanes
+    /// of a cycle to conflict arbitration, integer-folded so the default
+    /// banking adds zero cycles.
+    fn bank_stall(&self, config: &SpadeConfig) -> u64 {
+        let lanes = u64::from(GATHER_SCATTER_LANES);
+        let banks = u64::from(config.sram_banks).min(lanes);
+        self.rules * (lanes - banks) / lanes
+    }
+
+    /// Cycles the DRAM interface needs to move [`LayerCounts::dram_bytes`];
+    /// it bounds throughput for thin layers.
+    fn dram_cycles(&self, config: &SpadeConfig) -> u64 {
+        (self.dram_bytes as f64 / config.dram_bytes_per_cycle).ceil() as u64
+    }
+
+    /// The layer's roofline floor under `config`: [`schedule_layer`]'s total
+    /// with every dataflow surcharge dropped, so it is a lower bound on the
+    /// scheduled cycles for every [`DataflowOptions`].
+    #[must_use]
+    pub fn floor_cycles(&self, config: &SpadeConfig) -> u64 {
+        let (ch_in, ch_out) = self.channel_tiles(config);
+        let num_tiles = self.tile_plan(config).num_tiles as u64;
+        self.compute_floor(config, ch_in * ch_out, num_tiles)
+            .max(self.dram_cycles(config))
+    }
+
+    /// The dataflow-independent compute cycles: each rule streams one pillar
+    /// through the array per channel tile, the bank stall, one weight load
+    /// (`pe_rows` cycles) per tap per channel tile per ATM tile, and the
+    /// minimum exposed rule generation.
+    fn compute_floor(&self, config: &SpadeConfig, ch_tiles: u64, num_tiles: u64) -> u64 {
+        self.rules * ch_tiles
+            + self.bank_stall(config)
+            + self.taps as u64 * ch_tiles * num_tiles * config.pe_rows as u64
+            + MIN_EXPOSED_RULEGEN_CYCLES
+    }
+}
+
+/// Schedules one layer on SPADE and returns its performance: the roofline
+/// floor ([`LayerCounts::floor_cycles`]) plus the dataflow's surcharges.
 #[must_use]
 pub fn schedule_layer(
     workload: &LayerWorkload,
@@ -64,21 +186,22 @@ pub fn schedule_layer(
     opts: &DataflowOptions,
 ) -> LayerPerf {
     let spec = &workload.spec;
-    let a = workload.input_coords.len().max(1) as u64;
-    let q = workload.output_coords.len().max(1) as u64;
-    let r = workload.rules.max(1);
-    let c = spec.in_channels as u64;
-    let m = spec.out_channels as u64;
-    let k = spec.kernel.num_taps() as u64;
+    let counts = LayerCounts::of(workload);
+    let a = counts.inputs.max(1);
+    let q = counts.outputs.max(1) as u64;
+    let r = counts.rules;
+    let k = counts.taps as u64;
+    let pe_rows = config.pe_rows as u64;
 
-    let atm = ActiveTileManager::new(config.buf_in_kib, config.buf_out_kib);
-    let mut tiles = atm.plan(workload);
-    if !opts.adaptive_tiling {
-        // Fixed conservative tile (half the buffer) when adaptive sizing is
-        // disabled.
-        tiles.input_tile = (tiles.input_tile / 2).max(1);
-        tiles.num_tiles = (a as usize).div_ceil(tiles.input_tile);
-    }
+    let plan = counts.tile_plan(config);
+    let floor_tiles = plan.num_tiles as u64;
+    // Fixed conservative tile (half the buffer) when adaptive sizing is
+    // disabled.
+    let num_tiles = if opts.adaptive_tiling {
+        plan.num_tiles
+    } else {
+        a.div_ceil((plan.input_tile / 2).max(1))
+    };
 
     // How effectively a gathered input tile is reused by the loaded weights.
     // Strided convolution without weight grouping and deconvolution without
@@ -90,17 +213,17 @@ pub fn schedule_layer(
         ConvKind::SpDeconv => 0.95,
         _ => 1.0,
     };
-    let effective_tiles = ((tiles.num_tiles as f64) / reuse_eff).ceil() as u64;
+    let effective_tiles = ((num_tiles as f64) / reuse_eff).ceil() as u64;
 
-    let ch_tiles_in = (c as usize).div_ceil(config.pe_rows) as u64;
-    let ch_tiles_out = (m as usize).div_ceil(config.pe_cols) as u64;
+    let (ch_tiles_in, ch_tiles_out) = counts.channel_tiles(config);
     let ch_tiles = ch_tiles_in * ch_tiles_out;
+    let floor = counts.compute_floor(config, ch_tiles, floor_tiles);
 
-    // Compute: each rule streams one pillar through the array per channel tile.
-    let mxu_cycles = r * ch_tiles;
-    // Weight loads: one per tap per channel tile per (effective) input tile,
-    // each taking pe_rows cycles to fill the local register files.
-    let load_wgt_cycles = k * ch_tiles * effective_tiles * config.pe_rows as u64;
+    // Surcharges over the floor, each non-negative, so the total never drops
+    // below `counts.floor_cycles(config)`.
+    // Weight loads: one per tap per channel tile per *effective* input tile;
+    // reuse inefficiency and conservative tiling only ever add tiles.
+    let extra_tiles = effective_tiles - floor_tiles;
     // Partial-sum copies between consecutive overlapping input tiles.
     let copy_psum_cycles = if matches!(spec.kind, ConvKind::SpDeconv) {
         0
@@ -109,51 +232,31 @@ pub fn schedule_layer(
     };
     // Scatter is double-buffered; it only becomes exposed for deconvolution
     // without ganged scatter, where every kernel's outputs are flushed densely.
-    // Banking below the lane count serialises conflicting gather/scatter
-    // accesses: each rule loses (lanes - banks)/lanes of a cycle to conflict
-    // arbitration, integer-folded here so the default banking is exactly the
-    // legacy model (zero added cycles).
-    let lanes = u64::from(crate::config::GATHER_SCATTER_LANES);
-    let banks = u64::from(config.sram_banks).min(lanes);
-    let bank_stall_cycles = r * (lanes - banks) / lanes;
-    let scatter_cycles = bank_stall_cycles
-        + if matches!(spec.kind, ConvKind::SpDeconv) && !opts.ganged_scatter {
-            q * ch_tiles_out / 4
-        } else {
-            0
-        };
+    let exposed_scatter = if matches!(spec.kind, ConvKind::SpDeconv) && !opts.ganged_scatter {
+        q * ch_tiles_out / 4
+    } else {
+        0
+    };
     // Rule generation overlaps computation after the first tile.
-    let rgu = RuleGenerationUnit::new();
-    let rulegen_total = rgu.cycles_for(a as usize, q as usize, r);
-    let rulegen_cycles = (rulegen_total / tiles.num_tiles.max(1) as u64).max(16);
-
-    let compute_cycles =
-        mxu_cycles + load_wgt_cycles + copy_psum_cycles + scatter_cycles + rulegen_cycles;
-
-    // DRAM traffic: thanks to the ATM every input, weight, and output element
-    // moves exactly once; the interface can bound throughput for thin layers.
-    let dram_bytes = tiles.input_bytes + tiles.weight_bytes + tiles.output_bytes;
-    let dram_cycles = (dram_bytes as f64 / config.dram_bytes_per_cycle).ceil() as u64;
-
-    let total_cycles = compute_cycles.max(dram_cycles);
-    let macs = r * c * m;
-    // SRAM: read the input vector per rule, update int32 partial sums per
-    // rule, plus tile fills and drains.
-    let sram_bytes = r * (c + 4 * m) + a * c + q * m;
+    let rulegen_total = RuleGenerationUnit::new().cycles_for(a, q as usize, r);
+    let rulegen_cycles = (rulegen_total / num_tiles.max(1) as u64).max(MIN_EXPOSED_RULEGEN_CYCLES);
+    let surcharges = k * ch_tiles * extra_tiles * pe_rows
+        + copy_psum_cycles
+        + exposed_scatter
+        + (rulegen_cycles - MIN_EXPOSED_RULEGEN_CYCLES);
 
     LayerPerf {
         name: spec.name.clone(),
         kind: spec.kind,
-        mxu_cycles,
-        load_wgt_cycles,
+        mxu_cycles: r * ch_tiles,
+        load_wgt_cycles: k * ch_tiles * effective_tiles * pe_rows,
         copy_psum_cycles,
-        scatter_cycles,
+        scatter_cycles: counts.bank_stall(config) + exposed_scatter,
         rulegen_cycles,
-        total_cycles,
-        macs,
-        dram_bytes,
-        sram_bytes,
-        tiles,
+        total_cycles: (floor + surcharges).max(counts.dram_cycles(config)),
+        macs: counts.macs,
+        dram_bytes: counts.dram_bytes,
+        sram_bytes: counts.sram_bytes,
     }
 }
 
@@ -161,7 +264,7 @@ pub fn schedule_layer(
 mod tests {
     use super::*;
     use spade_nn::LayerSpec;
-    use spade_tensor::{GridShape, PillarCoord};
+    use spade_tensor::{CprTensor, GridShape, PillarCoord};
 
     fn workload(kind: ConvKind, active: usize, channels: usize) -> LayerWorkload {
         let grid = GridShape::new(256, 256);
@@ -176,7 +279,9 @@ mod tests {
             .filter(|c| c.in_bounds(out_grid))
             .copied()
             .collect();
-        let rules = spade_nn::graph::count_rules(&coords, grid, out_grid, kind, spec.kernel);
+        let tensor = CprTensor::from_coords(grid, 1, &coords);
+        let rules =
+            spade_nn::rulegen::generate_rules(&tensor, kind, spec.kernel).num_rules() as u64;
         LayerWorkload {
             spec,
             stage: 1,
@@ -236,6 +341,37 @@ mod tests {
             &DataflowOptions::all_enabled(),
         );
         assert_eq!(over.total_cycles, base.total_cycles);
+    }
+
+    #[test]
+    fn floor_never_exceeds_any_schedule() {
+        let configs = [
+            SpadeConfig::high_end(),
+            SpadeConfig::low_end().with_sram_banks(2),
+        ];
+        for kind in [
+            ConvKind::SpConv,
+            ConvKind::SpConvS,
+            ConvKind::SpStConv,
+            ConvKind::SpDeconv,
+        ] {
+            let w = workload(kind, 6_000, 64);
+            let counts = LayerCounts::of(&w);
+            for cfg in &configs {
+                for mask in 0..8u8 {
+                    let opts = DataflowOptions {
+                        weight_grouping: mask & 1 != 0,
+                        ganged_scatter: mask & 2 != 0,
+                        adaptive_tiling: mask & 4 != 0,
+                    };
+                    let perf = schedule_layer(&w, cfg, &opts);
+                    assert!(
+                        counts.floor_cycles(cfg) <= perf.total_cycles,
+                        "{kind} {opts:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,26 +6,16 @@
 //! full reuse — no cache, no refetches, and conflict-free single-bank output
 //! updates (Sec. III-C).
 
-use serde::{Deserialize, Serialize};
-use spade_nn::graph::LayerWorkload;
-
-/// Active-tile plan for one layer: how many input tiles are needed and how
-/// much data each moves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Active-tile plan for one layer: how many active input pillars one tile
+/// holds and how many tiles the layer needs. The data each tile moves is
+/// not part of the plan: the ATM moves every element exactly once however
+/// the layer is tiled ([`crate::LayerCounts::dram_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilePlan {
     /// Active input pillars per tile.
     pub input_tile: usize,
     /// Number of input tiles.
     pub num_tiles: usize,
-    /// Worst-case active outputs touched by one input tile.
-    pub output_span: usize,
-    /// Total DRAM bytes read for inputs (each input fetched exactly once).
-    pub input_bytes: u64,
-    /// Total DRAM bytes written for outputs (each output written exactly
-    /// once).
-    pub output_bytes: u64,
-    /// Total DRAM bytes read for weights.
-    pub weight_bytes: u64,
 }
 
 /// The Active Tile Manager.
@@ -45,25 +35,10 @@ impl ActiveTileManager {
         }
     }
 
-    /// Plans the active tiles for a layer workload.
+    /// Plans the active tiles of a layer from its workload counts.
     ///
     /// Inputs are int8 (`C` bytes per pillar); partial sums are int32
     /// (`4 × M` bytes per output pillar).
-    #[must_use]
-    pub fn plan(&self, workload: &LayerWorkload) -> TilePlan {
-        self.plan_for_counts(
-            workload.input_coords.len(),
-            workload.output_coords.len(),
-            workload.spec.in_channels,
-            workload.spec.out_channels,
-            workload.spec.kernel.num_taps(),
-        )
-    }
-
-    /// Plans the active tiles from raw workload counts — the same arithmetic
-    /// as [`ActiveTileManager::plan`] without needing a materialised
-    /// [`LayerWorkload`], so analytic lower bounds (the adaptive DSE's
-    /// roofline screen) can reuse the exact tile plan the simulator will use.
     #[must_use]
     pub fn plan_for_counts(
         &self,
@@ -71,108 +46,54 @@ impl ActiveTileManager {
         active_outputs: usize,
         in_channels: usize,
         out_channels: usize,
-        kernel_taps: usize,
     ) -> TilePlan {
         let a = active_inputs.max(1);
         let q = active_outputs.max(1);
         let c = in_channels.max(1) as u64;
         let m = out_channels.max(1) as u64;
-        let k = kernel_taps as u64;
         // Input-side limit: pillars that fit in the input buffer.
         let by_input = (self.buf_in_bytes / c).max(1) as usize;
         // Output-side limit: because indices progress together, an input tile
-        // of T pillars touches roughly T·(Q/A) outputs plus a kernel halo.
+        // of T pillars touches roughly T·(Q/A) outputs.
         let outputs_per_input = q as f64 / a as f64;
         let by_output =
             (((self.buf_out_bytes / (4 * m)).max(1) as f64 / outputs_per_input.max(0.1)).floor()
                 as usize)
                 .max(1);
         let input_tile = by_input.min(by_output).min(a).max(1);
-        let num_tiles = a.div_ceil(input_tile);
-        let output_span = ((input_tile as f64 * outputs_per_input).ceil() as usize + 8).min(q);
         TilePlan {
             input_tile,
-            num_tiles,
-            output_span,
-            input_bytes: a as u64 * c,
-            output_bytes: q as u64 * m,
-            weight_bytes: k * c * m,
+            num_tiles: a.div_ceil(input_tile),
         }
-    }
-
-    /// Input buffer capacity in bytes.
-    #[must_use]
-    pub const fn buf_in_bytes(&self) -> u64 {
-        self.buf_in_bytes
-    }
-
-    /// Output buffer capacity in bytes.
-    #[must_use]
-    pub const fn buf_out_bytes(&self) -> u64 {
-        self.buf_out_bytes
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_nn::{ConvKind, LayerSpec};
-    use spade_tensor::{GridShape, PillarCoord};
-
-    fn workload(active: usize, channels: usize) -> LayerWorkload {
-        let coords: Vec<PillarCoord> = (0..active)
-            .map(|i| PillarCoord::new((i / 64) as u32, (i % 64) as u32))
-            .collect();
-        LayerWorkload {
-            spec: LayerSpec::new("t", ConvKind::SpConv, channels, channels),
-            stage: 1,
-            input_grid: GridShape::new(256, 64),
-            input_coords: coords.clone().into(),
-            output_grid: GridShape::new(256, 64),
-            output_coords: coords.into(),
-            rules: (active * 9) as u64,
-        }
-    }
 
     #[test]
     fn small_layers_fit_in_one_tile() {
-        let atm = ActiveTileManager::new(64, 128);
-        let plan = atm.plan(&workload(100, 64));
+        let plan = ActiveTileManager::new(64, 128).plan_for_counts(100, 100, 64, 64);
         assert_eq!(plan.num_tiles, 1);
         assert_eq!(plan.input_tile, 100);
-        assert_eq!(plan.input_bytes, 100 * 64);
     }
 
     #[test]
     fn large_layers_are_tiled() {
-        let atm = ActiveTileManager::new(16, 32);
-        let plan = atm.plan(&workload(10_000, 64));
+        let plan = ActiveTileManager::new(16, 32).plan_for_counts(10_000, 10_000, 64, 64);
         assert!(plan.num_tiles > 1);
         assert!(plan.input_tile <= 16 * 1024 / 64);
         assert_eq!(plan.num_tiles, 10_000usize.div_ceil(plan.input_tile));
     }
 
     #[test]
-    fn traffic_counts_each_element_once() {
-        let atm = ActiveTileManager::new(64, 128);
-        let plan = atm.plan(&workload(5_000, 32));
-        // Full reuse: bytes do not depend on the number of tiles.
-        assert_eq!(plan.input_bytes, 5_000 * 32);
-        assert_eq!(plan.output_bytes, 5_000 * 32);
-        assert_eq!(plan.weight_bytes, 9 * 32 * 32);
-    }
-
-    #[test]
-    fn output_span_tracks_dilation() {
-        let atm = ActiveTileManager::new(64, 128);
-        let mut w = workload(1_000, 64);
-        // Double the outputs (dilation): the per-tile output span grows.
-        let mut dilated: Vec<PillarCoord> = w.output_coords.to_vec();
-        dilated
-            .extend((0..1_000).map(|i| PillarCoord::new(100 + (i / 64) as u32, (i % 64) as u32)));
-        w.output_coords = dilated.into();
-        let plan_dilated = atm.plan(&w);
-        let plan_plain = atm.plan(&workload(1_000, 64));
-        assert!(plan_dilated.output_span >= plan_plain.output_span);
+    fn dilation_shrinks_the_tile() {
+        // Twice the outputs per input fill the output buffer twice as fast.
+        let atm = ActiveTileManager::new(64, 16);
+        let plain = atm.plan_for_counts(1_000, 1_000, 64, 64);
+        let dilated = atm.plan_for_counts(1_000, 2_000, 64, 64);
+        assert!(dilated.input_tile < plain.input_tile);
+        assert!(dilated.num_tiles >= plain.num_tiles);
     }
 }

@@ -47,11 +47,11 @@ pub mod report;
 pub mod rgu;
 
 pub use accelerator::{
-    simulate_network_via_layers, Accelerator, NetworkPerf, SpadeAccelerator,
+    encoder_cycles, simulate_network_via_layers, Accelerator, NetworkPerf, SpadeAccelerator,
     ENCODER_MXU_UTILIZATION,
 };
 pub use config::{DataflowOptions, SpadeConfig, GATHER_SCATTER_LANES};
-pub use dataflow::LayerPerf;
+pub use dataflow::{LayerCounts, LayerPerf};
 pub use gsu::ActiveTileManager;
 pub use report::{AcceleratorReport, ReportTable, ReportValue};
 pub use rgu::RuleGenerationUnit;

@@ -537,95 +537,6 @@ pub fn execute_pattern(
     )
 }
 
-/// Counts the number of input-output rules for a layer analytically (without
-/// materialising the rule book).
-///
-/// The submanifold path binary-searches `input_coords` directly when the
-/// slice is already in CPR order (as every layer input in this crate is);
-/// unsorted input is handled via a one-off sorted copy.
-#[must_use]
-pub fn count_rules(
-    input_coords: &[PillarCoord],
-    in_grid: GridShape,
-    out_grid: GridShape,
-    kind: ConvKind,
-    kernel: crate::kernel::KernelShape,
-) -> u64 {
-    let offsets = kernel.offsets();
-    match kind {
-        ConvKind::Dense => out_grid.num_cells() as u64 * offsets.len() as u64,
-        ConvKind::SpConv | ConvKind::SpConvP => {
-            let mut rules = 0u64;
-            for p in input_coords {
-                for &(dr, dc) in &offsets {
-                    if p.offset(-dr, -dc, out_grid).is_some() {
-                        rules += 1;
-                    }
-                }
-            }
-            rules
-        }
-        ConvKind::SpConvS => {
-            // Every in-repo layer input is CPR-sorted, so membership is a
-            // binary search on the slice itself; an unsorted caller (legal,
-            // just slower) falls back to an owned sorted copy so the counts
-            // stay correct in release builds too.
-            let sorted_copy: Vec<PillarCoord>;
-            let sorted: &[PillarCoord] = if input_coords.windows(2).all(|w| w[0] < w[1]) {
-                input_coords
-            } else {
-                let mut v = input_coords.to_vec();
-                v.sort_unstable();
-                v.dedup();
-                sorted_copy = v;
-                &sorted_copy
-            };
-            let mut rules = 0u64;
-            for p in input_coords {
-                for &(dr, dc) in &offsets {
-                    if let Some(q) = p.offset(-dr, -dc, in_grid) {
-                        if sorted.binary_search(&q).is_ok() {
-                            rules += 1;
-                        }
-                    }
-                }
-            }
-            rules
-        }
-        ConvKind::SpStConv => {
-            let mut rules = 0u64;
-            for p in input_coords {
-                for &(dr, dc) in &offsets {
-                    let qr2 = i64::from(p.row) - i64::from(dr);
-                    let qc2 = i64::from(p.col) - i64::from(dc);
-                    if qr2 >= 0
-                        && qc2 >= 0
-                        && qr2 % 2 == 0
-                        && qc2 % 2 == 0
-                        && (qr2 / 2) < i64::from(out_grid.height)
-                        && (qc2 / 2) < i64::from(out_grid.width)
-                    {
-                        rules += 1;
-                    }
-                }
-            }
-            rules
-        }
-        ConvKind::SpDeconv => {
-            let mut rules = 0u64;
-            for p in input_coords {
-                for &(dr, dc) in &offsets {
-                    let q = PillarCoord::new(p.row * 2 + dr as u32, p.col * 2 + dc as u32);
-                    if q.in_bounds(out_grid) {
-                        rules += 1;
-                    }
-                }
-            }
-            rules
-        }
-    }
-}
-
 /// Dense-equivalent MAC count for a layer (what an ideal dense accelerator or
 /// GPU computes for the same layer shape).
 #[must_use]
@@ -640,8 +551,6 @@ pub fn dense_macs_for(spec: &LayerSpec, in_grid: GridShape, out_grid: GridShape)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::KernelShape;
-    use spade_tensor::CprTensor;
 
     /// The plain path on a fresh arena.
     fn run_plain(
@@ -798,32 +707,6 @@ mod tests {
         // The union contains at least as many pillars as the submanifold branch.
         assert!(trace.layers[2].in_active >= trace.layers[0].out_active);
         assert_eq!(trace.layers[2].in_active, trace.layers[1].out_active);
-    }
-
-    #[test]
-    fn count_rules_matches_rulebook_for_sparse_kinds() {
-        let (coords, grid) = initial();
-        let t = CprTensor::from_coords(grid, 1, &coords);
-        for kind in [ConvKind::SpConv, ConvKind::SpConvS, ConvKind::SpStConv] {
-            let book = crate::rulegen::generate_rules(&t, kind, KernelShape::k3x3());
-            let counted = count_rules(
-                &coords,
-                grid,
-                crate::rulegen::output_grid(grid, kind),
-                kind,
-                KernelShape::k3x3(),
-            );
-            assert_eq!(counted, book.num_rules() as u64, "kind {kind}");
-        }
-        let book = crate::rulegen::generate_rules(&t, ConvKind::SpDeconv, KernelShape::k2x2());
-        let counted = count_rules(
-            &coords,
-            grid,
-            grid.upsample(2),
-            ConvKind::SpDeconv,
-            KernelShape::k2x2(),
-        );
-        assert_eq!(counted, book.num_rules() as u64);
     }
 
     fn mixed_spec() -> NetworkSpec {

@@ -3,10 +3,10 @@
 # (release profile, 4 workers) and fails when it exceeds 3x the committed
 # reference wall time. The generous 3x margin absorbs runner-speed noise;
 # the gate exists to catch order-of-magnitude hot-path regressions, not
-# percent-level drift (BENCH_PR<n>.json tracks that).
+# percent-level drift (perfbench, see perfbench/README.md, measures that).
 #
 # The reference lives in scripts/dse_smoke_reference_ms and is refreshed
-# whenever a PR intentionally moves the hot path (see scripts/bench_snapshot.sh).
+# whenever a PR intentionally moves the hot path.
 # It is an absolute wall time, so if CI migrates to a genuinely slower runner
 # class, re-measure there and commit the new reference rather than widening
 # the margin.

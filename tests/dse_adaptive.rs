@@ -148,8 +148,8 @@ fn roofline_bound_never_exceeds_simulation() {
     // every configuration and dataflow setting. Exercise every named
     // scenario, both dataflow extremes, and configurations that stress the
     // new axes (skewed buffer split, conflicted banking) plus the clock and
-    // array-shape axes the bound's arithmetic folds in.
-    let preset = DatasetPreset::kitti_like();
+    // array-shape axes the bound's arithmetic folds in. Both benchmark
+    // workloads run: SPP2 on the KITTI-like preset, SCP3 on nuScenes.
     let configs = [
         SpadeConfig::high_end(),
         SpadeConfig::low_end(),
@@ -164,7 +164,14 @@ fn roofline_bound_never_exceeds_simulation() {
             .with_buffer_split(0.1)
             .with_sram_banks(2),
     ];
-    for scenario in NamedScenario::ALL {
+    let inputs = [
+        (ModelKind::Spp2, DatasetPreset::kitti_like()),
+        (ModelKind::Scp3, DatasetPreset::nuscenes_like()),
+    ];
+    for ((model, preset), scenario) in inputs
+        .iter()
+        .flat_map(|input| NamedScenario::ALL.into_iter().map(move |s| (input, s)))
+    {
         let cfg = scenario.config(2, 2024);
         let drive = DriveScenario::new(preset.clone(), cfg.clone());
         let runs: Vec<_> = drive
@@ -172,8 +179,8 @@ fn roofline_bound_never_exceeds_simulation() {
             .iter()
             .map(|f| {
                 model_run_on_frame(
-                    ModelKind::Spp2,
-                    &preset,
+                    *model,
+                    preset,
                     &f.frame,
                     cfg.pruning_seed(f.index),
                     WorkloadScale::Reduced,
@@ -193,15 +200,17 @@ fn roofline_bound_never_exceeds_simulation() {
                     let perf = simulate_on(&acc, run);
                     assert!(
                         bound_lat <= perf.latency_ms,
-                        "{scenario}: latency bound {bound_lat} > simulated {} \
+                        "{}/{scenario}: latency bound {bound_lat} > simulated {} \
                          (config {}, dataflow {dataflow:?})",
+                        model.name(),
                         perf.latency_ms,
                         config.label(),
                     );
                     assert!(
                         bound_energy <= perf.energy.total_mj(),
-                        "{scenario}: energy bound {bound_energy} > simulated {} \
+                        "{}/{scenario}: energy bound {bound_energy} > simulated {} \
                          (config {}, dataflow {dataflow:?})",
+                        model.name(),
                         perf.energy.total_mj(),
                         config.label(),
                     );

@@ -56,8 +56,7 @@ proptest! {
     /// The fused streaming pass is pinned to the hash-table and merge-sort
     /// reference generators for every convolution kind and kernel shape the
     /// zoo uses: the rule books must be *identical* (same outputs, same
-    /// per-tap rule sequences), and the analytic `count_rules` must equal the
-    /// materialised rule count.
+    /// per-tap rule sequences).
     #[test]
     fn fused_streaming_is_pinned_to_reference_generators(coords in arb_coords(48)) {
         let grid = GridShape::new(24, 24);
@@ -80,18 +79,6 @@ proptest! {
             prop_assert_eq!(&fused, &hashed, "hash mismatch for {} {:?}", kind, kernel);
             prop_assert_eq!(&fused, &sorted, "sort mismatch for {} {:?}", kind, kernel);
             prop_assert!(fused.check_monotone(), "monotonicity lost for {} {:?}", kind, kernel);
-            // Dense `count_rules` is the closed-form cells x taps (it counts
-            // the dense loop, not the in-bounds rule book entries).
-            if kind != ConvKind::Dense {
-                let counted = spade::nn::graph::count_rules(
-                    &t.coords(),
-                    grid,
-                    rulegen::output_grid(grid, kind),
-                    kind,
-                    kernel,
-                );
-                prop_assert_eq!(counted, fused.num_rules() as u64, "count mismatch for {} {:?}", kind, kernel);
-            }
         }
     }
 
@@ -224,8 +211,8 @@ proptest! {
     /// real drive data: over every consecutive frame pair of every named
     /// scenario, for every convolution kind and kernel shape the zoo uses,
     /// patching the previous frame's rule book reproduces the from-scratch
-    /// book exactly — same output coordinates, same per-tap rule sequences,
-    /// and the analytic `count_rules` agrees with the materialised count.
+    /// book exactly — same output coordinates and same per-tap rule
+    /// sequences.
     #[test]
     fn delta_patching_matches_full_sweeps_on_every_named_scenario(seed in 0u64..100_000) {
         use spade::nn::rulegen::delta::patch_rule_book;
@@ -275,20 +262,6 @@ proptest! {
                         rulegen::output_coords(&pair[1], kind, kernel),
                         "{}: output coords drifted for {} {:?}", scenario, kind, kernel
                     );
-                    if kind != ConvKind::Dense {
-                        let counted = spade::nn::graph::count_rules(
-                            &pair[1].coords(),
-                            grid,
-                            rulegen::output_grid(grid, kind),
-                            kind,
-                            kernel,
-                        );
-                        prop_assert_eq!(
-                            counted,
-                            patched.num_rules() as u64,
-                            "{}: count drifted for {} {:?}", scenario, kind, kernel
-                        );
-                    }
                 }
             }
         }

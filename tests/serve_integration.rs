@@ -264,12 +264,27 @@ fn malformed_frames_get_error_replies_without_killing_the_server() {
     let response = Response::decode(std::str::from_utf8(&reply).unwrap()).unwrap();
     assert!(matches!(response, Response::Err(_)), "{response:?}");
 
+    // A zero PE dimension would divide by zero in the cost model and take
+    // the handler thread down with it; it must be refused up front.
+    write_frame(
+        &mut client,
+        b"SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;\
+          pe=0x8;sram=1;ghz=1;bpc=12.8;df=7",
+    )
+    .expect("send");
+    let reply = read_frame(&mut client).expect("read").expect("open");
+    let response = Response::decode(std::str::from_utf8(&reply).unwrap()).unwrap();
+    assert!(
+        matches!(&response, Response::Err(m) if m.contains("pe dimensions")),
+        "{response:?}"
+    );
+
     // The same connection still serves requests afterwards, and the error
     // count is visible in STATS.
     let pong = send(&mut client, &Request::Ping);
     assert!(matches!(pong, Response::Ok { .. }), "{pong:?}");
     let counters = stats(&mut client);
-    assert_eq!(counters.get("errors").map(String::as_str), Some("3"));
+    assert_eq!(counters.get("errors").map(String::as_str), Some("4"));
 
     // Fresh connections are unaffected too.
     let mut second = connect(&server);
