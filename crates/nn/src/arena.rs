@@ -203,18 +203,33 @@ impl ExecutionArena {
 
     /// Union of several CPR-sorted coordinate sets, cropped to `grid` —
     /// the concatenation semantics of [`crate::graph::LayerInput::Union`].
+    ///
+    /// Cropping keeps each input in CPR order, so the union is one
+    /// deduplicating merge of the cropped inputs into arena scratch.
     pub(crate) fn union_coords<'a>(
         &mut self,
         sets: impl Iterator<Item = &'a [PillarCoord]>,
         grid: GridShape,
     ) -> Arc<[PillarCoord]> {
+        let mut inputs: Vec<_> = sets
+            .map(|s| {
+                debug_assert!(
+                    s.windows(2).all(|w| w[0] < w[1]),
+                    "union inputs must be strictly CPR-sorted"
+                );
+                s.iter()
+                    .copied()
+                    .filter(move |c| c.in_bounds(grid))
+                    .peekable()
+            })
+            .collect();
         self.scratch.clear();
-        for s in sets {
-            self.scratch
-                .extend(s.iter().copied().filter(|c| c.in_bounds(grid)));
+        while let Some(next) = inputs.iter_mut().filter_map(|s| s.peek().copied()).min() {
+            for s in &mut inputs {
+                s.next_if_eq(&next);
+            }
+            self.scratch.push(next);
         }
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
         Arc::from(&self.scratch[..])
     }
 }
@@ -401,5 +416,45 @@ mod tests {
         let grid = GridShape::new(3, 3);
         let u = arena.union_coords([&a[..], &b[..]].into_iter(), grid);
         assert_eq!(&u[..], &[PillarCoord::new(0, 0), PillarCoord::new(2, 2)]);
+    }
+
+    #[test]
+    fn union_merge_matches_concat_sort_dedup() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        let input = GridShape::new(20, 22);
+        // Odd and smaller than the inputs on both axes, so the crop drops
+        // whole trailing rows and the tail columns of every row.
+        let grid = GridShape::new(13, 17);
+        let mut arena = ExecutionArena::new();
+        for trial in 0..200 {
+            let k = rng.gen_range(1..=4usize);
+            // Odd trials draw disjoint sets (cells dealt round-robin), even
+            // trials independent, overlapping ones.
+            let disjoint = trial % 2 == 1;
+            let sets: Vec<Vec<PillarCoord>> = (0..k)
+                .map(|s| {
+                    let density = rng.gen_range(0.0..0.7);
+                    input
+                        .all_cells()
+                        .into_iter()
+                        .enumerate()
+                        .filter(|&(i, _)| !disjoint || i % k == s)
+                        .filter(|_| rng.gen_bool(density))
+                        .map(|(_, c)| c)
+                        .collect()
+                })
+                .collect();
+            let mut oracle: Vec<PillarCoord> = sets
+                .concat()
+                .into_iter()
+                .filter(|c| c.in_bounds(grid))
+                .collect();
+            oracle.sort_unstable();
+            oracle.dedup();
+            let merged = arena.union_coords(sets.iter().map(Vec::as_slice), grid);
+            assert_eq!(&merged[..], &oracle[..], "trial {trial}: {k} sets");
+        }
     }
 }

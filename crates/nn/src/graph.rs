@@ -304,23 +304,21 @@ pub fn execute_pattern(
     let mut outputs: Vec<(GridShape, Arc<[PillarCoord]>)> = Vec::with_capacity(spec.layers.len());
     let mut traces = Vec::with_capacity(spec.layers.len());
     let mut workloads = Vec::with_capacity(spec.layers.len());
+    // One importance model per downsample factor. The base-resolution model
+    // counts the encoder output's foreground and serves downsample-1 layers.
     let mut importance_cache: HashMap<u32, ImportanceModel> = HashMap::new();
-    // Foreground accounting at the base resolution.
-    let base_importance = match (ctx.scene, ctx.pillar_config) {
-        (Some(scene), Some(cfg)) => Some(ImportanceModel::for_scene(
-            scene,
-            cfg,
-            grid,
-            1,
-            ctx.seed,
-            ctx.pruning.finetuned,
-        )),
+    let initial_foreground = match (ctx.scene, ctx.pillar_config) {
+        (Some(scene), Some(cfg)) => {
+            let base =
+                ImportanceModel::for_scene(scene, cfg, grid, 1, ctx.seed, ctx.pruning.finetuned);
+            let count = initial.iter().filter(|c| base.is_foreground(**c)).count();
+            importance_cache.insert(1, base);
+            Some(count)
+        }
         _ => None,
     };
-    let initial_foreground = base_importance
-        .as_ref()
-        .map(|m| initial.iter().filter(|c| m.is_foreground(**c)).count());
     let mut pruned_foreground_ratio: Vec<f64> = Vec::new();
+    let mut unions = HashMap::new();
 
     for (li, layer) in spec.layers.iter().enumerate() {
         let (in_grid, mut in_coords): (GridShape, Arc<[PillarCoord]>) = match &layer.input {
@@ -329,17 +327,25 @@ pub fn execute_pattern(
                 .map(|(g, c)| (*g, Arc::clone(c)))
                 .unwrap_or_else(|| (grid, Arc::clone(&initial))),
             LayerInput::Layer(i) => (outputs[*i].0, Arc::clone(&outputs[*i].1)),
+            // Layers that concatenate the same branches (the detection
+            // heads) share one merged set.
             LayerInput::Union(indices) => {
-                // Concatenated branches may differ by a row/column when odd
-                // grid sizes round up through stride-2 / deconv chains; crop
-                // to the smallest grid, as real detection necks do.
-                let g = indices
-                    .iter()
-                    .map(|&i| outputs[i].0)
-                    .min_by_key(|g| (g.height, g.width))
-                    .expect("union must reference at least one layer");
-                let merged = arena.union_coords(indices.iter().map(|&i| &*outputs[i].1), g);
-                (g, merged)
+                let (g, merged) = unions.entry(indices).or_insert_with(|| {
+                    // Concatenated branches may differ by a row/column when
+                    // odd grid sizes round up through stride-2 / deconv
+                    // chains; crop to the smallest grid, as real detection
+                    // necks do.
+                    let g = indices
+                        .iter()
+                        .map(|&i| outputs[i].0)
+                        .min_by_key(|g| (g.height, g.width))
+                        .expect("union must reference at least one layer");
+                    (
+                        g,
+                        arena.union_coords(indices.iter().map(|&i| &*outputs[i].1), g),
+                    )
+                });
+                (*g, Arc::clone(merged))
             }
         };
         if layer.densify_input {
@@ -420,7 +426,7 @@ pub fn execute_pattern(
         // Dynamic pruning for SpConv-P layers.
         let out_coords: Arc<[PillarCoord]> = if sp.kind == ConvKind::SpConvP {
             let downsample = (grid.height / out_grid.height).max(1);
-            let scores = match (ctx.scene, ctx.pillar_config) {
+            let (scores, foreground) = match (ctx.scene, ctx.pillar_config) {
                 (Some(scene), Some(cfg)) => {
                     let model = importance_cache.entry(downsample).or_insert_with(|| {
                         ImportanceModel::for_scene(
@@ -434,23 +440,26 @@ pub fn execute_pattern(
                     });
                     model.scores(&dilated)
                 }
-                _ => dilated
-                    .iter()
-                    .map(|c| {
-                        // Deterministic pseudo-importance when no scene is given.
-                        let h = (u64::from(c.row) << 32) ^ u64::from(c.col) ^ ctx.seed;
-                        (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64
-                    })
-                    .collect(),
+                // Deterministic pseudo-importance when no scene is given (and
+                // no foreground to account for).
+                _ => (
+                    dilated
+                        .iter()
+                        .map(|c| {
+                            let h = (u64::from(c.row) << 32) ^ u64::from(c.col) ^ ctx.seed;
+                            (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40) as f64
+                        })
+                        .collect(),
+                    Vec::new(),
+                ),
             };
-            let kept = pruner.prune_coords(&dilated, &scores);
-            if let Some(model) = importance_cache.get(&((grid.height / out_grid.height).max(1))) {
-                let fg_before = dilated.iter().filter(|c| model.is_foreground(**c)).count();
-                let fg_after = kept.iter().filter(|c| model.is_foreground(**c)).count();
-                if fg_before > 0 {
-                    pruned_foreground_ratio.push(fg_after as f64 / fg_before as f64);
-                }
+            let keep = pruner.keep_indices(&scores);
+            let fg_before = foreground.iter().filter(|&&f| f).count();
+            if fg_before > 0 {
+                let fg_after = keep.iter().filter(|&&i| foreground[i]).count();
+                pruned_foreground_ratio.push(fg_after as f64 / fg_before as f64);
             }
+            let kept: Vec<PillarCoord> = keep.into_iter().map(|i| dilated[i]).collect();
             // Pruning is scene-dependent and re-runs every frame even on the
             // delta path, but an unchanged pruned set reuses the previous
             // frame's allocation so downstream layers see pointer-equal

@@ -10,8 +10,6 @@
 //! ground-truth box) higher than background pillars — which is precisely what
 //! the regularised training achieves.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use spade_pointcloud::pillarize::PillarizationConfig;
 use spade_pointcloud::Scene;
@@ -93,21 +91,24 @@ impl VectorPruner {
     #[must_use]
     pub fn keep_indices(&self, scores: &[f64]) -> Vec<usize> {
         let n = scores.len();
-        if n == 0 {
-            return Vec::new();
-        }
         let keep = ((self.config.keep_ratio * n as f64).ceil() as usize)
             .max(self.config.min_keep)
             .min(n);
+        // (score desc, index asc) is the order a stable sort by descending
+        // score produces; as a total order, a partial selection on it finds
+        // exactly that sort's first `keep` indices.
         let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut kept: Vec<usize> = order.into_iter().take(keep).collect();
-        kept.sort_unstable();
-        kept
+        if keep < n {
+            order.select_nth_unstable_by(keep, |&a, &b| {
+                scores[b]
+                    .partial_cmp(&scores[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            order.truncate(keep);
+            order.sort_unstable();
+        }
+        order
     }
 
     /// Prunes a tensor using per-pillar feature magnitudes as importance.
@@ -120,26 +121,53 @@ impl VectorPruner {
             .collect();
         tensor.select(&self.keep_indices(&scores))
     }
+}
 
-    /// Prunes a coordinate set using externally supplied importance scores
-    /// (pattern-level execution). Returns the kept coordinates in CPR order.
-    #[must_use]
-    pub fn prune_coords(&self, coords: &[PillarCoord], scores: &[f64]) -> Vec<PillarCoord> {
-        assert_eq!(coords.len(), scores.len(), "one score per coordinate");
-        self.keep_indices(scores)
-            .into_iter()
-            .map(|i| coords[i])
-            .collect()
+/// Deterministic importance noise of one coordinate, uniform in
+/// `[0, scale)`: a pure function of `(seed, row, col, scale)`.
+///
+/// It is the first draw of the workspace's `StdRng` (xoshiro256++ seeded by
+/// splitmix64) seeded with `seed ^ (row << 32) ^ col`, computed directly:
+/// that draw reads only splitmix64 outputs 1 and 4 (the generator's first
+/// and last state words) and one xoshiro256++ output step, so the other two
+/// state words and the generator itself are never built.
+#[must_use]
+pub fn importance_noise(seed: u64, row: u32, col: u32, scale: f64) -> f64 {
+    let key = seed ^ (u64::from(row) << 32) ^ u64::from(col);
+    let splitmix = |i: u64| {
+        let mut z = key.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let (s0, s3) = (splitmix(1), splitmix(4));
+    let bits = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+    let unit = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    let v = scale * unit;
+    // Rounding can land on the excluded end bound; the half-open range
+    // nudges it back in, as the generator's `gen_range` does.
+    if v >= scale {
+        scale.next_down().max(0.0)
+    } else {
+        v
     }
 }
+
+/// Cell class of the importance model. Classes are ordered so that the
+/// strongest claim on a cell wins when objects overlap.
+const BACKGROUND: u8 = 0;
+const NEAR: u8 = 1;
+const FOREGROUND: u8 = 2;
 
 /// An importance model for pattern-level pruning: scores each BEV coordinate
 /// by its proximity to ground-truth objects, emulating the magnitude profile
 /// a regularised, fine-tuned model produces.
 #[derive(Debug, Clone)]
 pub struct ImportanceModel {
-    foreground: std::collections::HashSet<(u32, u32)>,
-    near: std::collections::HashSet<(u32, u32)>,
+    /// The grid the classes are laid out on (row-major).
+    grid: GridShape,
+    /// One class byte per cell of `grid`.
+    classes: Vec<u8>,
     noise_seed: u64,
     finetuned: bool,
 }
@@ -155,8 +183,13 @@ impl ImportanceModel {
     /// whole grid against every object: a cell can only be foreground (centre
     /// inside a box) or near (centre within `max(length, width)` of an object
     /// centre) if it lies within that radius of the object, so only the cells
-    /// inside each object's reach are tested — the resulting sets are
-    /// identical to a full-grid scan at a fraction of the cost.
+    /// inside each object's reach are tested — the resulting classes are
+    /// identical to a full-grid scan at a fraction of the cost. Cells outside
+    /// `grid` are background.
+    ///
+    /// Known defect: objects are placed from the pillarisation range's
+    /// origin, so on a grid cropped from inside the base grid (reduced-scale
+    /// runs crop one) the foreground lands on the wrong cells.
     #[must_use]
     pub fn for_scene(
         scene: &Scene,
@@ -166,8 +199,7 @@ impl ImportanceModel {
         noise_seed: u64,
         finetuned: bool,
     ) -> Self {
-        let mut foreground = std::collections::HashSet::new();
-        let mut near = std::collections::HashSet::new();
+        let mut classes = vec![BACKGROUND; grid.num_cells()];
         let sx = pillar_cfg.pillar_size_x * f64::from(downsample);
         let sy = pillar_cfg.pillar_size_y * f64::from(downsample);
         let x0 = pillar_cfg.x_range.0;
@@ -194,65 +226,76 @@ impl ImportanceModel {
             let (col_lo, col_hi) = cell_range(obj.bbox.cy, r, y0, sy, grid.width);
             for row in row_lo..=row_hi.min(grid.height.saturating_sub(1)) {
                 let x = x0 + (f64::from(row) + 0.5) * sx;
+                let cells = &mut classes[row as usize * grid.width as usize..];
                 for col in col_lo..=col_hi.min(grid.width.saturating_sub(1)) {
                     let y = y0 + (f64::from(col) + 0.5) * sy;
+                    let cell = &mut cells[col as usize];
+                    // A cell inside one object's box but merely near another
+                    // is foreground, exactly as in the per-cell scan.
                     if obj.bbox.contains_bev(x, y) {
-                        foreground.insert((row, col));
+                        *cell = FOREGROUND;
                     } else {
                         let dx = x - obj.bbox.cx;
                         let dy = y - obj.bbox.cy;
                         if (dx * dx + dy * dy).sqrt() < r {
-                            near.insert((row, col));
+                            *cell = (*cell).max(NEAR);
                         }
                     }
                 }
             }
         }
-        // A cell inside one object's box but merely near another is
-        // foreground, exactly as in the per-cell scan.
-        near.retain(|c| !foreground.contains(c));
         Self {
-            foreground,
-            near,
+            grid,
+            classes,
             noise_seed,
             finetuned,
         }
     }
 
+    /// The class of a cell; cells outside the model's grid are background.
+    fn class(&self, c: PillarCoord) -> u8 {
+        if c.in_bounds(self.grid) {
+            self.classes[c.row as usize * self.grid.width as usize + c.col as usize]
+        } else {
+            BACKGROUND
+        }
+    }
+
     /// Scores a list of coordinates: foreground ≫ near-object ≫ background,
-    /// with deterministic per-coordinate noise. A model without fine-tuning
-    /// has much noisier scores, so pruning removes foreground evidence sooner.
+    /// with deterministic per-coordinate noise ([`importance_noise`]). A
+    /// model without fine-tuning has much noisier scores, so pruning removes
+    /// foreground evidence sooner.
+    ///
+    /// Returns the scores and, for each coordinate, whether it is foreground
+    /// (what [`Self::is_foreground`] answers), from the same class lookup.
     #[must_use]
-    pub fn scores(&self, coords: &[PillarCoord]) -> Vec<f64> {
+    pub fn scores(&self, coords: &[PillarCoord]) -> (Vec<f64>, Vec<bool>) {
+        let noise_scale = if self.finetuned { 0.2 } else { 1.5 };
         coords
             .iter()
-            .map(|c| {
-                let mut rng = StdRng::seed_from_u64(
-                    self.noise_seed ^ (u64::from(c.row) << 32) ^ u64::from(c.col),
-                );
-                let noise_scale = if self.finetuned { 0.2 } else { 1.5 };
-                let noise: f64 = rng.gen_range(0.0..noise_scale);
-                if self.foreground.contains(&(c.row, c.col)) {
-                    3.0 + noise
-                } else if self.near.contains(&(c.row, c.col)) {
-                    1.5 + noise
-                } else {
-                    0.2 + noise
-                }
+            .map(|&c| {
+                let class = self.class(c);
+                let base = match class {
+                    FOREGROUND => 3.0,
+                    NEAR => 1.5,
+                    _ => 0.2,
+                };
+                let noise = importance_noise(self.noise_seed, c.row, c.col, noise_scale);
+                (base + noise, class == FOREGROUND)
             })
-            .collect()
+            .unzip()
     }
 
     /// Number of foreground (in-box) cells at this resolution.
     #[must_use]
     pub fn num_foreground_cells(&self) -> usize {
-        self.foreground.len()
+        self.classes.iter().filter(|&&c| c == FOREGROUND).count()
     }
 
     /// Returns `true` if the coordinate lies inside a ground-truth box.
     #[must_use]
     pub fn is_foreground(&self, coord: PillarCoord) -> bool {
-        self.foreground.contains(&(coord.row, coord.col))
+        self.class(coord) == FOREGROUND
     }
 }
 
@@ -334,7 +377,8 @@ mod tests {
         let far_coord = cfg
             .coord_of(&spade_pointcloud::Point3::new(60.0, 30.0, 0.0))
             .unwrap();
-        let scores = model.scores(&[car_coord, far_coord]);
+        let (scores, foreground) = model.scores(&[car_coord, far_coord]);
+        assert_eq!(foreground, [true, false]);
         assert!(scores[0] > scores[1]);
         assert!(model.is_foreground(car_coord));
         assert!(!model.is_foreground(far_coord));
@@ -357,6 +401,6 @@ mod tests {
             let min = v.iter().cloned().fold(f64::MAX, f64::min);
             max - min
         };
-        assert!(spread(&naive.scores(&coords)) > spread(&tuned.scores(&coords)));
+        assert!(spread(&naive.scores(&coords).0) > spread(&tuned.scores(&coords).0));
     }
 }

@@ -1,8 +1,11 @@
 //! Property-based tests on the core data structures and invariants.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use spade::nn::pruning::importance_noise;
 use spade::nn::rulegen::{self, RuleGenMethod};
-use spade::nn::{ConvKind, KernelShape, LayerSpec};
+use spade::nn::{ConvKind, KernelShape, LayerSpec, PruningConfig, VectorPruner};
 use spade::pointcloud::{
     DatasetPreset, DriveScenario, NamedScenario, PersistentWorld, SceneConfig, WorldObject,
     WorldStep,
@@ -164,6 +167,82 @@ proptest! {
             }
             prev = world.objects().to_vec();
         }
+    }
+}
+
+/// The Top-K selection `VectorPruner::keep_indices` replaced: a full stable
+/// sort by descending score, then the first `keep` indices in CPR order.
+fn stable_sort_keep_indices(config: PruningConfig, scores: &[f64]) -> Vec<usize> {
+    let n = scores.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let keep = ((config.keep_ratio * n as f64).ceil() as usize)
+        .max(config.min_keep)
+        .min(n);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    let mut kept: Vec<usize> = order.into_iter().take(keep).collect();
+    kept.sort_unstable();
+    kept
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The importance model's inlined noise is bit-for-bit the first
+    /// `gen_range` draw of a `StdRng` seeded per coordinate, at both noise
+    /// scales (fine-tuned 0.2, naive 1.5).
+    #[test]
+    fn importance_noise_is_the_first_std_rng_draw(
+        (seed, row, col) in (0u64..u64::MAX, 0u32..u32::MAX, 0u32..u32::MAX)
+    ) {
+        for scale in [0.2, 1.5] {
+            let mut rng =
+                StdRng::seed_from_u64(seed ^ (u64::from(row) << 32) ^ u64::from(col));
+            let expected: f64 = rng.gen_range(0.0..scale);
+            prop_assert_eq!(
+                importance_noise(seed, row, col, scale).to_bits(),
+                expected.to_bits(),
+                "seed {} row {} col {} scale {}", seed, row, col, scale
+            );
+        }
+    }
+
+    /// Top-K selection keeps exactly the set the stable sort kept, under
+    /// heavy ties (at most four distinct scores, signed zeros included) and
+    /// with the `min_keep` floor above, at and below the input size.
+    #[test]
+    fn keep_indices_matches_the_stable_sort(
+        (picks, palette, ratio_milli, (floor_mode, floor_offset)) in (
+            prop::collection::vec(0usize..4, 0..300),
+            (0usize..6, 0usize..6, 0usize..6, 0usize..6),
+            1u32..=1000,
+            (0u32..3, 0usize..40),
+        )
+    ) {
+        const VALUES: [f64; 6] = [-0.0, 0.0, 0.2, 1.5, 3.0, 3.2];
+        let palette = [palette.0, palette.1, palette.2, palette.3].map(|i| VALUES[i]);
+        let scores: Vec<f64> = picks.iter().map(|&i| palette[i]).collect();
+        let n = scores.len();
+        let min_keep = match floor_mode {
+            0 => n + 1 + floor_offset,
+            1 => n,
+            _ => n.saturating_sub(1 + floor_offset),
+        };
+        let config = PruningConfig {
+            keep_ratio: f64::from(ratio_milli) / 1000.0,
+            min_keep,
+            finetuned: true,
+        };
+        prop_assert_eq!(
+            VectorPruner::new(config).keep_indices(&scores),
+            stable_sort_keep_indices(config, &scores)
+        );
     }
 }
 
