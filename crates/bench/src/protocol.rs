@@ -231,7 +231,7 @@ fn decode_frame_request(body: &str) -> Result<FrameRequest, String> {
         model: parse_model(model_raw)?,
         scale: decode_scale(get("scale")?)?,
         seed: parse_num(get("seed")?, "seed")?,
-        frames: parse_num(get("frames")?, "frames")?,
+        frames: parse_frames(get("frames")?)?,
         index: parse_num(get("index")?, "index")?,
     })
 }
@@ -419,6 +419,20 @@ const MAX_SRAM_SCALE: f64 = 1024.0;
 /// Largest PE-array dimension a sweep may ask for; far larger arrays
 /// overflow the PE count.
 const MAX_PE_DIM: usize = 4096;
+/// Longest drive a SWEEP or FRAME may ask for. A drive's frames are
+/// generated up front, so a larger count pins a handler for hours or aborts
+/// the server when the frame buffer cannot be allocated.
+const MAX_DRIVE_FRAMES: usize = 1024;
+
+/// Parses a request's `frames` field, bounded by [`MAX_DRIVE_FRAMES`].
+fn parse_frames(raw: &str) -> Result<usize, String> {
+    match parse_num(raw, "frames")? {
+        n if n <= MAX_DRIVE_FRAMES => Ok(n),
+        _ => Err(format!(
+            "frames must be at most {MAX_DRIVE_FRAMES}, got '{raw}'"
+        )),
+    }
+}
 
 /// Decodes the [`encode_params`] line back into sweep params.
 ///
@@ -427,7 +441,8 @@ const MAX_PE_DIM: usize = 4096;
 /// Returns a message naming the offending field for missing keys,
 /// unknown enum names, non-finite floats, unparsable numbers, and
 /// hardware the cost model cannot price: a PE dimension outside 1..=4096,
-/// an SRAM scale above 1024, and a `ghz` or `bpc` below 1/1024.
+/// an SRAM scale above 1024, and a `ghz` or `bpc` below 1/1024. A drive of
+/// more than 1024 `frames` is rejected too.
 pub fn decode_params(line: &str) -> Result<DseParams, String> {
     let fields = parse_fields(line)?;
     let get = |key: &str| field(&fields, key);
@@ -527,7 +542,7 @@ pub fn decode_params(line: &str) -> Result<DseParams, String> {
             dataflow,
         },
         models,
-        num_frames: parse_num(get("frames")?, "frames")?,
+        num_frames: parse_frames(get("frames")?)?,
         base_seed: parse_num(get("seed")?, "seed")?,
         profile,
         scenario,
@@ -800,9 +815,20 @@ mod tests {
             ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=1e-300;df=7", "bpc must be at least"),
             ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8+-1;df=7", "bpc must be at least"),
             ("SWEEP scale=reduced;models=SPP2;frames=1;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=0;bpc=12.8;df=7", "ghz must be at least"),
+            // A drive's frames are generated up front: its length is bounded.
+            ("SWEEP scale=reduced;models=SPP2;frames=1025;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7", "frames must be at most"),
+            ("FRAME drive=x;scenario=urban;model=SPP2;scale=reduced;seed=1;frames=1025;index=0", "frames must be at most"),
+            ("FRAME drive=x;scenario=urban;model=SPP2;scale=reduced;seed=1;frames=4000000000;index=0", "frames must be at most"),
         ] {
             let err = decode_request(payload).unwrap_err();
             assert!(err.contains(needle), "'{err}' lacks '{needle}'");
+        }
+        // The drive-length bound is inclusive. Decoding generates no frames.
+        for payload in [
+            "SWEEP scale=reduced;models=SPP2;frames=1024;seed=1;profile=const;delta=0;pe=16x16;sram=1;ghz=1;bpc=12.8;df=7",
+            "FRAME drive=x;scenario=urban;model=SPP2;scale=reduced;seed=1;frames=1024;index=1023",
+        ] {
+            assert!(decode_request(payload).is_ok(), "{payload}");
         }
     }
 

@@ -3,28 +3,15 @@
 //! The RGU is a three-stage streaming pipeline (alignment, row merge,
 //! column-wise dilation) that converts CPR-encoded input coordinates into the
 //! per-tap rule buffers. Functionally it produces the same rule book as the
-//! algorithm in [`spade_nn::rulegen::streaming`]; this module wraps that
-//! algorithm with the unit's cycle cost and verifies the hardware-relevant
-//! ordering invariant (monotone input and output indices per rule buffer).
+//! algorithm in [`spade_nn::rulegen::streaming`], whose per-tap input and
+//! output indices stay monotone (the ordering the hardware relies on); this
+//! module models the unit's cycle cost.
 
-use spade_nn::rule::RuleBook;
 use spade_nn::rulegen::RuleGenMethod;
-use spade_nn::{ConvKind, KernelShape};
-use spade_sim::units::Cycles;
-use spade_tensor::{CprTensor, GridShape, PillarCoord};
 
-/// The RGU model: produces rule books and their generation cycle counts.
+/// The RGU model: the cycle count of generating a layer's rule book.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RuleGenerationUnit;
-
-/// The result of running the RGU on one layer.
-#[derive(Debug, Clone)]
-pub struct RuleGenResult {
-    /// The generated rule book.
-    pub rules: RuleBook,
-    /// Cycles the streaming pipeline needs to produce it.
-    pub cycles: Cycles,
-}
 
 impl RuleGenerationUnit {
     /// Creates an RGU model.
@@ -33,42 +20,8 @@ impl RuleGenerationUnit {
         Self
     }
 
-    /// Generates the rule book for a layer and reports the pipeline cycles.
-    ///
-    /// `input_coords` is the CPR-ordered active set of a [`LayerWorkload`]
-    /// (unsorted input is tolerated and normalised first, but the fast path —
-    /// like the hardware — expects CPR order).
-    ///
-    /// [`LayerWorkload`]: spade_nn::graph::LayerWorkload
-    #[must_use]
-    pub fn generate(
-        &self,
-        input_coords: &[PillarCoord],
-        input_grid: GridShape,
-        kind: ConvKind,
-        kernel: KernelShape,
-    ) -> RuleGenResult {
-        // `from_coords` takes the sort-free `from_sorted_coords` path when
-        // the input is already CPR-ordered.
-        let tensor = CprTensor::from_coords(input_grid, 1, input_coords);
-        let rules = spade_nn::rulegen::generate_rules(&tensor, kind, kernel);
-        let cost = RuleGenMethod::StreamingRgu.cost(
-            input_coords.len(),
-            rules.num_outputs(),
-            rules.num_rules(),
-        );
-        debug_assert!(
-            rules.check_monotone(),
-            "RGU output must keep per-tap indices monotone"
-        );
-        RuleGenResult {
-            rules,
-            cycles: Cycles::new(cost.cycles),
-        }
-    }
-
-    /// Cycle cost without materialising the rule book (used when only counts
-    /// are known).
+    /// Pipeline cycles for a layer with `inputs` active inputs, `outputs`
+    /// active outputs, and `rules` rules.
     #[must_use]
     pub fn cycles_for(&self, inputs: usize, outputs: usize, rules: u64) -> u64 {
         RuleGenMethod::StreamingRgu
@@ -82,22 +35,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generate_produces_monotone_rules_and_linear_cycles() {
-        let coords: Vec<PillarCoord> = (0..50)
-            .map(|i| PillarCoord::new(i / 8, (i % 8) * 3))
-            .collect();
+    fn cycles_track_the_larger_of_inputs_and_outputs() {
+        // The streaming pipeline consumes one coordinate per cycle plus a
+        // short fill/drain, whatever the rule count.
         let rgu = RuleGenerationUnit::new();
-        let res = rgu.generate(
-            &coords,
-            GridShape::new(32, 32),
-            ConvKind::SpConv,
-            KernelShape::k3x3(),
-        );
-        assert!(res.rules.check_monotone());
-        assert!(res.rules.num_outputs() >= coords.len());
-        // Streaming cost is linear-ish in the larger of inputs/outputs.
-        assert!(res.cycles.get() as usize >= res.rules.num_outputs());
-        assert!(res.cycles.get() as usize <= res.rules.num_outputs() + coords.len() + 64);
+        assert_eq!(rgu.cycles_for(50, 120, 400), 120 + 16);
+        assert_eq!(rgu.cycles_for(120, 50, 400), 120 + 16);
+        assert_eq!(rgu.cycles_for(120, 50, 4), 120 + 16);
     }
 
     #[test]

@@ -15,9 +15,7 @@ use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
 use crate::rulegen::delta::LayerDeltaCache;
 use crate::rulegen::output_grid;
-use crate::rulegen::streaming::{
-    input_row_band, sweep_output_row, CoordSink, SliceRows, StreamState,
-};
+use crate::rulegen::streaming::{input_row_band, sweep_output_row, SliceRows, StreamState};
 use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
 
@@ -150,11 +148,9 @@ impl ExecutionArena {
             } else {
                 swept += 1;
                 let base = out_coords.len();
-                let sink = &mut CoordSink(out_coords);
                 sweep_output_row(
-                    &rows, in_grid, out_grid, kind, kernel, streams, sink, o, base,
+                    &rows, in_grid, out_grid, kind, kernel, streams, out_coords, o, base,
                 )
-                .1
             };
             if record {
                 staged_row_ptr.push(out_coords.len());
@@ -262,12 +258,8 @@ mod tests {
             (ConvKind::SpDeconv, KernelShape::k2x2()),
         ] {
             let (out, rules, _) = arena.sweep_layer(&cs, grid, kind, kernel, None);
-            assert_eq!(
-                out,
-                &rulegen::output_coords(&t, kind, kernel)[..],
-                "outputs for {kind}"
-            );
             let book = rulegen::generate_rules(&t, kind, kernel);
+            assert_eq!(out, book.output_coords(), "outputs for {kind}");
             assert_eq!(rules, book.num_rules() as u64, "rules for {kind}");
         }
     }

@@ -144,16 +144,6 @@ impl RuleBook {
         &self.output_coords
     }
 
-    /// Number of rules whose input index falls in `[input_start, input_end)`
-    /// for a given tap — used by active-tile scheduling.
-    #[must_use]
-    pub fn rules_in_input_range(&self, tap: usize, input_start: usize, input_end: usize) -> usize {
-        self.per_tap[tap]
-            .iter()
-            .filter(|r| r.input >= input_start && r.input < input_end)
-            .count()
-    }
-
     /// Checks the monotonicity property the paper's hardware relies on: within
     /// each tap, rules generated from CPR-ordered inputs have non-decreasing
     /// input *and* output indices.
@@ -164,42 +154,6 @@ impl RuleBook {
                 .windows(2)
                 .all(|w| w[0].input <= w[1].input && w[0].output <= w[1].output)
         })
-    }
-
-    /// Largest output index minus smallest output index touched by any single
-    /// input tile of `tile` consecutive inputs; a proxy for the output-buffer
-    /// footprint required per input tile.
-    #[must_use]
-    pub fn max_output_span_for_input_tile(&self, tile: usize) -> usize {
-        if self.num_rules() == 0 || tile == 0 {
-            return 0;
-        }
-        let max_input = self
-            .per_tap
-            .iter()
-            .flat_map(|r| r.iter().map(|x| x.input))
-            .max()
-            .unwrap_or(0);
-        let mut span = 0usize;
-        let mut start = 0usize;
-        while start <= max_input {
-            let end = start + tile;
-            let mut lo = usize::MAX;
-            let mut hi = 0usize;
-            for rules in &self.per_tap {
-                for r in rules {
-                    if r.input >= start && r.input < end {
-                        lo = lo.min(r.output);
-                        hi = hi.max(r.output);
-                    }
-                }
-            }
-            if lo != usize::MAX {
-                span = span.max(hi - lo + 1);
-            }
-            start = end;
-        }
-        span
     }
 }
 
@@ -262,29 +216,5 @@ mod tests {
         bad.push(0, 1, 1);
         bad.push(0, 0, 0);
         assert!(!bad.check_monotone());
-    }
-
-    #[test]
-    fn rules_in_input_range_counts_correctly() {
-        let mut rb = RuleBook::new(2, GridShape::new(4, 4), coords(&[(0, 0), (1, 1)]));
-        rb.push(0, 0, 0);
-        rb.push(0, 5, 1);
-        rb.push(1, 2, 0);
-        assert_eq!(rb.rules_in_input_range(0, 0, 3), 1);
-        assert_eq!(rb.rules_in_input_range(0, 0, 10), 2);
-        assert_eq!(rb.rules_in_input_range(1, 2, 3), 1);
-    }
-
-    #[test]
-    fn output_span_for_tiles() {
-        let mut rb = RuleBook::new(1, GridShape::new(8, 8), coords(&[(0, 0), (0, 1), (4, 4)]));
-        rb.push(0, 0, 0);
-        rb.push(0, 1, 1);
-        rb.push(0, 2, 2);
-        // With tile=1 each input touches one output.
-        assert_eq!(rb.max_output_span_for_input_tile(1), 1);
-        // With tile=3 inputs 0..3 touch outputs 0..=2.
-        assert_eq!(rb.max_output_span_for_input_tile(3), 3);
-        assert_eq!(rb.max_output_span_for_input_tile(0), 0);
     }
 }

@@ -1,60 +1,48 @@
-//! Delta rule generation: incrementally patch the previous frame's rule
-//! structures instead of regenerating them from scratch.
+//! Temporal delta execution: the cross-frame state that lets the one row
+//! sweep splice the previous frame's output rows instead of re-sweeping them.
 //!
 //! Consecutive frames of a persistent drive share most of their active
-//! pillars (PR 5 measures ~0.88 consecutive-frame overlap on scripted
-//! scenarios), yet the fused sweep ([`crate::rulegen::streaming`]) rebuilds
-//! every output row of every layer each frame. The fused sweep is
-//! row-independent — output row `o` reads only the input rows inside its
-//! receptive-field band (`input_row_band`) and emits a contiguous run of
-//! output indices — so a
-//! frame-to-frame change confined to a few input rows can only affect the
-//! output rows whose halo band touches them. The delta path exploits
-//! exactly that:
+//! pillars (~0.88 consecutive-frame overlap on scripted scenarios), yet a
+//! full sweep rebuilds every output row of every layer each frame. The sweep
+//! core ([`crate::rulegen::streaming`]) is row-independent: output row `o`
+//! reads only the input rows inside its receptive-field band
+//! (`input_row_band`) and emits a contiguous run of output indices. A
+//! frame-to-frame change confined to a few input rows can therefore only
+//! affect the output rows whose halo band touches them.
 //!
-//! 1. **Coord diff** — consecutive frames' CPR coord sets are compared with
-//!    a merge walk (both sides already sorted, the same shape as
-//!    `PillarizedCloud::pillar_overlap`); a *dirty* input row is one whose
-//!    column set changed.
+//! The sweep core has two drivers. [`crate::rulegen::generate_rules`] runs
+//! it over every row to build a [`crate::rule::RuleBook`].
+//! `ExecutionArena::sweep_layer`, the executor's driver, runs it for output
+//! coordinates and rule counts, and on a delta frame it is also the splice:
+//!
+//! 1. **Coord diff** — a *dirty* input row is one whose column set changed
+//!    since the cached frame.
 //! 2. **Halo rows** — an output row is dirty iff any input row in its
 //!    receptive-field band is dirty.
-//! 3. **Patch** — dirty output rows are re-swept with the streaming
-//!    module's `sweep_output_row`; clean rows are spliced from the previous
-//!    frame's book with two uniform index shifts (outputs shift by the
-//!    insertions/removals in earlier output rows, inputs by the shift of
-//!    the one input row feeding that `(tap, output row)` pair).
-//! 4. **Fallback** — when the changed fraction exceeds the
+//! 3. **Splice** — dirty output rows are re-swept; clean rows copy their
+//!    output coordinates and rule count from the layer's `LayerDeltaCache`.
+//! 4. **Fallback** — when the frame's [`changed_fraction`] exceeds the
 //!    [`DeltaPolicy`] threshold (always for frame 0 and i.i.d. drives,
-//!    where overlap is near zero), the full sweep runs instead; the delta
-//!    path never pays more than one extra merge walk.
+//!    where overlap is near zero), every row is swept and recorded instead.
 //!
-//! Byte-identity with the full sweep is structural, not approximate: the
-//! sweep emits exactly one rule per `(tap, output)` pair, per-tap rules in
-//! ascending output order, and each output row as one contiguous index
-//! run — so splicing clean rows between freshly swept dirty rows
-//! reproduces the full sweep's emission order *exactly*. The property
-//! tests pin [`patch_rule_book`] against the [`generate`] oracle on every
-//! frame of every named drive scenario.
+//! Byte-identity with the full sweep is structural: each output row's
+//! coordinates and rules depend only on its input band, so splicing clean
+//! rows between freshly swept dirty rows reproduces the full sweep exactly.
+//! The property tests pin `execute_pattern(.., Some(&mut state))` against
+//! `execute_pattern(.., None)` on every frame of every named drive scenario.
 //!
 //! [`FrameDeltaState`] carries the cross-frame caches for the one
 //! pattern-level executor entry point, [`crate::graph::execute_pattern`]
 //! (pass `Some(&mut state)`): the previous frame's per-layer inputs,
-//! dilated outputs, per-row rule counts, and row spans. The executor's
-//! single row sweep (`ExecutionArena::sweep_layer`) records those on full
-//! frames and splices clean rows from them on delta frames, reusing the
-//! arena's scratch so the steady-state delta path allocates nothing per
-//! frame.
+//! dilated outputs, per-row rule counts, and row spans. The splice reuses
+//! the arena's scratch, so the steady-state delta path allocates nothing
+//! per frame.
 
 use crate::conv::ConvKind;
 use crate::graph::LayerInput;
 use crate::kernel::KernelShape;
-use crate::rule::RuleBook;
-use crate::rulegen::output_grid;
-use crate::rulegen::streaming::{
-    generate, input_row_band, sweep_output_row, BookSink, StreamState,
-};
 use serde::{Deserialize, Serialize};
-use spade_tensor::{CprTensor, GridShape, PillarCoord};
+use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
 
 /// When to take the delta path instead of a full sweep.
@@ -105,200 +93,6 @@ pub fn changed_fraction(prev: &[PillarCoord], next: &[PillarCoord]) -> f64 {
     }
     let changed = (prev.len() - inter) + (next.len() - inter);
     changed as f64 / prev.len().max(next.len()).max(1) as f64
-}
-
-/// [`changed_fraction`] over two CPR tensors on the same grid, walking the
-/// per-row column slices instead of materialising coordinate vectors.
-#[must_use]
-pub fn changed_fraction_cpr(prev: &CprTensor, next: &CprTensor) -> f64 {
-    debug_assert_eq!(prev.grid(), next.grid());
-    let mut inter = 0usize;
-    for r in 0..prev.grid().height {
-        let a = prev.pillars_in_row(r);
-        let b = next.pillars_in_row(r);
-        let mut i = 0;
-        let mut j = 0;
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    inter += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    let (p, n) = (prev.num_active(), next.num_active());
-    let changed = (p - inter) + (n - inter);
-    changed as f64 / p.max(n).max(1) as f64
-}
-
-/// Incrementally patches `prev_book` (the rule book `generate` produced for
-/// `prev_in`) into the rule book for `next_in`, re-sweeping only the output
-/// rows whose receptive-field band contains a changed input row.
-///
-/// The result is byte-identical to `generate(next_in, kind, kernel)`
-/// regardless of how much changed; the *cost* scales with the number of
-/// dirty output rows. [`ConvKind::Dense`] has no sparse structure to patch
-/// and falls through to the full generator.
-///
-/// # Panics
-///
-/// Panics if the two frames' grids differ (a drive's BEV grid is fixed).
-#[must_use]
-pub fn patch_rule_book(
-    prev_in: &CprTensor,
-    prev_book: &RuleBook,
-    next_in: &CprTensor,
-    kind: ConvKind,
-    kernel: KernelShape,
-) -> RuleBook {
-    assert_eq!(
-        prev_in.grid(),
-        next_in.grid(),
-        "delta patching requires a stable grid across frames"
-    );
-    if kind == ConvKind::Dense {
-        return generate(next_in, kind, kernel);
-    }
-    let in_grid = next_in.grid();
-    let out_grid = output_grid(in_grid, kind);
-    let taps = kernel.num_taps();
-    debug_assert_eq!(prev_book.output_grid(), out_grid);
-    debug_assert_eq!(prev_book.num_taps(), taps);
-    let submanifold = kind == ConvKind::SpConvS;
-
-    // Coord diff: a dirty input row is one whose column set changed.
-    let dirty_in: Vec<bool> = (0..in_grid.height)
-        .map(|r| prev_in.pillars_in_row(r) != next_in.pillars_in_row(r))
-        .collect();
-
-    // Row spans over the previous book's outputs (they are CPR-ordered).
-    let mut prev_out_ptr = vec![0usize; out_grid.height as usize + 1];
-    for c in prev_book.output_coords() {
-        prev_out_ptr[c.row as usize + 1] += 1;
-    }
-    for r in 0..out_grid.height as usize {
-        prev_out_ptr[r + 1] += prev_out_ptr[r];
-    }
-
-    let mut book = if submanifold {
-        // Submanifold outputs are the inputs; indices coincide.
-        RuleBook::new(taps, out_grid, next_in.coords())
-    } else {
-        RuleBook::streamed(taps, out_grid)
-    };
-    let mut streams: Vec<StreamState> = Vec::with_capacity(taps);
-    // One forward cursor per tap over the previous book's rules: per-tap
-    // rules are in ascending output order, so each row's rules form the
-    // next contiguous run.
-    let mut cursors = vec![0usize; taps];
-    let kw = i64::from(kernel.kw);
-    let centre_r = if kernel.kh % 2 == 1 {
-        i64::from(kernel.kh / 2)
-    } else {
-        0
-    };
-
-    for o in 0..out_grid.height {
-        let span = (prev_out_ptr[o as usize], prev_out_ptr[o as usize + 1]);
-        let dirty = input_row_band(o, in_grid, kind, kernel)
-            .is_some_and(|(lo, hi)| (lo..=hi).any(|r| dirty_in[r as usize]));
-        if dirty {
-            // Halo hit: re-sweep the row against the new frame and discard
-            // the previous book's superseded rules for it.
-            let base = book.num_outputs();
-            sweep_output_row(
-                &next_in,
-                in_grid,
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut BookSink(&mut book),
-                o,
-                base,
-            );
-            for (tap, cursor) in cursors.iter_mut().enumerate() {
-                let rules = prev_book.rules_for_tap(tap);
-                while *cursor < rules.len() && rules[*cursor].output < span.1 {
-                    *cursor += 1;
-                }
-            }
-        } else {
-            // Clean row: splice the previous frame's outputs and rules in.
-            // Within one (tap, output row) all rules read the same input
-            // row and target this output row, so a single pair of index
-            // shifts re-bases them onto the new frame's CPR orderings.
-            let out_base = book.num_outputs();
-            if !submanifold {
-                for &c in &prev_book.output_coords()[span.0..span.1] {
-                    book.push_output(c);
-                }
-            }
-            for (tap, cursor) in cursors.iter_mut().enumerate() {
-                let rules = prev_book.rules_for_tap(tap);
-                if *cursor >= rules.len() || rules[*cursor].output >= span.1 {
-                    continue;
-                }
-                let dr = tap as i64 / kw - centre_r;
-                let p_row = match kind {
-                    ConvKind::SpStConv => 2 * i64::from(o) + dr,
-                    ConvKind::SpDeconv => (i64::from(o) - dr) / 2,
-                    _ => i64::from(o) + dr,
-                };
-                debug_assert!(
-                    p_row >= 0 && p_row < i64::from(in_grid.height),
-                    "a clean row with rules has its feeding input row in bounds"
-                );
-                let p = p_row as u32;
-                let in_shift = next_in.row_range(p).0 as i64 - prev_in.row_range(p).0 as i64;
-                let out_shift = if submanifold {
-                    next_in.row_range(o).0 as i64 - prev_in.row_range(o).0 as i64
-                } else {
-                    out_base as i64 - span.0 as i64
-                };
-                while *cursor < rules.len() && rules[*cursor].output < span.1 {
-                    let r = rules[*cursor];
-                    book.push(
-                        tap,
-                        (r.input as i64 + in_shift) as usize,
-                        (r.output as i64 + out_shift) as usize,
-                    );
-                    *cursor += 1;
-                }
-            }
-        }
-    }
-    book
-}
-
-/// Patches when the policy accepts the frame-to-frame change, otherwise
-/// regenerates. Returns the book and whether the delta path ran — the
-/// boundary cases (fraction exactly at threshold, empty frame, fully
-/// changed frame) are pinned through this wrapper.
-#[must_use]
-pub fn generate_or_patch(
-    policy: DeltaPolicy,
-    prev: Option<(&CprTensor, &RuleBook)>,
-    next: &CprTensor,
-    kind: ConvKind,
-    kernel: KernelShape,
-) -> (RuleBook, bool) {
-    if kind != ConvKind::Dense {
-        if let Some((prev_in, prev_book)) = prev {
-            if prev_in.grid() == next.grid() && policy.accepts(changed_fraction_cpr(prev_in, next))
-            {
-                return (
-                    patch_rule_book(prev_in, prev_book, next, kind, kernel),
-                    true,
-                );
-            }
-        }
-    }
-    (generate(next, kind, kernel), false)
 }
 
 /// Deterministic counters of what the delta path did over a drive.
@@ -476,111 +270,6 @@ mod tests {
         assert!(state.prev_initial.is_some());
     }
 
-    fn tensor(grid: GridShape, coords: &[(u32, u32)]) -> CprTensor {
-        let coords: Vec<PillarCoord> = coords
-            .iter()
-            .map(|&(r, c)| PillarCoord::new(r, c))
-            .collect();
-        CprTensor::from_coords(grid, 1, &coords)
-    }
-
-    /// Deterministic pseudo-random coord set: dense enough to exercise
-    /// multi-pillar rows, sparse enough to leave empty rows.
-    fn seeded_coords(grid: GridShape, seed: u64, target: usize) -> Vec<PillarCoord> {
-        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut out = Vec::with_capacity(target);
-        for _ in 0..target {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let r = (s >> 16) as u32 % grid.height;
-            let c = (s >> 40) as u32 % grid.width;
-            out.push(PillarCoord::new(r, c));
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    /// Moves a handful of pillars between frames, mimicking a coherent drive.
-    fn perturb(
-        grid: GridShape,
-        coords: &[PillarCoord],
-        seed: u64,
-        moves: usize,
-    ) -> Vec<PillarCoord> {
-        let mut out = coords.to_vec();
-        let extra = seeded_coords(grid, seed, moves);
-        for (i, e) in extra.into_iter().enumerate() {
-            if i % 2 == 0 {
-                out.push(e);
-            } else if !out.is_empty() {
-                let idx = (seed as usize).wrapping_add(i * 7) % out.len();
-                out.remove(idx);
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn all_kinds() -> [(ConvKind, KernelShape); 9] {
-        [
-            (ConvKind::SpConv, KernelShape::k3x3()),
-            (ConvKind::SpConvS, KernelShape::k3x3()),
-            (ConvKind::SpConvP, KernelShape::k3x3()),
-            (ConvKind::SpStConv, KernelShape::k3x3()),
-            (ConvKind::SpDeconv, KernelShape::k2x2()),
-            (ConvKind::Dense, KernelShape::k3x3()),
-            (ConvKind::SpConv, KernelShape::k1x1()),
-            (ConvKind::SpConvS, KernelShape::k1x1()),
-            (ConvKind::SpStConv, KernelShape::k1x1()),
-        ]
-    }
-
-    #[test]
-    fn patched_books_match_the_full_sweep_oracle() {
-        let grid = GridShape::new(32, 32);
-        for seed in 0..8u64 {
-            let prev_coords = seeded_coords(grid, seed + 1, 90);
-            let next_coords = perturb(grid, &prev_coords, seed + 100, 12);
-            let prev = CprTensor::from_coords(grid, 1, &prev_coords);
-            let next = CprTensor::from_coords(grid, 1, &next_coords);
-            for (kind, kernel) in all_kinds() {
-                let prev_book = generate(&prev, kind, kernel);
-                let patched = patch_rule_book(&prev, &prev_book, &next, kind, kernel);
-                let oracle = generate(&next, kind, kernel);
-                assert_eq!(patched, oracle, "seed {seed} kind {kind} kernel {kernel:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn patching_handles_total_change_and_emptiness() {
-        let grid = GridShape::new(16, 16);
-        let a = tensor(grid, &[(1, 1), (1, 5), (7, 7), (12, 3)]);
-        let b = tensor(grid, &[(2, 2), (9, 9), (14, 14)]); // fully disjoint
-        let empty = CprTensor::empty(grid, 1);
-        for (kind, kernel) in all_kinds() {
-            for (prev, next) in [(&a, &b), (&a, &empty), (&empty, &a), (&empty, &empty)] {
-                let prev_book = generate(prev, kind, kernel);
-                let patched = patch_rule_book(prev, &prev_book, next, kind, kernel);
-                assert_eq!(patched, generate(next, kind, kernel), "kind {kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn identical_frames_patch_to_an_identical_book() {
-        let grid = GridShape::new(24, 24);
-        let coords = seeded_coords(grid, 5, 60);
-        let t = CprTensor::from_coords(grid, 1, &coords);
-        for (kind, kernel) in all_kinds() {
-            let book = generate(&t, kind, kernel);
-            assert_eq!(patch_rule_book(&t, &book, &t, kind, kernel), book);
-        }
-    }
-
     #[test]
     fn changed_fraction_is_a_merge_walk_symdiff() {
         let a = [
@@ -601,11 +290,6 @@ mod tests {
         // Fully disjoint sets count both sides of the symmetric difference.
         let c = [PillarCoord::new(5, 5)];
         assert!((changed_fraction(&a, &c) - 4.0 / 3.0).abs() < 1e-12);
-        // The CPR walk agrees with the slice walk.
-        let grid = GridShape::new(8, 8);
-        let ta = CprTensor::from_coords(grid, 1, &a);
-        let tb = CprTensor::from_coords(grid, 1, &b);
-        assert!((changed_fraction_cpr(&ta, &tb) - changed_fraction(&a, &b)).abs() < 1e-12);
     }
 
     #[test]
@@ -613,26 +297,6 @@ mod tests {
         let policy = DeltaPolicy { threshold: 0.25 };
         assert!(policy.accepts(0.25), "exactly at threshold takes delta");
         assert!(!policy.accepts(0.25 + 1e-9));
-        let grid = GridShape::new(8, 8);
-        // prev has 4 coords, next removes exactly one: fraction 1/4.
-        let prev = tensor(grid, &[(1, 1), (2, 2), (3, 3), (4, 4)]);
-        let next = tensor(grid, &[(1, 1), (2, 2), (3, 3)]);
-        let kind = ConvKind::SpConv;
-        let kernel = KernelShape::k3x3();
-        let prev_book = generate(&prev, kind, kernel);
-        let (book, used_delta) =
-            generate_or_patch(policy, Some((&prev, &prev_book)), &next, kind, kernel);
-        assert!(used_delta, "fraction exactly at threshold must patch");
-        assert_eq!(book, generate(&next, kind, kernel));
-        // A fully-changed frame falls back.
-        let far = tensor(grid, &[(6, 6), (7, 7)]);
-        let (book, used_delta) =
-            generate_or_patch(policy, Some((&prev, &prev_book)), &far, kind, kernel);
-        assert!(!used_delta, "fully changed frame must fall back");
-        assert_eq!(book, generate(&far, kind, kernel));
-        // No previous frame falls back.
-        let (_, used_delta) = generate_or_patch(policy, None, &next, kind, kernel);
-        assert!(!used_delta);
     }
 
     #[test]

@@ -4,16 +4,20 @@
 //! which is the comparison of Fig. 5(b):
 //!
 //! * [`streaming`] — the paper's CPR-streaming algorithm (alignment → row
-//!   merge → column-wise dilation), `O(P)`; this is the algorithmic reference
-//!   implemented by SPADE's Rule Generation Unit.
+//!   merge → column-wise dilation), `O(P)`; this is the algorithm SPADE's
+//!   Rule Generation Unit implements.
 //! * [`hash`] — hash-table rule generation as used by the SpConv GPU library.
 //! * [`sort`] — merge-sort rule generation as used by the PointAcc
 //!   accelerator (64-element bitonic merge sorter).
 //!
-//! [`generate_rules`] is the shared entry point used by the functional
-//! convolution kernels; it delegates to the streaming algorithm. The other
-//! algorithms are exposed to verify equivalence and to model their cycle
-//! costs.
+//! The streaming algorithm is one sweep core, `streaming::sweep_output_row`,
+//! with two drivers. [`generate_rules`] runs it over every output row to
+//! build a [`RuleBook`] (the functional convolution kernels and the oracle
+//! tests use it). `ExecutionArena::sweep_layer` runs it for pattern-level
+//! execution, producing output coordinates and rule counts without
+//! materialising rules, and splices clean rows on the temporal [`delta`]
+//! path. The hash and sort generators exist to verify equivalence and to
+//! model their cycle costs.
 
 pub mod delta;
 pub mod hash;
@@ -24,7 +28,7 @@ use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
 use crate::rule::RuleBook;
 use serde::{Deserialize, Serialize};
-use spade_tensor::{CprTensor, GridShape, PillarCoord};
+use spade_tensor::{CprTensor, GridShape};
 
 /// Which rule-generation algorithm (and therefore cost model) to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -98,41 +102,6 @@ impl RuleGenMethod {
             rules,
         }
     }
-
-    /// Convenience: models the cost for an existing rule book.
-    #[must_use]
-    pub fn cost_for(self, rules: &RuleBook, inputs: usize) -> RuleGenCost {
-        self.cost(inputs, rules.num_outputs(), rules.num_rules())
-    }
-}
-
-/// Computes the active output coordinates of a sparse convolution, in CPR
-/// order.
-///
-/// Dilating kinds run the fused streaming sweep (no `BTreeSet`, no sort):
-/// the merged candidate streams already emit outputs in CPR order.
-#[must_use]
-pub fn output_coords(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> Vec<PillarCoord> {
-    let grid = input.grid();
-    let out_grid = output_grid(grid, kind);
-    match kind {
-        ConvKind::Dense => out_grid.all_cells(),
-        ConvKind::SpConvS => input.coords(),
-        _ => {
-            let mut out = Vec::new();
-            let mut streams = Vec::with_capacity(kernel.num_taps());
-            streaming::fused_sweep(
-                &input,
-                grid,
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut streaming::CoordSink(&mut out),
-            );
-            out
-        }
-    }
 }
 
 /// The output grid shape induced by a convolution kind.
@@ -155,7 +124,7 @@ pub fn generate_rules(input: &CprTensor, kind: ConvKind, kernel: KernelShape) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_tensor::GridShape;
+    use spade_tensor::PillarCoord;
 
     fn sample() -> CprTensor {
         CprTensor::from_coords(
@@ -173,7 +142,8 @@ mod tests {
     #[test]
     fn spconv_output_superset_of_input() {
         let t = sample();
-        let out = output_coords(&t, ConvKind::SpConv, KernelShape::k3x3());
+        let book = generate_rules(&t, ConvKind::SpConv, KernelShape::k3x3());
+        let out = book.output_coords();
         for c in t.coords() {
             assert!(out.contains(&c));
         }
@@ -187,14 +157,15 @@ mod tests {
     #[test]
     fn submanifold_output_equals_input() {
         let t = sample();
-        let out = output_coords(&t, ConvKind::SpConvS, KernelShape::k3x3());
-        assert_eq!(out, t.coords());
+        let book = generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
+        assert_eq!(book.output_coords(), t.coords());
     }
 
     #[test]
     fn strided_output_lands_on_half_grid() {
         let t = sample();
-        let out = output_coords(&t, ConvKind::SpStConv, KernelShape::k3x3());
+        let book = generate_rules(&t, ConvKind::SpStConv, KernelShape::k3x3());
+        let out = book.output_coords();
         let g = output_grid(t.grid(), ConvKind::SpStConv);
         assert_eq!(g, GridShape::new(4, 4));
         assert!(out.iter().all(|c| c.in_bounds(g)));
@@ -204,15 +175,15 @@ mod tests {
     #[test]
     fn deconv_output_is_4x_input_count() {
         let t = sample();
-        let out = output_coords(&t, ConvKind::SpDeconv, KernelShape::k2x2());
-        assert_eq!(out.len(), t.num_active() * 4);
+        let book = generate_rules(&t, ConvKind::SpDeconv, KernelShape::k2x2());
+        assert_eq!(book.num_outputs(), t.num_active() * 4);
     }
 
     #[test]
     fn dense_output_covers_grid() {
         let t = sample();
-        let out = output_coords(&t, ConvKind::Dense, KernelShape::k3x3());
-        assert_eq!(out.len(), 64);
+        let book = generate_rules(&t, ConvKind::Dense, KernelShape::k3x3());
+        assert_eq!(book.num_outputs(), 64);
     }
 
     #[test]

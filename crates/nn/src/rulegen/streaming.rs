@@ -1,5 +1,5 @@
 //! The paper's streaming rule-generation algorithm (Sec. III-B), implemented
-//! as a single fused sweep.
+//! as one row sweep.
 //!
 //! Because the input is CPR-encoded (rows in order, columns sorted within a
 //! row), every output row can be produced by looking only at the `kh` input
@@ -18,11 +18,14 @@
 //! Each active pillar is touched a constant number of times (once per kernel
 //! tap), giving the `O(P·K)` complexity the RGU exploits; the k-way head
 //! comparison is a fixed `K ≤ 9`-wide scan that hardware evaluates in
-//! parallel. The crate-internal `sweep_output_row` is the shared core:
-//! [`generate`] drives it over every row to build a full [`RuleBook`], while
-//! the pattern-level executor (`ExecutionArena::sweep_layer`)
-//! drives it row by row to produce output coordinates and rule counts
-//! without materialising rules, splicing clean rows on the delta path.
+//! parallel.
+//!
+//! The crate-internal `sweep_output_row` is the one sweep core, and it has
+//! two drivers. [`generate`] runs it over every output row to build a full
+//! [`RuleBook`]. The pattern-level executor's `ExecutionArena::sweep_layer`
+//! runs it row by row to produce output coordinates and rule counts without
+//! materialising rules, and on the temporal delta path it sweeps only the
+//! dirty rows and splices the clean ones from the previous frame.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
@@ -115,7 +118,7 @@ fn settle<R: RowSource>(rows: &R, s: &mut StreamState, kind: ConvKind, out_w: u3
     s.head = EXHAUSTED;
 }
 
-/// Receiver of the fused sweep's two interleaved emission feeds. All rules
+/// Receiver of the sweep's two interleaved emission feeds. All rules
 /// targeting an output arrive immediately after that output's
 /// [`SweepSink::output`] call (candidate streams are strictly increasing, so
 /// an output column is never revisited).
@@ -126,78 +129,39 @@ pub(crate) trait SweepSink {
     fn rule(&mut self, tap: usize, input: usize, output: usize);
 }
 
-/// A sink that only collects output coordinates (pattern-level execution;
-/// a submanifold sweep emits no outputs, so it only counts rules).
-pub(crate) struct CoordSink<'a>(pub &'a mut Vec<PillarCoord>);
-
-impl SweepSink for CoordSink<'_> {
+/// Pattern-level execution collects only the output coordinates (a
+/// submanifold sweep emits no outputs, so it only counts rules).
+impl SweepSink for Vec<PillarCoord> {
     fn output(&mut self, coord: PillarCoord) {
-        self.0.push(coord);
+        self.push(coord);
     }
     fn rule(&mut self, _tap: usize, _input: usize, _output: usize) {}
 }
 
-/// Streams both feeds into a [`RuleBook`].
-pub(crate) struct BookSink<'a>(pub(crate) &'a mut RuleBook);
-
-impl SweepSink for BookSink<'_> {
+/// Rule-book generation streams both feeds into the book.
+impl SweepSink for RuleBook {
     fn output(&mut self, coord: PillarCoord) {
-        self.0.push_output(coord);
+        self.push_output(coord);
     }
     fn rule(&mut self, tap: usize, input: usize, output: usize) {
-        self.0.push(tap, input, output);
+        self.push(tap, input, output);
     }
 }
 
-/// The fused streaming sweep: walks every output row once, k-way-merging the
-/// overlapping input rows, and emits output coordinates (in CPR order),
-/// rules (`(tap, input index, output index)`), and the rule count together
-/// through a single [`SweepSink`].
+/// Sweeps a single output row `o`, emitting its outputs (in CPR order) and
+/// rules through the sink with output indices starting at `out_index_base`.
+/// The sweep is row-independent (each output row only reads its own
+/// overlapping input rows and emits a contiguous run of output indices), so
+/// a full layer is this function applied to every row in order, and the
+/// delta path ([`crate::rulegen::delta`]) applies it to *dirty* rows only,
+/// splicing the results between untouched spans of the previous frame.
 ///
 /// For [`ConvKind::SpConvS`] the output set is the input set, so
 /// [`SweepSink::output`] is never called and emitted output indices refer to
 /// the *input* ordering. [`ConvKind::Dense`] has no sparse structure to
 /// stream and is handled by the callers directly.
 ///
-/// Returns `(number of outputs emitted, number of rules)`.
-pub(crate) fn fused_sweep<R: RowSource>(
-    rows: &R,
-    in_grid: GridShape,
-    out_grid: GridShape,
-    kind: ConvKind,
-    kernel: KernelShape,
-    streams: &mut Vec<StreamState>,
-    sink: &mut impl SweepSink,
-) -> (usize, u64) {
-    let mut num_outputs = 0usize;
-    let mut num_rules = 0u64;
-    for o in 0..out_grid.height {
-        let (row_outputs, row_rules) = sweep_output_row(
-            rows,
-            in_grid,
-            out_grid,
-            kind,
-            kernel,
-            streams,
-            sink,
-            o,
-            num_outputs,
-        );
-        num_outputs += row_outputs;
-        num_rules += row_rules;
-    }
-    (num_outputs, num_rules)
-}
-
-/// Sweeps a single output row `o`, emitting its outputs and rules through the
-/// sink with output indices starting at `out_index_base`. Because the fused
-/// sweep is row-independent (each output row only reads its own overlapping
-/// input rows and emits a contiguous run of output indices), a full frame is
-/// just this function applied to every row in order — and the delta path
-/// ([`crate::rulegen::delta`]) applies it to *dirty* rows only, splicing the
-/// results between untouched spans of the previous frame.
-///
-/// Returns `(outputs emitted for this row, rules emitted for this row)`.
+/// Returns the number of rules emitted for this row.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_output_row<R: RowSource>(
     rows: &R,
@@ -209,7 +173,7 @@ pub(crate) fn sweep_output_row<R: RowSource>(
     sink: &mut impl SweepSink,
     o: u32,
     out_index_base: usize,
-) -> (usize, u64) {
+) -> u64 {
     debug_assert!(kind != ConvKind::Dense, "dense layers bypass the sweep");
     let (kh, kw) = (i64::from(kernel.kh), i64::from(kernel.kw));
     // Same centring convention as `KernelShape::offsets`.
@@ -266,7 +230,7 @@ pub(crate) fn sweep_output_row<R: RowSource>(
         }
     }
     if streams.is_empty() {
-        return (0, 0);
+        return 0;
     }
     // For submanifold convolution the active outputs of this row are the
     // active inputs of the same row; a forward cursor intersects the
@@ -314,7 +278,7 @@ pub(crate) fn sweep_output_row<R: RowSource>(
             }
         }
     }
-    (num_outputs, num_rules)
+    num_rules
 }
 
 /// The input rows the sweep of output row `o` reads, as an inclusive range
@@ -363,17 +327,18 @@ pub(crate) fn input_row_band(
     (lo <= hi).then_some((lo as u32, hi as u32))
 }
 
-/// Generates a rule book with the fused streaming sweep: output coordinates,
+/// Generates a rule book with the streaming sweep: output coordinates,
 /// per-tap rules, and the rule count are produced in one `O(P·K)` pass.
 #[must_use]
 pub fn generate(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> RuleBook {
-    let out_grid = output_grid(input.grid(), kind);
-    let mut streams: Vec<StreamState> = Vec::with_capacity(kernel.num_taps());
-    match kind {
+    let in_grid = input.grid();
+    let out_grid = output_grid(in_grid, kind);
+    let taps = kernel.num_taps();
+    let mut book = match kind {
         ConvKind::Dense => {
             // Every grid cell is an active output, so the output index is the
             // linear cell index — no lookup of any kind.
-            let mut book = RuleBook::new(kernel.num_taps(), out_grid, out_grid.all_cells());
+            let mut book = RuleBook::new(taps, out_grid, out_grid.all_cells());
             for (p_idx, p) in input.iter_coords().enumerate() {
                 for (tap, (dr, dc)) in kernel.offsets().into_iter().enumerate() {
                     if let Some(q) = p.offset(-dr, -dc, out_grid) {
@@ -381,36 +346,28 @@ pub fn generate(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> RuleB
                     }
                 }
             }
-            book
+            return book;
         }
-        ConvKind::SpConvS => {
-            // Submanifold outputs are the inputs; indices coincide.
-            let mut book = RuleBook::new(kernel.num_taps(), out_grid, input.coords());
-            fused_sweep(
-                &input,
-                input.grid(),
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut BookSink(&mut book),
-            );
-            book
-        }
-        _ => {
-            let mut book = RuleBook::streamed(kernel.num_taps(), out_grid);
-            fused_sweep(
-                &input,
-                input.grid(),
-                out_grid,
-                kind,
-                kernel,
-                &mut streams,
-                &mut BookSink(&mut book),
-            );
-            book
-        }
+        // Submanifold outputs are the inputs; indices coincide.
+        ConvKind::SpConvS => RuleBook::new(taps, out_grid, input.coords()),
+        _ => RuleBook::streamed(taps, out_grid),
+    };
+    let mut streams: Vec<StreamState> = Vec::with_capacity(taps);
+    for o in 0..out_grid.height {
+        let base = book.num_outputs();
+        sweep_output_row(
+            &input,
+            in_grid,
+            out_grid,
+            kind,
+            kernel,
+            &mut streams,
+            &mut book,
+            o,
+            base,
+        );
     }
+    book
 }
 
 #[cfg(test)]
@@ -486,19 +443,6 @@ mod tests {
         assert!(book.num_rules() > 0);
         assert_eq!(book.output_grid(), GridShape::new(3, 3));
         assert!(book.check_monotone());
-    }
-
-    #[test]
-    fn fused_outputs_match_output_coords_helper() {
-        let t = sample();
-        for kind in [ConvKind::SpConv, ConvKind::SpStConv] {
-            let book = generate(&t, kind, KernelShape::k3x3());
-            let outs = crate::rulegen::output_coords(&t, kind, KernelShape::k3x3());
-            assert_eq!(book.output_coords(), &outs[..], "kind {kind}");
-        }
-        let book = generate(&t, ConvKind::SpDeconv, KernelShape::k2x2());
-        let outs = crate::rulegen::output_coords(&t, ConvKind::SpDeconv, KernelShape::k2x2());
-        assert_eq!(book.output_coords(), &outs[..]);
     }
 
     #[test]

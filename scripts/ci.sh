@@ -10,7 +10,8 @@
 #   4. cargo test -q            — unit + integration + property + doc tests
 #   5. dse smoke with --jobs 4  — the parallel sweep path, reduced grid,
 #                                 legacy drive + one scripted scenario,
-#                                 full-sweep, delta, and adaptive execution
+#                                 full-sweep, delta (at least one frame
+#                                 patched), and adaptive execution
 #   6. perf smoke               — reduced dse (release) vs committed reference
 #   7. serve smoke              — spade-serve + 50 spade-loadgen requests:
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
@@ -42,7 +43,11 @@ echo "==> dse smoke (scripted stop-and-go scenario, persistent world)"
 cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4 --scenario stop-and-go
 
 echo "==> dse smoke (stop-and-go scenario, temporal delta execution)"
-cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4 --scenario stop-and-go --delta
+delta_out=$(cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4 --scenario stop-and-go --delta)
+echo "$delta_out" | grep -Eq "delta execution: [1-9][0-9]*/[0-9]+ frames patched" || {
+    echo "delta smoke FAILED: no frame took the delta path"
+    exit 1
+}
 
 echo "==> dse smoke (adaptive exploration, reduced grid)"
 adaptive_out=$(cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4 --adaptive)

@@ -3,9 +3,14 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spade::nn::graph::{execute_pattern, ExecutionContext, LayerInput, NetworkLayer};
 use spade::nn::pruning::importance_noise;
+use spade::nn::rulegen::delta::changed_fraction;
 use spade::nn::rulegen::{self, RuleGenMethod};
-use spade::nn::{ConvKind, KernelShape, LayerSpec, PruningConfig, VectorPruner};
+use spade::nn::{
+    ConvKind, DeltaPolicy, DeltaStats, ExecutionArena, FrameDeltaState, KernelShape, LayerSpec,
+    NetworkSpec, PruningConfig, VectorPruner,
+};
 use spade::pointcloud::{
     DatasetPreset, DriveScenario, NamedScenario, PersistentWorld, SceneConfig, WorldObject,
     WorldStep,
@@ -92,11 +97,10 @@ proptest! {
     fn sparse_conv_active_set_properties(coords in arb_coords(40)) {
         let grid = GridShape::new(24, 24);
         let t = CprTensor::from_coords(grid, 1, &coords);
-        let sub = rulegen::output_coords(&t, ConvKind::SpConvS, KernelShape::k3x3());
-        prop_assert_eq!(sub, t.coords());
-        let dilated = rulegen::output_coords(&t, ConvKind::SpConv, KernelShape::k3x3());
-        prop_assert!(dilated.len() >= t.num_active());
+        let sub = rulegen::generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
+        prop_assert_eq!(sub.output_coords(), t.coords());
         let book = rulegen::generate_rules(&t, ConvKind::SpConv, KernelShape::k3x3());
+        prop_assert!(book.num_outputs() >= t.num_active());
         prop_assert!(book.check_monotone());
     }
 
@@ -286,60 +290,51 @@ proptest! {
         prop_assert!(iid_overlap < 0.2, "i.i.d. baseline {iid_overlap}");
     }
 
-    /// Delta rule generation is byte-identical to the full streaming sweep on
-    /// real drive data: over every consecutive frame pair of every named
-    /// scenario, for every convolution kind and kernel shape the zoo uses,
-    /// patching the previous frame's rule book reproduces the from-scratch
-    /// book exactly — same output coordinates and same per-tap rule
-    /// sequences.
+    /// The delta executor is byte-identical to the plain path on real drive
+    /// data: over every frame of every named scenario, for every
+    /// convolution kind and kernel shape the zoo uses, a one-layer network
+    /// executed with a `FrameDeltaState` reproduces the plain execution's
+    /// trace and workloads exactly. The threshold admits every frame-to-frame
+    /// change, so every frame after the first splices rows in
+    /// `ExecutionArena::sweep_layer`.
     #[test]
     fn delta_patching_matches_full_sweeps_on_every_named_scenario(seed in 0u64..100_000) {
-        use spade::nn::rulegen::delta::patch_rule_book;
-        let cases = [
-            (ConvKind::SpConv, KernelShape::k3x3()),
-            (ConvKind::SpConvS, KernelShape::k3x3()),
-            (ConvKind::SpConvP, KernelShape::k3x3()),
-            (ConvKind::SpStConv, KernelShape::k3x3()),
-            (ConvKind::SpDeconv, KernelShape::k2x2()),
-            (ConvKind::Dense, KernelShape::k3x3()),
-            (ConvKind::SpConv, KernelShape::k1x1()),
-            (ConvKind::SpConvS, KernelShape::k1x1()),
-            (ConvKind::SpStConv, KernelShape::k1x1()),
-        ];
+        // Downsample the BEV coordinates 8x so a whole scenario sweep of
+        // 9 kind/kernel cases stays fast while preserving the drive's
+        // change structure (moved pillars, appearing/vanishing rows).
+        let base = DatasetPreset::kitti_like().grid_shape();
+        let grid = GridShape::new(base.height / 8, base.width / 8);
+        let networks = one_layer_networks();
         for scenario in NamedScenario::ALL {
             let drive = DriveScenario::named(DatasetPreset::kitti_like(), scenario, 3, seed);
-            // Downsample the BEV coordinates 8x so a whole scenario sweep of
-            // 9 kind/kernel cases stays fast while preserving the drive's
-            // change structure (moved pillars, appearing/vanishing rows).
-            let base = DatasetPreset::kitti_like().grid_shape();
-            let grid = GridShape::new(base.height / 8, base.width / 8);
-            let tensors: Vec<CprTensor> = drive
+            let frames: Vec<Vec<PillarCoord>> = drive
                 .frames()
                 .iter()
                 .map(|f| {
-                    let coords: Vec<PillarCoord> = f
+                    let mut coords: Vec<PillarCoord> = f
                         .frame
                         .pillars
                         .active_coords
                         .iter()
                         .map(|c| PillarCoord::new(c.row / 8, c.col / 8))
                         .collect();
-                    CprTensor::from_coords(grid, 1, &coords)
+                    coords.sort_unstable();
+                    coords.dedup();
+                    coords
                 })
                 .collect();
-            for pair in tensors.windows(2) {
-                for (kind, kernel) in cases {
-                    let prev_book = rulegen::generate_rules(&pair[0], kind, kernel);
-                    let full = rulegen::generate_rules(&pair[1], kind, kernel);
-                    let patched = patch_rule_book(&pair[0], &prev_book, &pair[1], kind, kernel);
-                    prop_assert_eq!(
-                        &patched, &full,
-                        "{}: patched book drifted for {} {:?}", scenario, kind, kernel
-                    );
-                    prop_assert_eq!(
-                        patched.output_coords(),
-                        rulegen::output_coords(&pair[1], kind, kernel),
-                        "{}: output coords drifted for {} {:?}", scenario, kind, kernel
+            for spec in &networks {
+                let stats = delta_matches_plain(spec, grid, &frames, DeltaPolicy { threshold: 2.0 });
+                prop_assert_eq!(
+                    stats.frames_delta, stats.frames_total - 1,
+                    "{}: a frame of {} fell back", scenario, spec.name
+                );
+                // Persistent drives leave rows clean between frames, so the
+                // splice copies rows instead of re-sweeping every one.
+                if scenario != NamedScenario::Constant && spec.layers[0].spec.kind != ConvKind::Dense {
+                    prop_assert!(
+                        stats.layers_patched > 0 && stats.rows_swept < stats.rows_full_equivalent,
+                        "{}: {} spliced no clean row: {:?}", scenario, spec.name, stats
                     );
                 }
             }
@@ -347,72 +342,107 @@ proptest! {
     }
 }
 
+/// The (kind, kernel) cases the zoo uses, each as a one-layer network.
+fn one_layer_networks() -> Vec<NetworkSpec> {
+    [
+        (ConvKind::SpConv, KernelShape::k3x3()),
+        (ConvKind::SpConvS, KernelShape::k3x3()),
+        (ConvKind::SpConvP, KernelShape::k3x3()),
+        (ConvKind::SpStConv, KernelShape::k3x3()),
+        (ConvKind::SpDeconv, KernelShape::k2x2()),
+        (ConvKind::Dense, KernelShape::k3x3()),
+        (ConvKind::SpConv, KernelShape::k1x1()),
+        (ConvKind::SpConvS, KernelShape::k1x1()),
+        (ConvKind::SpStConv, KernelShape::k1x1()),
+    ]
+    .into_iter()
+    .map(|(kind, kernel)| NetworkSpec {
+        name: format!("{kind} {kernel:?}"),
+        encoder_channels: 1,
+        layers: vec![NetworkLayer {
+            spec: LayerSpec::with_kernel("l0", kind, 1, 1, kernel),
+            input: LayerInput::Previous,
+            stage: 1,
+            densify_input: false,
+        }],
+    })
+    .collect()
+}
+
+/// Executes `frames` in order through one delta state, asserts that every
+/// frame's trace and workloads equal the plain path's, and returns the
+/// state's counters.
+fn delta_matches_plain(
+    spec: &NetworkSpec,
+    grid: GridShape,
+    frames: &[Vec<PillarCoord>],
+    policy: DeltaPolicy,
+) -> DeltaStats {
+    let ctx = ExecutionContext::default();
+    let mut delta_arena = ExecutionArena::new();
+    let mut plain_arena = ExecutionArena::new();
+    let mut state = FrameDeltaState::new(policy);
+    for (i, coords) in frames.iter().enumerate() {
+        let delta = execute_pattern(
+            spec,
+            coords,
+            grid,
+            0,
+            &ctx,
+            &mut delta_arena,
+            Some(&mut state),
+        );
+        let plain = execute_pattern(spec, coords, grid, 0, &ctx, &mut plain_arena, None);
+        assert_eq!(delta, plain, "{}: frame {i} drifted", spec.name);
+    }
+    state.stats()
+}
+
 #[test]
 fn delta_fallback_boundaries_are_exact() {
     // The fallback decision is inclusive at the threshold and conservative at
-    // the extremes — and whichever path runs, the book matches the oracle.
-    use spade::nn::rulegen::delta::{changed_fraction, generate_or_patch, DeltaPolicy};
+    // the extremes — and whichever path runs, every frame matches the plain
+    // path. The first frame of a state never takes the delta path.
     let grid = GridShape::new(24, 24);
-    let t = |coords: &[(u32, u32)]| {
-        CprTensor::from_coords(
-            grid,
-            1,
-            &coords
-                .iter()
-                .map(|&(r, c)| PillarCoord::new(r, c))
-                .collect::<Vec<_>>(),
-        )
+    let coords_of = |cells: &[(u32, u32)]| -> Vec<PillarCoord> {
+        cells.iter().map(|&(r, c)| PillarCoord::new(r, c)).collect()
     };
     // 4 shared + 1 changed coordinate: |symdiff| = 2, max size = 5, so the
     // changed fraction is exactly 0.4 — at a 0.4 threshold the delta path
     // must still run (the policy is inclusive).
-    let prev = t(&[(2, 2), (2, 3), (5, 5), (9, 1), (12, 7)]);
-    let next = t(&[(2, 2), (2, 3), (5, 5), (9, 1), (20, 20)]);
-    assert_eq!(changed_fraction(&prev.coords(), &next.coords()), 0.4);
-    let prev_book = rulegen::generate_rules(&prev, ConvKind::SpConv, KernelShape::k3x3());
-    let at = DeltaPolicy { threshold: 0.4 };
-    let below = DeltaPolicy { threshold: 0.39 };
-    for (policy, expect_patch) in [(at, true), (below, false)] {
-        let (book, patched) = generate_or_patch(
-            policy,
-            Some((&prev, &prev_book)),
-            &next,
-            ConvKind::SpConv,
-            KernelShape::k3x3(),
-        );
-        assert_eq!(patched, expect_patch, "threshold {}", policy.threshold);
-        assert_eq!(
-            book,
-            rulegen::generate_rules(&next, ConvKind::SpConv, KernelShape::k3x3())
-        );
+    let prev = coords_of(&[(2, 2), (2, 3), (5, 5), (9, 1), (12, 7)]);
+    let next = coords_of(&[(2, 2), (2, 3), (5, 5), (9, 1), (20, 20)]);
+    assert_eq!(changed_fraction(&prev, &next), 0.4);
+    let empty = Vec::new();
+    let moved = coords_of(&[(15, 15), (16, 16), (17, 17), (18, 18), (19, 19)]);
+    // A threshold of 2.0 admits any change: disjoint, emptied, refilled and
+    // unchanged frames all splice.
+    let any = DeltaPolicy { threshold: 2.0 };
+    let cases = [
+        (&prev, &next, DeltaPolicy { threshold: 0.4 }, 1),
+        (&prev, &next, DeltaPolicy { threshold: 0.39 }, 0),
+        // An empty next frame (fraction 1.0) and a fully changed frame
+        // (fraction 2.0) both force the full-sweep fallback by default.
+        (&prev, &empty, DeltaPolicy::default(), 0),
+        (&prev, &moved, DeltaPolicy::default(), 0),
+        (&prev, &moved, any, 1),
+        (&prev, &empty, any, 1),
+        (&empty, &prev, any, 1),
+        (&empty, &empty, any, 1),
+        (&prev, &prev, any, 1),
+    ];
+    for spec in &one_layer_networks() {
+        for (a, b, policy, patched) in cases {
+            let stats = delta_matches_plain(spec, grid, &[a.clone(), b.clone()], policy);
+            assert_eq!(
+                (stats.frames_total, stats.frames_delta),
+                (2, patched),
+                "{} at threshold {}",
+                spec.name,
+                policy.threshold
+            );
+        }
     }
-    // Boundary frames: an empty next frame (fraction 1.0) and a fully
-    // changed frame (fraction 2.0) both force the full-sweep fallback; a
-    // missing previous frame always full-sweeps.
-    let empty = CprTensor::empty(grid, 1);
-    let moved = t(&[(15, 15), (16, 16), (17, 17), (18, 18), (19, 19)]);
-    for next in [&empty, &moved] {
-        let (book, patched) = generate_or_patch(
-            DeltaPolicy::default(),
-            Some((&prev, &prev_book)),
-            next,
-            ConvKind::SpConv,
-            KernelShape::k3x3(),
-        );
-        assert!(!patched);
-        assert_eq!(
-            book,
-            rulegen::generate_rules(next, ConvKind::SpConv, KernelShape::k3x3())
-        );
-    }
-    let (_, patched) = generate_or_patch(
-        DeltaPolicy::default(),
-        None,
-        &next,
-        ConvKind::SpConv,
-        KernelShape::k3x3(),
-    );
-    assert!(!patched);
 }
 
 // ---------------------------------------------------------------------------
