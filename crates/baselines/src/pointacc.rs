@@ -108,8 +108,8 @@ impl PointAccModel {
     /// (mapping vs. gather/scatter vs. compute).
     #[must_use]
     pub fn layer_breakdown(&self, workload: &LayerWorkload) -> PointAccLayerPerf {
-        let a = workload.input_coords.len().max(1) as u64;
-        let q = workload.output_coords.len().max(1) as u64;
+        let a = workload.input_active.max(1) as u64;
+        let q = workload.output_active.max(1) as u64;
         let r = workload.rules.max(1);
         let c = workload.spec.in_channels as u64;
         let m = workload.spec.out_channels as u64;
@@ -124,13 +124,13 @@ impl PointAccModel {
         // Model the access stream statistically at the pillar granularity: the
         // rules touch inputs in a window that slides with the output index, so
         // inputs near window boundaries are evicted and re-fetched. We walk
-        // the actual input coordinates once per kernel row group (3 passes for
-        // a 3x3 kernel), which reproduces the ~20% re-fetch the paper reports.
+        // the input vectors once per kernel row group (3 passes for a 3x3
+        // kernel), which reproduces the ~20% re-fetch the paper reports.
         let passes = (workload.spec.kernel.kh as u64).max(1);
         let misses = cache_walk_misses(
             self.cache_kib,
             self.cache_line.get(),
-            workload.input_coords.len(),
+            workload.input_active,
             c,
             passes,
         );

@@ -117,8 +117,8 @@ impl Accelerator for SpConv2dAccelerator {
     /// as exposed scatter (output-writeback) stalls.
     fn simulate_layer(&self, workload: &LayerWorkload) -> LayerPerf {
         let spec = &workload.spec;
-        let a = workload.input_coords.len().max(1) as u64;
-        let q = workload.output_coords.len().max(1) as u64;
+        let a = workload.input_active.max(1) as u64;
+        let q = workload.output_active.max(1) as u64;
         let c = spec.in_channels as u64;
         let m = spec.out_channels as u64;
         let sparsity = 1.0 - a as f64 / workload.input_grid.num_cells().max(1) as f64;

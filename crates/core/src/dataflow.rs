@@ -90,7 +90,7 @@ impl LayerCounts {
     #[must_use]
     pub fn of(workload: &LayerWorkload) -> Self {
         let spec = &workload.spec;
-        let (inputs, outputs) = (workload.input_coords.len(), workload.output_coords.len());
+        let (inputs, outputs) = (workload.input_active, workload.output_active);
         let a = inputs.max(1) as u64;
         let q = outputs.max(1) as u64;
         let r = workload.rules.max(1);
@@ -274,11 +274,7 @@ mod tests {
             .collect();
         let spec = LayerSpec::new("L", kind, channels, channels);
         let out_grid = spec.output_grid(grid);
-        let out_coords: Vec<PillarCoord> = coords
-            .iter()
-            .filter(|c| c.in_bounds(out_grid))
-            .copied()
-            .collect();
+        let output_active = coords.iter().filter(|c| c.in_bounds(out_grid)).count();
         let tensor = CprTensor::from_coords(grid, 1, &coords);
         let rules =
             spade_nn::rulegen::generate_rules(&tensor, kind, spec.kernel).num_rules() as u64;
@@ -286,9 +282,9 @@ mod tests {
             spec,
             stage: 1,
             input_grid: grid,
-            input_coords: coords.into(),
+            input_active: active,
             output_grid: out_grid,
-            output_coords: out_coords.into(),
+            output_active,
             rules,
         }
     }
@@ -411,7 +407,7 @@ mod tests {
             &SpadeConfig::high_end(),
             &DataflowOptions::all_enabled(),
         );
-        let expected = 2_000 * 32 + 9 * 32 * 32 + w.output_coords.len() as u64 * 32;
+        let expected = 2_000 * 32 + 9 * 32 * 32 + w.output_active as u64 * 32;
         assert_eq!(perf.dram_bytes, expected);
     }
 }

@@ -20,15 +20,15 @@
 //! use spade_core::{SpadeAccelerator, SpadeConfig};
 //! use spade_nn::graph::LayerWorkload;
 //! use spade_nn::{ConvKind, LayerSpec};
-//! use spade_tensor::{GridShape, PillarCoord};
+//! use spade_tensor::GridShape;
 //!
 //! let workload = LayerWorkload {
 //!     spec: LayerSpec::new("B1C1", ConvKind::SpConv, 16, 16),
 //!     stage: 1,
 //!     input_grid: GridShape::new(64, 64),
-//!     input_coords: vec![PillarCoord::new(3, 3), PillarCoord::new(10, 12)].into(),
+//!     input_active: 2,
 //!     output_grid: GridShape::new(64, 64),
-//!     output_coords: vec![PillarCoord::new(3, 3), PillarCoord::new(10, 12)].into(),
+//!     output_active: 2,
 //!     rules: 18,
 //! };
 //! let acc = SpadeAccelerator::new(SpadeConfig::high_end());

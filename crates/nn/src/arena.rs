@@ -82,7 +82,7 @@ impl ExecutionArena {
     /// input change since the cached frame is copied from the cache instead
     /// of swept. Dirty rows are swept exactly as on the full path, so the
     /// result is byte-identical either way. The cache's coordinate sets
-    /// (`input`, `dilated`) are the caller's to re-point.
+    /// (`input`, `dilated`) are the caller's to store.
     ///
     /// Returns the output slice, the rule count, and the number of output
     /// rows actually swept.
@@ -171,7 +171,7 @@ impl ExecutionArena {
     }
 
     /// Capacities of the arena's scratch buffers — pinned by the test that
-    /// asserts the steady-state delta path stops allocating.
+    /// asserts the scratch stops growing on the steady-state delta path.
     #[must_use]
     pub fn scratch_capacities(&self) -> [usize; 8] {
         [
@@ -391,7 +391,7 @@ mod tests {
         }
         let arena_caps = arena.scratch_capacities();
         // Steady state: the coord-diff and halo-row scratch buffers must be
-        // reused as-is — zero reallocation on the delta path.
+        // reused as-is — no scratch reallocation on the delta path.
         for coords in [&b, &a, &b, &a, &b] {
             let _ = execute_pattern(&spec, coords, grid, 0, &ctx, &mut arena, Some(&mut state));
             assert_eq!(arena.scratch_capacities(), arena_caps);

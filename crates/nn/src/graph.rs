@@ -11,9 +11,10 @@
 //! This is the repository's hottest path (every bench and DSE cell funnels
 //! through it), so each layer runs the *fused* streaming sweep of
 //! [`crate::rulegen::streaming`] — output dilation and rule counting in one
-//! `O(P·K)` pass over [`ExecutionArena`] scratch — and coordinate sets are
-//! shared (`Arc`) between a layer's output, the next layer's input, and the
-//! emitted workloads rather than cloned.
+//! `O(P·K)` pass over [`ExecutionArena`] scratch — and a layer's output set
+//! is shared (`Arc`) with the layers that read it rather than cloned.
+//! Coordinate sets never leave the executor: the emitted workloads carry
+//! only active counts, as the RGU makes the coordinates on chip.
 
 use crate::arena::ExecutionArena;
 use crate::conv::{ConvKind, LayerSpec};
@@ -155,12 +156,13 @@ impl NetworkTrace {
     }
 }
 
-/// One layer's workload handed to the accelerator models: the concrete active
-/// input and output coordinate sets plus the layer spec.
+/// One layer's workload handed to the accelerator models: the layer spec,
+/// its grids, its active input and output counts, and its rule count.
 ///
-/// Coordinate sets are shared slices (`Arc<[PillarCoord]>`): a layer's output
-/// set *is* the next layer's input set, so chaining layers and fanning
-/// workloads across accelerator models never copies coordinates.
+/// SPADE prices a layer by how many active vectors go in and come out and
+/// by its rules; its RGU generates the coordinates on chip. So no model
+/// reads a coordinate set, and the workloads a sweep keeps for every frame
+/// hold none.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerWorkload {
     /// The layer specification.
@@ -169,12 +171,12 @@ pub struct LayerWorkload {
     pub stage: usize,
     /// Input grid shape.
     pub input_grid: GridShape,
-    /// Active input coordinates (CPR order).
-    pub input_coords: Arc<[PillarCoord]>,
+    /// Active input pillars.
+    pub input_active: usize,
     /// Output grid shape.
     pub output_grid: GridShape,
-    /// Active output coordinates (CPR order, after pruning).
-    pub output_coords: Arc<[PillarCoord]>,
+    /// Active output pillars (after pruning).
+    pub output_active: usize,
     /// Number of input-output rules.
     pub rules: u64,
 }
@@ -198,10 +200,9 @@ pub struct ExecutionContext<'a> {
 enum LayerStep {
     /// Closed form: a dense layer's output set is the whole grid.
     Dense,
-    /// Full sweep, nothing recorded (no delta state).
-    Plain,
-    /// Full sweep that records the row structure for the next frame.
-    Record,
+    /// Full sweep; with a delta state it records the row structure for the
+    /// next frame.
+    Full,
     /// Re-sweeps only the output rows whose halo band changed; splices the rest.
     Patch,
     /// The input is unchanged since last frame: reuses the cached result.
@@ -363,17 +364,16 @@ pub fn execute_pattern(
         // structure for the next one.
         let step = match delta.as_deref() {
             _ if sp.kind == ConvKind::Dense => LayerStep::Dense,
-            None => LayerStep::Plain,
-            Some(_) if !frame_delta => LayerStep::Record,
-            Some(state)
-                if state.layers[li]
-                    .input
-                    .as_ref()
-                    .is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords) =>
-            {
-                LayerStep::Reuse
+            Some(state) if frame_delta => {
+                let prev = state.layers[li].input.as_ref();
+                if prev.is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords) {
+                    LayerStep::Reuse
+                } else {
+                    LayerStep::Patch
+                }
             }
-            Some(_) => LayerStep::Patch,
+            // The plain path, and the delta path's fallback frames.
+            _ => LayerStep::Full,
         };
         let mut cache = delta.as_deref_mut().map(|state| &mut state.layers[li]);
         let (dilated, rules, rows_swept): (Arc<[PillarCoord]>, u64, u64) = match step {
@@ -387,7 +387,7 @@ pub fn execute_pattern(
                 let dilated = cache.dilated.as_ref().expect("populated cache");
                 (Arc::clone(dilated), cache.rules, 0)
             }
-            LayerStep::Plain | LayerStep::Record | LayerStep::Patch => {
+            LayerStep::Full | LayerStep::Patch => {
                 let splice = step == LayerStep::Patch;
                 let (out, rules, swept) = arena.sweep_layer(
                     &in_coords,
@@ -396,15 +396,10 @@ pub fn execute_pattern(
                     sp.kernel,
                     cache.as_deref_mut().map(|c| (c, splice)),
                 );
-                // An unchanged dilated set reuses the previous frame's
-                // allocation, propagating pointer-equality downstream.
                 let dilated = if sp.kind == ConvKind::SpConvS {
                     Arc::clone(&in_coords)
                 } else {
-                    match cache.as_deref().and_then(|c| c.dilated.as_ref()) {
-                        Some(prev) if prev[..] == *out => Arc::clone(prev),
-                        _ => Arc::from(out),
-                    }
+                    Arc::from(out)
                 };
                 if let Some(cache) = cache {
                     cache.input = Some(Arc::clone(&in_coords));
@@ -459,23 +454,9 @@ pub fn execute_pattern(
                 let fg_after = keep.iter().filter(|&&i| foreground[i]).count();
                 pruned_foreground_ratio.push(fg_after as f64 / fg_before as f64);
             }
-            let kept: Vec<PillarCoord> = keep.into_iter().map(|i| dilated[i]).collect();
-            // Pruning is scene-dependent and re-runs every frame even on the
-            // delta path, but an unchanged pruned set reuses the previous
-            // frame's allocation so downstream layers see pointer-equal
-            // inputs.
-            match delta.as_deref_mut() {
-                Some(state) => {
-                    let cache = &mut state.layers[li];
-                    let arc = match cache.output.as_ref() {
-                        Some(prev) if prev[..] == kept[..] => Arc::clone(prev),
-                        _ => Arc::from(kept),
-                    };
-                    cache.output = Some(Arc::clone(&arc));
-                    arc
-                }
-                None => Arc::from(kept),
-            }
+            // Pruning is scene-dependent, so it re-runs every frame even on
+            // the delta path.
+            keep.into_iter().map(|i| dilated[i]).collect()
         } else {
             // Non-pruning layers pass the dilated set through unchanged — an
             // `Arc` clone, not a coordinate copy.
@@ -510,9 +491,9 @@ pub fn execute_pattern(
             spec: sp.clone(),
             stage: layer.stage,
             input_grid: in_grid,
-            input_coords: in_coords,
+            input_active: in_coords.len(),
             output_grid: out_grid,
-            output_coords: Arc::clone(&out_coords),
+            output_active: out_coords.len(),
             rules,
         });
         outputs.push((out_grid, out_coords));
@@ -682,7 +663,7 @@ mod tests {
         spec.layers[0].densify_input = true;
         let (trace, workloads) = run_plain(&spec, &coords, grid, 0, &ExecutionContext::default());
         assert_eq!(trace.layers[0].in_active, grid.num_cells());
-        assert_eq!(workloads[0].input_coords.len(), grid.num_cells());
+        assert_eq!(workloads[0].input_active, grid.num_cells());
     }
 
     #[test]
@@ -874,8 +855,8 @@ mod tests {
         assert_eq!(first, second);
         let stats = state.stats();
         assert_eq!(stats.frames_delta, 1);
-        // Frame 2's non-dense layers are all served from the cache: pointer
-        // equality propagates layer to layer, so nothing is swept at all.
+        // Frame 2's non-dense layers are all served from the cache: every
+        // layer's input equals last frame's, so nothing is swept at all.
         assert_eq!(stats.layers_patched, 0);
         assert_eq!(stats.layers_reused, spec.layers.len());
         assert_eq!(stats.rows_swept, stats.rows_full_equivalent / 2);

@@ -34,9 +34,10 @@
 //! [`FrameDeltaState`] carries the cross-frame caches for the one
 //! pattern-level executor entry point, [`crate::graph::execute_pattern`]
 //! (pass `Some(&mut state)`): the previous frame's per-layer inputs,
-//! dilated outputs, per-row rule counts, and row spans. The splice reuses
-//! the arena's scratch, so the steady-state delta path allocates nothing
-//! per frame.
+//! dilated outputs, per-row rule counts, and row spans. The splice runs in
+//! the arena's scratch and swaps its staged row structure into the cache,
+//! so once warm that scratch stops growing; each frame still allocates the
+//! coordinate sets it produces.
 
 use crate::conv::ConvKind;
 use crate::graph::LayerInput;
@@ -159,10 +160,6 @@ pub(crate) struct LayerDeltaCache {
     pub(crate) row_rules: Vec<u64>,
     /// Total rule count last frame.
     pub(crate) rules: u64,
-    /// The post-pruning output coords last frame (equals `dilated` for
-    /// non-pruning kinds) — kept so an unchanged pruned output reuses the
-    /// same `Arc` and downstream layers see pointer-equal inputs.
-    pub(crate) output: Option<Arc<[PillarCoord]>>,
 }
 
 impl LayerDeltaCache {

@@ -16,10 +16,12 @@
 #   7. serve smoke              — spade-serve + 50 spade-loadgen requests:
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
 #                                 wall time vs committed reference
-#   8. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
+#   8. digest gate              — perfbench (built --locked) export digests
+#                                 for seeds 0-7 vs perfbench/reference_digests.txt
+#   9. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
 #
-# The repository benchmark is perfbench (see perfbench/README.md); it is not
-# part of this gate.
+# The repository benchmark is perfbench (see perfbench/README.md); only its
+# digest mode is part of this gate, not its timed runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -61,6 +63,9 @@ scripts/perf_smoke.sh
 
 echo "==> serve smoke (spade-serve request loop under spade-loadgen)"
 scripts/serve_smoke.sh
+
+echo "==> digest gate (perfbench export digests, seeds 0-7, vs committed reference)"
+scripts/digest_gate.sh
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

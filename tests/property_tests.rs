@@ -293,10 +293,10 @@ proptest! {
     /// The delta executor is byte-identical to the plain path on real drive
     /// data: over every frame of every named scenario, for every
     /// convolution kind and kernel shape the zoo uses, a one-layer network
-    /// executed with a `FrameDeltaState` reproduces the plain execution's
-    /// trace and workloads exactly. The threshold admits every frame-to-frame
-    /// change, so every frame after the first splices rows in
-    /// `ExecutionArena::sweep_layer`.
+    /// (plus its coordinate probe) executed with a `FrameDeltaState`
+    /// reproduces the plain execution's trace and workloads exactly. The
+    /// threshold admits every frame-to-frame change, so every frame after
+    /// the first splices rows in `ExecutionArena::sweep_layer`.
     #[test]
     fn delta_patching_matches_full_sweeps_on_every_named_scenario(seed in 0u64..100_000) {
         // Downsample the BEV coordinates 8x so a whole scenario sweep of
@@ -342,7 +342,11 @@ proptest! {
     }
 }
 
-/// The (kind, kernel) cases the zoo uses, each as a one-layer network.
+/// The (kind, kernel) cases the zoo uses, each as a one-layer network
+/// followed by a 3×3 submanifold probe that reads layer 0. Workloads carry
+/// only counts, so the probe's rule count — a function of which neighbours
+/// are active — is what makes a count-preserving coordinate error in layer
+/// 0's output set visible to the delta-vs-plain comparison.
 fn one_layer_networks() -> Vec<NetworkSpec> {
     [
         (ConvKind::SpConv, KernelShape::k3x3()),
@@ -359,12 +363,20 @@ fn one_layer_networks() -> Vec<NetworkSpec> {
     .map(|(kind, kernel)| NetworkSpec {
         name: format!("{kind} {kernel:?}"),
         encoder_channels: 1,
-        layers: vec![NetworkLayer {
-            spec: LayerSpec::with_kernel("l0", kind, 1, 1, kernel),
-            input: LayerInput::Previous,
-            stage: 1,
-            densify_input: false,
-        }],
+        layers: vec![
+            NetworkLayer {
+                spec: LayerSpec::with_kernel("l0", kind, 1, 1, kernel),
+                input: LayerInput::Previous,
+                stage: 1,
+                densify_input: false,
+            },
+            NetworkLayer {
+                spec: LayerSpec::new("probe", ConvKind::SpConvS, 1, 1),
+                input: LayerInput::Layer(0),
+                stage: 1,
+                densify_input: false,
+            },
+        ],
     })
     .collect()
 }
