@@ -329,9 +329,13 @@ proptest! {
                     stats.frames_delta, stats.frames_total - 1,
                     "{}: a frame of {} fell back", scenario, spec.name
                 );
-                // Persistent drives leave rows clean between frames, so the
-                // splice copies rows instead of re-sweeping every one.
+                // Persistent drives leave rows clean between frames, so
+                // layer 0's splice copies rows instead of re-sweeping every
+                // one. `DeltaStats` sums over layers, so this is asserted on
+                // layer 0 alone: the probe must not stand in for it.
                 if scenario != NamedScenario::Constant && spec.layers[0].spec.kind != ConvKind::Dense {
+                    let layer0 = NetworkSpec { layers: spec.layers[..1].to_vec(), ..spec.clone() };
+                    let stats = delta_matches_plain(&layer0, grid, &frames, DeltaPolicy { threshold: 2.0 });
                     prop_assert!(
                         stats.layers_patched > 0 && stats.rows_swept < stats.rows_full_equivalent,
                         "{}: {} spliced no clean row: {:?}", scenario, spec.name, stats
