@@ -1,12 +1,29 @@
 //! Reusable scratch buffers and the one row sweep of pattern-level execution.
 //!
 //! [`crate::graph::execute_pattern`] — the single executor entry point —
-//! runs every sparse layer through `ExecutionArena::sweep_layer`: the
-//! paper's streaming RGU row merge, applied output row by output row over a
-//! row index of the layer's input. On the temporal delta path the same loop
-//! copies clean rows from the previous frame instead of re-sweeping them.
-//! The arena holds the scratch that sweep needs — the row index, the merge
-//! streams, the output-coordinate buffer, the delta path's dirty-row flags
+//! runs every sparse layer through `ExecutionArena::sweep_layer`, which
+//! works on occupancy bitmaps: the layer's input is indexed as one row of
+//! `width.div_ceil(64)` `u64` words per grid row, and each output row is
+//! computed word by word from the input rows its receptive field covers.
+//! Every sparse kind is word-parallel:
+//!
+//! - SpConv / SpConv-P dilation is the OR of the covered input rows, each
+//!   shifted by its tap's column offset `dc`;
+//! - the rule count is the popcount of every in-bounds shifted tap row —
+//!   for SpConv-S AND'd first with the layer's own input row, since its
+//!   outputs are its inputs;
+//! - SpStConv compacts the shifted row's even bits, SpDeconv spreads the
+//!   input row onto even bits before shifting.
+//!
+//! Output coordinates come out of the finished row by walking its set bits
+//! (`trailing_zeros`), so they are in CPR order. The counts and sets equal
+//! what the RGU's streaming merge ([`crate::rulegen::streaming`]) produces,
+//! pinned by this module's tests against `generate_rules` and the hash/sort
+//! oracles. On the temporal delta path the same loop copies clean rows from
+//! the previous frame instead of re-sweeping them; a row is dirty when its
+//! input bitmap differs from the cached one. The arena holds the scratch
+//! that sweep needs — the input bitmap (also the neck union's), the output
+//! row words, the output-coordinate buffer, the delta path's dirty-row flags
 //! and staged row structure, and a cache of dense all-cells sets — so
 //! consecutive layers (and consecutive `execute_pattern` calls that share one
 //! arena) reuse the same capacity instead of reallocating.
@@ -15,7 +32,7 @@ use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
 use crate::rulegen::delta::LayerDeltaCache;
 use crate::rulegen::output_grid;
-use crate::rulegen::streaming::{input_row_band, sweep_output_row, SliceRows, StreamState};
+use crate::rulegen::streaming::{input_row, input_row_band};
 use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
 
@@ -23,15 +40,16 @@ use std::sync::Arc;
 /// reuse it across layers and frames; every buffer retains its capacity.
 #[derive(Debug, Default)]
 pub struct ExecutionArena {
-    /// Row pointer array over the current input slice (`height + 1` entries).
-    row_ptr: Vec<usize>,
-    /// Column index of each input pillar, grouped by row.
-    cols: Vec<u32>,
-    /// Merge-stream state of the fused sweep (`kh·kw` entries at most).
-    streams: Vec<StreamState>,
+    /// Row bitmap of the current layer's input, or of the union being
+    /// built: bit `c % 64` of word `c / 64` of a row is column `c`.
+    bits: Vec<u64>,
+    /// The output row being accumulated (one row's words).
+    row: Vec<u64>,
+    /// SpDeconv: one input row spread onto even bits at output width.
+    spread: Vec<u64>,
     /// Output coordinates of the current sweep.
     out_coords: Vec<PillarCoord>,
-    /// General coordinate scratch (union merging, input normalisation).
+    /// General coordinate scratch (union output, input normalisation).
     pub(crate) scratch: Vec<PillarCoord>,
     /// Delta path: dirty flag per input row of the current layer.
     dirty_in: Vec<bool>,
@@ -43,6 +61,168 @@ pub struct ExecutionArena {
     dense_cells: Vec<(GridShape, Arc<[PillarCoord]>)>,
 }
 
+/// Words per bitmap row of a grid `width` columns wide.
+fn row_words(width: u32) -> usize {
+    width.div_ceil(64) as usize
+}
+
+/// Clears `bits` to a `grid`-sized bitmap and sets the bit of every
+/// coordinate inside `grid`.
+fn set_bits<'a>(
+    bits: &mut Vec<u64>,
+    grid: GridShape,
+    sets: impl IntoIterator<Item = &'a [PillarCoord]>,
+) {
+    let words = row_words(grid.width);
+    bits.clear();
+    bits.resize(grid.height as usize * words, 0);
+    for c in sets.into_iter().flatten().filter(|c| c.in_bounds(grid)) {
+        bits[c.row as usize * words + c.col as usize / 64] |= 1u64 << (c.col % 64);
+    }
+}
+
+/// Appends the set bits of row `o`'s words as coordinates, in column order.
+fn push_row(words: &[u64], o: u32, out: &mut Vec<PillarCoord>) {
+    for (w, &word) in (0u32..).zip(words) {
+        let mut rest = word;
+        while rest != 0 {
+            out.push(PillarCoord::new(o, w * 64 + rest.trailing_zeros()));
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// Word `w` of `row` shifted so that bit `b` of the result is bit `b + s` of
+/// `row`; bits outside `row` read as zero. `|s|` must stay below 64.
+fn shifted_word(row: &[u64], w: usize, s: i32) -> u64 {
+    let word = |i: usize| row.get(i).copied().unwrap_or(0);
+    let t = s.unsigned_abs();
+    debug_assert!(t < 64, "bitmap shifts stay inside one word");
+    match s.signum() {
+        1 => (word(w) >> t) | (word(w + 1) << (64 - t)),
+        -1 => (word(w) << t) | w.checked_sub(1).map_or(0, |v| word(v) >> (64 - t)),
+        _ => word(w),
+    }
+}
+
+/// Gathers bits 0, 2, …, 62 of `x` into its low 32 bits (stride-2 columns).
+fn compact_even(x: u64) -> u64 {
+    let mut x = x & 0x5555_5555_5555_5555;
+    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
+    x = (x | (x >> 2)) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | (x >> 4)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x >> 8)) & 0x0000_ffff_0000_ffff;
+    (x | (x >> 16)) & 0x0000_0000_ffff_ffff
+}
+
+/// Spreads the low 32 bits of `x` onto bits 0, 2, …, 62 (the inverse of
+/// [`compact_even`]: input column `c` lands on output column `2c`).
+fn spread_even(x: u64) -> u64 {
+    let mut x = x & 0x0000_0000_ffff_ffff;
+    x = (x | (x << 16)) & 0x0000_ffff_0000_ffff;
+    x = (x | (x << 8)) & 0x00ff_00ff_00ff_00ff;
+    x = (x | (x << 4)) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
+    (x | (x << 1)) & 0x5555_5555_5555_5555
+}
+
+/// The word geometry of one sparse layer's bitmap sweep.
+struct BitmapLayer {
+    kind: ConvKind,
+    kernel: KernelShape,
+    in_grid: GridShape,
+    /// Words per input row.
+    in_words: usize,
+    /// Words per output row.
+    out_words: usize,
+    /// Valid bits of an output row's last word.
+    tail: u64,
+}
+
+impl BitmapLayer {
+    fn new(in_grid: GridShape, kind: ConvKind, kernel: KernelShape) -> Self {
+        debug_assert!(kind != ConvKind::Dense, "dense layers bypass the sweep");
+        // Column offsets span at most `kw - 1`, so every shift stays below
+        // one word.
+        assert!(
+            kernel.kw <= 64,
+            "bitmap sweeps support kernels up to 64 columns wide, got {}",
+            kernel.kw
+        );
+        let out_width = output_grid(in_grid, kind).width;
+        let out_words = row_words(out_width);
+        Self {
+            kind,
+            kernel,
+            in_grid,
+            in_words: row_words(in_grid.width),
+            out_words,
+            tail: u64::MAX >> (out_words * 64 - out_width as usize),
+        }
+    }
+
+    /// Input row `r`'s words.
+    fn in_row<'b>(&self, bits: &'b [u64], r: usize) -> &'b [u64] {
+        &bits[r * self.in_words..(r + 1) * self.in_words]
+    }
+
+    /// Sweeps output row `o` over the input bitmap `bits`: leaves the row's
+    /// active output columns in `row` (left zero for SpConv-S, whose outputs
+    /// are its inputs) and returns the row's rule count. `spread` is
+    /// SpDeconv's scratch row.
+    fn sweep_row(&self, bits: &[u64], o: u32, row: &mut [u64], spread: &mut [u64]) -> u64 {
+        row.fill(0);
+        let own = (self.kind == ConvKind::SpConvS).then(|| self.in_row(bits, o as usize));
+        if own.is_some_and(|own| own.iter().all(|&w| w == 0)) {
+            return 0;
+        }
+        let last = self.out_words - 1;
+        let (cr, cc) = self.kernel.centre();
+        let (cr, cc) = (i64::from(cr), i64::from(cc));
+        let mut rules = 0u64;
+        for kr in 0..i64::from(self.kernel.kh) {
+            let Some(p) = input_row(o, kr - cr, self.kind, self.in_grid.height) else {
+                continue;
+            };
+            let src = self.in_row(bits, p as usize);
+            if src.iter().all(|&w| w == 0) {
+                continue;
+            }
+            if self.kind == ConvKind::SpDeconv {
+                for (j, w) in spread.iter_mut().enumerate() {
+                    *w = spread_even(src[j / 2] >> (32 * (j % 2)));
+                }
+            }
+            for kc in 0..i64::from(self.kernel.kw) {
+                let dc = (kc - cc) as i32;
+                for w in 0..self.out_words {
+                    // Output column q of this tap reads input column q + dc
+                    // (stride 1), 2q + dc (SpStConv), or (q − dc) / 2
+                    // (SpDeconv, via the spread row).
+                    let mut v = match self.kind {
+                        ConvKind::SpStConv => {
+                            compact_even(shifted_word(src, 2 * w, dc))
+                                | compact_even(shifted_word(src, 2 * w + 1, dc)) << 32
+                        }
+                        ConvKind::SpDeconv => shifted_word(spread, w, -dc),
+                        _ => shifted_word(src, w, dc),
+                    };
+                    if w == last {
+                        v &= self.tail;
+                    }
+                    if let Some(own) = own {
+                        v &= own[w];
+                    } else {
+                        row[w] |= v;
+                    }
+                    rules += u64::from(v.count_ones());
+                }
+            }
+        }
+        rules
+    }
+}
+
 impl ExecutionArena {
     /// Creates an empty arena.
     #[must_use]
@@ -50,34 +230,16 @@ impl ExecutionArena {
         Self::default()
     }
 
-    /// Builds the row index (`row_ptr` + `cols`) over a CPR-sorted slice.
-    fn index_rows(&mut self, coords: &[PillarCoord], grid: GridShape) {
-        debug_assert!(
-            coords.windows(2).all(|w| w[0] < w[1]),
-            "arena sweeps require strictly CPR-sorted coordinates"
-        );
-        self.row_ptr.clear();
-        self.row_ptr.resize(grid.height as usize + 1, 0);
-        for c in coords {
-            self.row_ptr[c.row as usize + 1] += 1;
-        }
-        for i in 1..self.row_ptr.len() {
-            self.row_ptr[i] += self.row_ptr[i - 1];
-        }
-        self.cols.clear();
-        self.cols.extend(coords.iter().map(|c| c.col));
-    }
-
     /// Sweeps one sparse layer (any kind but [`ConvKind::Dense`]): indexes
-    /// the input rows once, then walks the output rows, producing the active
-    /// output coordinates (CPR order, in an internal buffer) and the rule
-    /// count together. [`ConvKind::SpConvS`] keeps its input set as its
-    /// output set, so the sweep emits no outputs for it and the returned
-    /// slice is empty.
+    /// the input as a row bitmap once, then computes the output rows word by
+    /// word, producing the active output coordinates (CPR order, in an
+    /// internal buffer) and the rule count together. [`ConvKind::SpConvS`]
+    /// keeps its input set as its output set, so the sweep emits no outputs
+    /// for it and the returned slice is empty.
     ///
     /// `delta` is `(cache, splice)` on the temporal delta path. The sweep
-    /// then records this frame's row structure — input row pointer, output
-    /// row spans, per-row rule counts — into `cache` for the next frame, and
+    /// then records this frame's row structure — input bitmap, output row
+    /// spans, per-row rule counts — into `cache` for the next frame, and
     /// with `splice` set, each output row whose receptive-field band saw no
     /// input change since the cached frame is copied from the cache instead
     /// of swept. Dirty rows are swept exactly as on the full path, so the
@@ -94,20 +256,29 @@ impl ExecutionArena {
         kernel: KernelShape,
         delta: Option<(&mut LayerDeltaCache, bool)>,
     ) -> (&[PillarCoord], u64, u64) {
+        debug_assert!(
+            coords.iter().all(|c| c.in_bounds(in_grid)),
+            "layer inputs lie inside their grid"
+        );
         let out_grid = output_grid(in_grid, kind);
-        self.index_rows(coords, in_grid);
+        let layer = BitmapLayer::new(in_grid, kind, kernel);
+        set_bits(&mut self.bits, in_grid, [coords]);
         let Self {
-            row_ptr,
-            cols,
-            streams,
+            bits,
+            row,
+            spread,
             out_coords,
             dirty_in,
             staged_row_ptr,
             staged_row_rules,
             ..
         } = self;
+        row.clear();
+        row.resize(layer.out_words, 0);
+        spread.clear();
+        spread.resize(layer.out_words, 0);
         // On the delta path, stage the new row structure; when splicing, a
-        // dirty input row is one whose column set differs between the cached
+        // dirty input row is one whose bitmap differs between the cached
         // previous input and the current one.
         let record = delta.is_some();
         let splice = delta.as_ref().filter(|(_, s)| *s).map(|(c, _)| &**c);
@@ -117,18 +288,16 @@ impl ExecutionArena {
             staged_row_rules.clear();
         }
         if let Some(cache) = splice {
-            let prev = cache
-                .input
-                .as_deref()
-                .expect("splicing requires a recorded layer input");
+            debug_assert_eq!(cache.in_bits.len(), bits.len(), "recorded on this grid");
             dirty_in.clear();
-            dirty_in.extend((0..in_grid.height as usize).map(|r| {
-                let prev = &prev[cache.in_row_ptr[r]..cache.in_row_ptr[r + 1]];
-                let next = &cols[row_ptr[r]..row_ptr[r + 1]];
-                prev.len() != next.len() || prev.iter().zip(next).any(|(p, &n)| p.col != n)
-            }));
+            dirty_in.extend(
+                cache
+                    .in_bits
+                    .chunks_exact(layer.in_words)
+                    .zip(bits.chunks_exact(layer.in_words))
+                    .map(|(prev, next)| prev != next),
+            );
         }
-        let rows = SliceRows { row_ptr, cols };
         out_coords.clear();
         let mut rules = 0u64;
         let mut swept = 0u64;
@@ -147,10 +316,9 @@ impl ExecutionArena {
                 cache.row_rules[o as usize]
             } else {
                 swept += 1;
-                let base = out_coords.len();
-                sweep_output_row(
-                    &rows, in_grid, out_grid, kind, kernel, streams, out_coords, o, base,
-                )
+                let row_rules = layer.sweep_row(bits, o, row, spread);
+                push_row(row, o, out_coords);
+                row_rules
             };
             if record {
                 staged_row_ptr.push(out_coords.len());
@@ -163,8 +331,8 @@ impl ExecutionArena {
         if let Some((cache, _)) = delta {
             std::mem::swap(&mut cache.out_row_ptr, staged_row_ptr);
             std::mem::swap(&mut cache.row_rules, staged_row_rules);
-            cache.in_row_ptr.clear();
-            cache.in_row_ptr.extend_from_slice(row_ptr);
+            cache.in_bits.clear();
+            cache.in_bits.extend_from_slice(bits);
             cache.rules = rules;
         }
         (out_coords, rules, swept)
@@ -175,9 +343,9 @@ impl ExecutionArena {
     #[must_use]
     pub fn scratch_capacities(&self) -> [usize; 8] {
         [
-            self.row_ptr.capacity(),
-            self.cols.capacity(),
-            self.streams.capacity(),
+            self.bits.capacity(),
+            self.row.capacity(),
+            self.spread.capacity(),
             self.out_coords.capacity(),
             self.scratch.capacity(),
             self.dirty_in.capacity(),
@@ -197,34 +365,21 @@ impl ExecutionArena {
         cells
     }
 
-    /// Union of several CPR-sorted coordinate sets, cropped to `grid` —
-    /// the concatenation semantics of [`crate::graph::LayerInput::Union`].
+    /// Union of several coordinate sets, cropped to `grid` — the
+    /// concatenation semantics of [`crate::graph::LayerInput::Union`].
     ///
-    /// Cropping keeps each input in CPR order, so the union is one
-    /// deduplicating merge of the cropped inputs into arena scratch.
+    /// The union is the OR of the inputs' bits in the arena's row bitmap,
+    /// read back row by row in CPR order.
     pub(crate) fn union_coords<'a>(
         &mut self,
         sets: impl Iterator<Item = &'a [PillarCoord]>,
         grid: GridShape,
     ) -> Arc<[PillarCoord]> {
-        let mut inputs: Vec<_> = sets
-            .map(|s| {
-                debug_assert!(
-                    s.windows(2).all(|w| w[0] < w[1]),
-                    "union inputs must be strictly CPR-sorted"
-                );
-                s.iter()
-                    .copied()
-                    .filter(move |c| c.in_bounds(grid))
-                    .peekable()
-            })
-            .collect();
+        set_bits(&mut self.bits, grid, sets);
         self.scratch.clear();
-        while let Some(next) = inputs.iter_mut().filter_map(|s| s.peek().copied()).min() {
-            for s in &mut inputs {
-                s.next_if_eq(&next);
-            }
-            self.scratch.push(next);
+        let words = row_words(grid.width);
+        for (o, row) in (0u32..).zip(self.bits.chunks_exact(words)) {
+            push_row(row, o, &mut self.scratch);
         }
         Arc::from(&self.scratch[..])
     }
@@ -275,6 +430,65 @@ mod tests {
         assert!(out.is_empty(), "submanifold layers keep their input set");
         let book = rulegen::generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
         assert_eq!(rules, book.num_rules() as u64);
+    }
+
+    /// The bitmap kernel against the rule-book generators on grids whose
+    /// rows end before, on and after `u64` word boundaries, for every sparse
+    /// kind and kernel size, with pillars on all four grid edges.
+    #[test]
+    fn bitmap_sweeps_match_rule_books_across_word_boundaries() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut arena = ExecutionArena::new();
+        let kernels = [1, 2, 3, 5].map(|k| KernelShape { kh: k, kw: k });
+        let kinds = [
+            ConvKind::SpConv,
+            ConvKind::SpConvS,
+            ConvKind::SpConvP,
+            ConvKind::SpStConv,
+            ConvKind::SpDeconv,
+        ];
+        for width in [1, 63, 64, 65, 127, 128, 129, 130] {
+            for height in [1, 3, 7] {
+                let grid = GridShape::new(height, width);
+                let density = rng.gen_range(0.02..0.5);
+                let mut cs: Vec<PillarCoord> = grid
+                    .all_cells()
+                    .into_iter()
+                    .filter(|_| rng.gen_bool(density))
+                    .collect();
+                cs.extend([
+                    PillarCoord::new(0, rng.gen_range(0..width)),
+                    PillarCoord::new(height - 1, rng.gen_range(0..width)),
+                    PillarCoord::new(rng.gen_range(0..height), 0),
+                    PillarCoord::new(rng.gen_range(0..height), width - 1),
+                ]);
+                cs.sort_unstable();
+                cs.dedup();
+                let t = CprTensor::from_sorted_coords(grid, 1, &cs);
+                for kind in kinds {
+                    for kernel in kernels {
+                        let (out, rules, _) = arena.sweep_layer(&cs, grid, kind, kernel, None);
+                        let case = format!("{kind} {kernel:?} on {height}x{width}");
+                        let book = rulegen::generate_rules(&t, kind, kernel);
+                        if kind == ConvKind::SpConvS {
+                            assert!(out.is_empty(), "{case}");
+                        } else {
+                            assert_eq!(out, book.output_coords(), "outputs of {case}");
+                        }
+                        assert_eq!(rules, book.num_rules() as u64, "rules of {case}");
+                        for oracle in [
+                            rulegen::hash::generate(&t, kind, kernel),
+                            rulegen::sort::generate(&t, kind, kernel),
+                        ] {
+                            assert_eq!(oracle.output_coords(), book.output_coords(), "{case}");
+                            assert_eq!(oracle.num_rules(), book.num_rules(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -415,12 +629,16 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(19);
-        let input = GridShape::new(20, 22);
-        // Odd and smaller than the inputs on both axes, so the crop drops
-        // whole trailing rows and the tail columns of every row.
-        let grid = GridShape::new(13, 17);
+        // Crops odd and smaller than the inputs on both axes, so they drop
+        // whole trailing rows and the tail columns of every row; the second
+        // spans three bitmap words per row and ends inside the third.
+        let cases = [
+            (GridShape::new(20, 22), GridShape::new(13, 17)),
+            (GridShape::new(9, 150), GridShape::new(7, 131)),
+        ];
         let mut arena = ExecutionArena::new();
         for trial in 0..200 {
+            let (input, grid) = cases[trial / 100];
             let k = rng.gen_range(1..=4usize);
             // Odd trials draw disjoint sets (cells dealt round-robin), even
             // trials independent, overlapping ones.

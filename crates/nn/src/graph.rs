@@ -9,10 +9,11 @@
 //! models consume.
 //!
 //! This is the repository's hottest path (every bench and DSE cell funnels
-//! through it), so each layer runs the *fused* streaming sweep of
-//! [`crate::rulegen::streaming`] — output dilation and rule counting in one
-//! `O(P·K)` pass over [`ExecutionArena`] scratch — and a layer's output set
-//! is shared (`Arc`) with the layers that read it rather than cloned.
+//! through it), so each layer runs one word-parallel sweep over an occupancy
+//! bitmap in [`ExecutionArena`] scratch — output dilation and rule counting
+//! together, equal to what the RGU's streaming merge
+//! ([`crate::rulegen::streaming`]) produces — and a layer's output set is
+//! shared (`Arc`) with the layers that read it rather than cloned.
 //! Coordinate sets never leave the executor: the emitted workloads carry
 //! only active counts, as the RGU makes the coordinates on chip.
 
@@ -213,9 +214,9 @@ enum LayerStep {
 ///
 /// `initial_coords` are the active pillars produced by the pillar encoder on
 /// the base grid `grid`. Every sparse layer's dilation, rule count, and
-/// output set come from one fused streaming sweep over `arena`'s reusable
-/// buffers; loops that execute many networks or frames should keep one
-/// arena so scratch capacity carries over.
+/// output set come from one bitmap sweep over `arena`'s reusable buffers;
+/// loops that execute many networks or frames should keep one arena so
+/// scratch capacity carries over.
 ///
 /// With `delta: None` (the plain path) nothing is recorded or compared.
 /// With a [`FrameDeltaState`], consecutive frames of **one** drive, fed in
@@ -356,7 +357,7 @@ pub fn execute_pattern(
         let out_grid = sp.output_grid(in_grid);
         // Choose how this layer runs. Dense layers need no sweep: their
         // output set is the whole grid and their rule count is closed-form.
-        // Every other kind runs one fused sweep (submanifold layers keep
+        // Every other kind runs one bitmap sweep (submanifold layers keep
         // their input set as the output set) — served incrementally on the
         // delta path: an unchanged input reuses last frame's result
         // wholesale, a changed input re-sweeps only the output rows whose

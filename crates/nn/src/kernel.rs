@@ -48,21 +48,21 @@ impl KernelShape {
         (self.kh * self.kw) as usize
     }
 
+    /// The `(row, col)` tap that sits on the output position: the middle of
+    /// an odd side, index 0 of an even one.
+    #[must_use]
+    pub(crate) fn centre(self) -> (u32, u32) {
+        let half = |k: u32| if k % 2 == 1 { k / 2 } else { 0 };
+        (half(self.kh), half(self.kw))
+    }
+
     /// Spatial offsets `(d_row, d_col)` of each tap relative to the output
     /// position, in row-major tap order. Odd kernels are centred; even kernels
     /// (deconv) use offsets `0..k`.
     #[must_use]
     pub fn offsets(self) -> Vec<(i32, i32)> {
-        let centre_r = if self.kh % 2 == 1 {
-            (self.kh / 2) as i32
-        } else {
-            0
-        };
-        let centre_c = if self.kw % 2 == 1 {
-            (self.kw / 2) as i32
-        } else {
-            0
-        };
+        let (centre_r, centre_c) = self.centre();
+        let (centre_r, centre_c) = (centre_r as i32, centre_c as i32);
         let mut out = Vec::with_capacity(self.num_taps());
         for r in 0..self.kh as i32 {
             for c in 0..self.kw as i32 {

@@ -15,9 +15,10 @@
 //!   CPR-based algorithm (the RGU's algorithmic reference, `O(P)`), a
 //!   hash-table algorithm (as used by the SpConv GPU library), and a
 //!   merge-sort algorithm (as used by the PointAcc accelerator), each with a
-//!   cycle-cost model for Fig. 5(b) — plus [`rulegen::delta`], which patches
-//!   the previous frame's rule structures instead of regenerating them when
-//!   consecutive frames of a drive overlap (temporal delta execution).
+//!   cycle-cost model for Fig. 5(b) — plus [`rulegen::delta`], the
+//!   cross-frame state with which the executor copies the previous frame's
+//!   unchanged output rows instead of re-sweeping them when consecutive
+//!   frames of a drive overlap (temporal delta execution).
 //! * [`conv`] — sparse convolution variants (SpConv, SpConv-S, SpConv-P,
 //!   strided SpConv, SpDeconv) and a dense reference, executed functionally on
 //!   CPR tensors.
@@ -26,8 +27,9 @@
 //!   importance model.
 //! * [`graph`] — layer graphs, network execution traces (active pillars,
 //!   operation counts, IOPR per layer).
-//! * [`arena`] — reusable scratch buffers for the pattern-level executor's
-//!   fused streaming sweeps (zero per-layer reallocation).
+//! * [`arena`] — the pattern-level executor's layer sweep, word-parallel on
+//!   occupancy bitmaps, and its reusable scratch buffers (zero per-layer
+//!   reallocation).
 //! * [`zoo`] — the paper's model zoo: PP, SPP1–3, CP, SCP1–3, PN, SPN.
 //! * [`stats`] — GOPs/sparsity accounting helpers (Table I).
 //!

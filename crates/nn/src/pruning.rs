@@ -86,29 +86,47 @@ impl VectorPruner {
     /// Selects the indices (into `scores`) of the pillars to keep.
     ///
     /// Keeps `max(min_keep, ceil(keep_ratio * n))` pillars with the highest
-    /// scores; returned indices are sorted ascending so they can be fed to
-    /// [`CprTensor::select`] without disturbing CPR order.
+    /// scores; ties at the cut go to the lowest indices, as a stable sort by
+    /// descending score would order them. Returned indices are sorted
+    /// ascending so they can be fed to [`CprTensor::select`] without
+    /// disturbing CPR order.
+    ///
+    /// Scores must be finite and non-negative (importance scores and feature
+    /// magnitudes are); `-0.0` ties with `0.0`. On such scores the IEEE bit
+    /// pattern orders like the value, so the cut is a selection over plain
+    /// `u64` keys.
     #[must_use]
     pub fn keep_indices(&self, scores: &[f64]) -> Vec<usize> {
+        debug_assert!(
+            scores.iter().all(|s| s.is_finite() && *s >= 0.0),
+            "keep_indices scores must be finite and non-negative"
+        );
         let n = scores.len();
         let keep = ((self.config.keep_ratio * n as f64).ceil() as usize)
             .max(self.config.min_keep)
             .min(n);
-        // (score desc, index asc) is the order a stable sort by descending
-        // score produces; as a total order, a partial selection on it finds
-        // exactly that sort's first `keep` indices.
-        let mut order: Vec<usize> = (0..n).collect();
-        if keep < n {
-            order.select_nth_unstable_by(keep, |&a, &b| {
-                scores[b]
-                    .partial_cmp(&scores[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            order.truncate(keep);
-            order.sort_unstable();
+        if keep == n {
+            return (0..n).collect();
         }
-        order
+        if keep == 0 {
+            return Vec::new();
+        }
+        // `+ 0.0` turns `-0.0` into `0.0`, so equal scores get equal keys.
+        let key = |s: f64| (s + 0.0).to_bits();
+        let mut keys: Vec<u64> = scores.iter().map(|&s| key(s)).collect();
+        let (above, &mut cut, _) = keys.select_nth_unstable_by(keep - 1, |a, b| b.cmp(a));
+        // Everything above the cut is kept; the rest of the quota goes to
+        // the lowest-indexed scores equal to it.
+        let mut ties = keep - above.iter().filter(|&&k| k > cut).count();
+        let mut kept = Vec::with_capacity(keep);
+        for (i, &s) in scores.iter().enumerate() {
+            let k = key(s);
+            if k > cut || (k == cut && ties > 0) {
+                ties -= usize::from(k == cut);
+                kept.push(i);
+            }
+        }
+        kept
     }
 
     /// Prunes a tensor using per-pillar feature magnitudes as importance.
@@ -221,25 +239,30 @@ impl ImportanceModel {
             // A box-contained centre is within hypot(l, w)/2 of the object
             // centre, and a near centre is within max(l, w) — `reach` bounds
             // both predicates.
-            let r = obj.bbox.length.max(obj.bbox.width);
-            let (row_lo, row_hi) = cell_range(obj.bbox.cx, r, x0, sx, grid.height);
-            let (col_lo, col_hi) = cell_range(obj.bbox.cy, r, y0, sy, grid.width);
+            let b = &obj.bbox;
+            let r = b.length.max(b.width);
+            // `BoundingBox3::contains_bev`, with its rotation hoisted out of
+            // the cell loop: the same expressions, so the same classes.
+            let (sin, cos) = b.yaw.sin_cos();
+            let (half_l, half_w) = (b.length / 2.0 + 1e-12, b.width / 2.0 + 1e-12);
+            let (row_lo, row_hi) = cell_range(b.cx, r, x0, sx, grid.height);
+            let (col_lo, col_hi) = cell_range(b.cy, r, y0, sy, grid.width);
             for row in row_lo..=row_hi.min(grid.height.saturating_sub(1)) {
                 let x = x0 + (f64::from(row) + 0.5) * sx;
+                let dx = x - b.cx;
                 let cells = &mut classes[row as usize * grid.width as usize..];
                 for col in col_lo..=col_hi.min(grid.width.saturating_sub(1)) {
                     let y = y0 + (f64::from(col) + 0.5) * sy;
+                    let dy = y - b.cy;
                     let cell = &mut cells[col as usize];
+                    let lx = dx * cos + dy * sin;
+                    let ly = -dx * sin + dy * cos;
                     // A cell inside one object's box but merely near another
                     // is foreground, exactly as in the per-cell scan.
-                    if obj.bbox.contains_bev(x, y) {
+                    if lx.abs() <= half_l && ly.abs() <= half_w {
                         *cell = FOREGROUND;
-                    } else {
-                        let dx = x - obj.bbox.cx;
-                        let dy = y - obj.bbox.cy;
-                        if (dx * dx + dy * dy).sqrt() < r {
-                            *cell = (*cell).max(NEAR);
-                        }
+                    } else if (dx * dx + dy * dy).sqrt() < r {
+                        *cell = (*cell).max(NEAR);
                     }
                 }
             }
@@ -382,6 +405,49 @@ mod tests {
         assert!(scores[0] > scores[1]);
         assert!(model.is_foreground(car_coord));
         assert!(!model.is_foreground(far_coord));
+    }
+
+    #[test]
+    fn importance_raster_matches_a_per_cell_scan() {
+        // Overlapping boxes at several yaws, one straddling the grid's top
+        // edge, so foreground, near and background cells all meet.
+        let objects = vec![
+            SceneObject::at(ObjectClass::Car, 20.0, 0.0, 0.0),
+            SceneObject::at(ObjectClass::Truck, 21.5, 1.5, 0.6),
+            SceneObject::at(ObjectClass::Cyclist, 19.0, -1.2, -1.1),
+            SceneObject::at(ObjectClass::Pedestrian, 20.4, 0.8, 2.5),
+            SceneObject::at(ObjectClass::Car, 45.0, 12.0, std::f64::consts::FRAC_PI_2),
+            SceneObject::at(ObjectClass::Truck, 0.5, -20.0, 3.0),
+        ];
+        let scene = spade_pointcloud::Scene::from_objects(SceneConfig::kitti_like(), objects);
+        let cfg = PillarizationConfig::kitti_like();
+        for downsample in [1, 2, 4] {
+            let grid = cfg.grid_shape().downsample(downsample);
+            let model = ImportanceModel::for_scene(&scene, &cfg, grid, downsample, 7, true);
+            let sx = cfg.pillar_size_x * f64::from(downsample);
+            let sy = cfg.pillar_size_y * f64::from(downsample);
+            let scan: Vec<u8> = grid
+                .all_cells()
+                .into_iter()
+                .map(|c| {
+                    let x = cfg.x_range.0 + (f64::from(c.row) + 0.5) * sx;
+                    let y = cfg.y_range.0 + (f64::from(c.col) + 0.5) * sy;
+                    let boxes = scene.objects().iter().map(|o| &o.bbox);
+                    if boxes.clone().any(|b| b.contains_bev(x, y)) {
+                        FOREGROUND
+                    } else if boxes.into_iter().any(|b| {
+                        let (dx, dy) = (x - b.cx, y - b.cy);
+                        (dx * dx + dy * dy).sqrt() < b.length.max(b.width)
+                    }) {
+                        NEAR
+                    } else {
+                        BACKGROUND
+                    }
+                })
+                .collect();
+            assert_eq!(model.classes, scan, "downsample {downsample}");
+            assert!(scan.contains(&FOREGROUND) && scan.contains(&NEAR));
+        }
     }
 
     #[test]

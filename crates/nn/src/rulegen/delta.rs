@@ -3,20 +3,17 @@
 //!
 //! Consecutive frames of a persistent drive share most of their active
 //! pillars (~0.88 consecutive-frame overlap on scripted scenarios), yet a
-//! full sweep rebuilds every output row of every layer each frame. The sweep
-//! core ([`crate::rulegen::streaming`]) is row-independent: output row `o`
-//! reads only the input rows inside its receptive-field band
-//! (`input_row_band`) and emits a contiguous run of output indices. A
-//! frame-to-frame change confined to a few input rows can therefore only
-//! affect the output rows whose halo band touches them.
+//! full sweep rebuilds every output row of every layer each frame. A layer
+//! sweep is row-independent: output row `o` reads only the input rows inside
+//! its receptive-field band (`input_row_band`) and emits a contiguous run of
+//! output coordinates. A frame-to-frame change confined to a few input rows
+//! can therefore only affect the output rows whose halo band touches them.
 //!
-//! The sweep core has two drivers. [`crate::rulegen::generate_rules`] runs
-//! it over every row to build a [`crate::rule::RuleBook`].
-//! `ExecutionArena::sweep_layer`, the executor's driver, runs it for output
-//! coordinates and rule counts, and on a delta frame it is also the splice:
+//! `ExecutionArena::sweep_layer`, the executor's bitmap sweep, is also the
+//! splice. On a delta frame:
 //!
-//! 1. **Coord diff** — a *dirty* input row is one whose column set changed
-//!    since the cached frame.
+//! 1. **Row diff** — a *dirty* input row is one whose bitmap words differ
+//!    from the layer's cached bitmap of the previous frame.
 //! 2. **Halo rows** — an output row is dirty iff any input row in its
 //!    receptive-field band is dirty.
 //! 3. **Splice** — dirty output rows are re-swept; clean rows copy their
@@ -33,11 +30,11 @@
 //!
 //! [`FrameDeltaState`] carries the cross-frame caches for the one
 //! pattern-level executor entry point, [`crate::graph::execute_pattern`]
-//! (pass `Some(&mut state)`): the previous frame's per-layer inputs,
-//! dilated outputs, per-row rule counts, and row spans. The splice runs in
-//! the arena's scratch and swaps its staged row structure into the cache,
-//! so once warm that scratch stops growing; each frame still allocates the
-//! coordinate sets it produces.
+//! (pass `Some(&mut state)`): the previous frame's per-layer inputs and
+//! their row bitmaps, dilated outputs, per-row rule counts, and row spans.
+//! The splice runs in the arena's scratch and swaps its staged row structure
+//! into the cache, so once warm that scratch stops growing; each frame still
+//! allocates the coordinate sets it produces.
 
 use crate::conv::ConvKind;
 use crate::graph::LayerInput;
@@ -150,8 +147,9 @@ impl DeltaStats {
 pub(crate) struct LayerDeltaCache {
     /// The layer's input coords last frame.
     pub(crate) input: Option<Arc<[PillarCoord]>>,
-    /// Row pointer over `input` (`height + 1` entries).
-    pub(crate) in_row_ptr: Vec<usize>,
+    /// Row bitmap of `input` (the arena's layout: `width.div_ceil(64)`
+    /// words per row), compared row by row to find dirty input rows.
+    pub(crate) in_bits: Vec<u64>,
     /// The dilated (pre-pruning) output coords last frame.
     pub(crate) dilated: Option<Arc<[PillarCoord]>>,
     /// Row pointer over `dilated` (`out height + 1` entries).

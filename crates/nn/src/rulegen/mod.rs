@@ -11,11 +11,12 @@
 //!   accelerator (64-element bitonic merge sorter).
 //!
 //! The streaming algorithm is one sweep core, `streaming::sweep_output_row`,
-//! with two drivers. [`generate_rules`] runs it over every output row to
-//! build a [`RuleBook`] (the functional convolution kernels and the oracle
-//! tests use it). `ExecutionArena::sweep_layer` runs it for pattern-level
-//! execution, producing output coordinates and rule counts without
-//! materialising rules, and splices clean rows on the temporal [`delta`]
+//! with one driver: [`generate_rules`] runs it over every output row to
+//! build a [`RuleBook`] (the functional convolution kernels, `fig05b` and
+//! the oracle tests use it). Pattern-level execution needs only each
+//! layer's output set and rule count, so `ExecutionArena::sweep_layer`
+//! computes those on occupancy bitmaps instead, pinned equal to this
+//! module's generators, and splices clean rows on the temporal [`delta`]
 //! path. The hash and sort generators exist to verify equivalence and to
 //! model their cycle costs.
 

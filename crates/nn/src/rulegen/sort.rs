@@ -39,8 +39,12 @@ pub fn generate_with_stats(
         for (tap, (dr, dc)) in kernel.offsets().into_iter().enumerate() {
             let q = match kind {
                 ConvKind::SpDeconv => {
-                    let q = PillarCoord::new(p.row * 2 + dr as u32, p.col * 2 + dc as u32);
-                    q.in_bounds(out_grid).then_some(q)
+                    // Odd kernels have negative offsets, so map in i64.
+                    let qr = 2 * i64::from(p.row) + i64::from(dr);
+                    let qc = 2 * i64::from(p.col) + i64::from(dc);
+                    (qr >= 0 && qc >= 0)
+                        .then(|| PillarCoord::new(qr as u32, qc as u32))
+                        .filter(|q| q.in_bounds(out_grid))
                 }
                 ConvKind::SpStConv => {
                     let qr2 = i64::from(p.row) - i64::from(dr);

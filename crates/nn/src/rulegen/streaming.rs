@@ -20,12 +20,15 @@
 //! comparison is a fixed `K ≤ 9`-wide scan that hardware evaluates in
 //! parallel.
 //!
-//! The crate-internal `sweep_output_row` is the one sweep core, and it has
-//! two drivers. [`generate`] runs it over every output row to build a full
-//! [`RuleBook`]. The pattern-level executor's `ExecutionArena::sweep_layer`
-//! runs it row by row to produce output coordinates and rule counts without
-//! materialising rules, and on the temporal delta path it sweeps only the
-//! dirty rows and splices the clean ones from the previous frame.
+//! The private `sweep_output_row` is the sweep core and [`generate`] its one
+//! driver: it runs the core over every output row to build a full
+//! [`RuleBook`], which is what the functional convolutions, `fig05b` and the
+//! oracle tests read. Pattern-level execution does not merge at all: the
+//! RGU's cost is modelled from per-layer counts, so
+//! `ExecutionArena::sweep_layer` computes the same output sets and rule
+//! counts on occupancy bitmaps, and its tests pin it to this module. Both
+//! align kernel rows to input rows through `input_row`; `input_row_band` is
+//! the receptive field the delta path checks for dirty rows.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
@@ -36,40 +39,10 @@ use spade_tensor::{CprTensor, GridShape, PillarCoord};
 /// Sentinel head value for a drained merge stream.
 const EXHAUSTED: u32 = u32::MAX;
 
-/// Row-indexed access to a CPR-ordered coordinate set: the global index of a
-/// row's first pillar plus the row's sorted column indices.
-pub(crate) trait RowSource {
-    /// Returns `(global index of the first pillar in row r, columns of row r)`.
-    fn row(&self, r: u32) -> (usize, &[u32]);
-}
-
-impl RowSource for &CprTensor {
-    fn row(&self, r: u32) -> (usize, &[u32]) {
-        (self.row_range(r).0, self.pillars_in_row(r))
-    }
-}
-
-/// A [`RowSource`] over scratch `row_ptr`/`cols` buffers built from a sorted
-/// coordinate slice (see [`crate::arena::ExecutionArena`]).
-pub(crate) struct SliceRows<'a> {
-    /// Row pointer array, `height + 1` entries.
-    pub row_ptr: &'a [usize],
-    /// Column index of every pillar, grouped by row.
-    pub cols: &'a [u32],
-}
-
-impl RowSource for SliceRows<'_> {
-    fn row(&self, r: u32) -> (usize, &[u32]) {
-        let start = self.row_ptr[r as usize];
-        let end = self.row_ptr[r as usize + 1];
-        (start, &self.cols[start..end])
-    }
-}
-
 /// One merge stream: a single (input row, kernel tap) pair emitting candidate
 /// output columns in ascending order.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct StreamState {
+struct StreamState {
     /// Input row this stream reads.
     row: u32,
     /// Cursor within the row's column slice.
@@ -87,8 +60,8 @@ pub(crate) struct StreamState {
 /// Advances `s` to its next valid candidate output column. All three column
 /// maps are monotone in the input column, so candidates past the right grid
 /// edge drain the stream outright.
-fn settle<R: RowSource>(rows: &R, s: &mut StreamState, kind: ConvKind, out_w: u32) {
-    let (_, cols) = rows.row(s.row);
+fn settle(input: &CprTensor, s: &mut StreamState, kind: ConvKind, out_w: u32) {
+    let cols = input.pillars_in_row(s.row);
     while s.cursor < cols.len() {
         let col = i64::from(cols[s.cursor]);
         let cand = match kind {
@@ -118,125 +91,66 @@ fn settle<R: RowSource>(rows: &R, s: &mut StreamState, kind: ConvKind, out_w: u3
     s.head = EXHAUSTED;
 }
 
-/// Receiver of the sweep's two interleaved emission feeds. All rules
-/// targeting an output arrive immediately after that output's
-/// [`SweepSink::output`] call (candidate streams are strictly increasing, so
-/// an output column is never revisited).
-pub(crate) trait SweepSink {
-    /// A new active output coordinate, in ascending CPR order.
-    fn output(&mut self, coord: PillarCoord);
-    /// A rule `(tap, input index, output index)`.
-    fn rule(&mut self, tap: usize, input: usize, output: usize);
-}
-
-/// Pattern-level execution collects only the output coordinates (a
-/// submanifold sweep emits no outputs, so it only counts rules).
-impl SweepSink for Vec<PillarCoord> {
-    fn output(&mut self, coord: PillarCoord) {
-        self.push(coord);
-    }
-    fn rule(&mut self, _tap: usize, _input: usize, _output: usize) {}
-}
-
-/// Rule-book generation streams both feeds into the book.
-impl SweepSink for RuleBook {
-    fn output(&mut self, coord: PillarCoord) {
-        self.push_output(coord);
-    }
-    fn rule(&mut self, tap: usize, input: usize, output: usize) {
-        self.push(tap, input, output);
-    }
-}
-
-/// Sweeps a single output row `o`, emitting its outputs (in CPR order) and
-/// rules through the sink with output indices starting at `out_index_base`.
-/// The sweep is row-independent (each output row only reads its own
-/// overlapping input rows and emits a contiguous run of output indices), so
-/// a full layer is this function applied to every row in order, and the
-/// delta path ([`crate::rulegen::delta`]) applies it to *dirty* rows only,
-/// splicing the results between untouched spans of the previous frame.
+/// Sweeps a single output row `o`, appending its outputs (in CPR order) and
+/// rules to `book`. The sweep is row-independent: each output row only
+/// reads its own overlapping input rows and emits a contiguous run of output
+/// indices, so a full layer is this function applied to every row in order.
 ///
-/// For [`ConvKind::SpConvS`] the output set is the input set, so
-/// [`SweepSink::output`] is never called and emitted output indices refer to
-/// the *input* ordering. [`ConvKind::Dense`] has no sparse structure to
-/// stream and is handled by the callers directly.
-///
-/// Returns the number of rules emitted for this row.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_output_row<R: RowSource>(
-    rows: &R,
-    in_grid: GridShape,
+/// For [`ConvKind::SpConvS`] the output set is the input set, so no output is
+/// appended and rule output indices refer to the *input* ordering.
+/// [`ConvKind::Dense`] has no sparse structure to stream and is handled by
+/// [`generate`] directly.
+fn sweep_output_row(
+    input: &CprTensor,
     out_grid: GridShape,
     kind: ConvKind,
     kernel: KernelShape,
     streams: &mut Vec<StreamState>,
-    sink: &mut impl SweepSink,
+    book: &mut RuleBook,
     o: u32,
-    out_index_base: usize,
-) -> u64 {
+) {
     debug_assert!(kind != ConvKind::Dense, "dense layers bypass the sweep");
     let (kh, kw) = (i64::from(kernel.kh), i64::from(kernel.kw));
-    // Same centring convention as `KernelShape::offsets`.
-    let centre_r = if kernel.kh % 2 == 1 {
-        i64::from(kernel.kh / 2)
-    } else {
-        0
-    };
-    let centre_c = if kernel.kw % 2 == 1 {
-        i64::from(kernel.kw / 2)
-    } else {
-        0
-    };
+    let (centre_r, centre_c) = kernel.centre();
+    let (centre_r, centre_c) = (i64::from(centre_r), i64::from(centre_c));
+    let in_grid = input.grid();
     let submanifold = kind == ConvKind::SpConvS;
+    let out_index_base = book.num_outputs();
     let mut num_outputs = 0usize;
-    let mut num_rules = 0u64;
 
     // Alignment: one stream per (overlapping input row, kernel column).
     streams.clear();
     for kr in 0..kh {
-        let dr = kr - centre_r;
-        let p_row: i64 = match kind {
-            ConvKind::SpStConv => 2 * i64::from(o) + dr,
-            ConvKind::SpDeconv => {
-                // q.row = 2·p.row + dr ⇒ p.row = (o − dr) / 2.
-                let v = i64::from(o) - dr;
-                if v < 0 || v % 2 != 0 {
-                    continue;
-                }
-                v / 2
-            }
-            _ => i64::from(o) + dr,
-        };
-        if p_row < 0 || p_row >= i64::from(in_grid.height) {
+        let Some(p_row) = input_row(o, kr - centre_r, kind, in_grid.height) else {
             continue;
-        }
-        let (base, cols) = rows.row(p_row as u32);
-        if cols.is_empty() {
+        };
+        let (base, end) = input.row_range(p_row);
+        if base == end {
             continue;
         }
         for kc in 0..kw {
             let mut s = StreamState {
-                row: p_row as u32,
+                row: p_row,
                 cursor: 0,
                 base,
                 dc: (kc - centre_c) as i32,
                 tap: (kr * kw + kc) as u32,
                 head: EXHAUSTED,
             };
-            settle(rows, &mut s, kind, out_grid.width);
+            settle(input, &mut s, kind, out_grid.width);
             if s.head != EXHAUSTED {
                 streams.push(s);
             }
         }
     }
     if streams.is_empty() {
-        return 0;
+        return;
     }
     // For submanifold convolution the active outputs of this row are the
     // active inputs of the same row; a forward cursor intersects the
     // merged candidate stream with them in the same pass.
     let (out_base, out_cols) = if submanifold {
-        rows.row(o)
+        (input.row_range(o).0, input.pillars_in_row(o))
     } else {
         (0, &[][..])
     };
@@ -261,7 +175,7 @@ pub(crate) fn sweep_output_row<R: RowSource>(
             (oc < out_cols.len() && out_cols[oc] == best).then(|| out_base + oc)
         } else {
             if last_emitted != best {
-                sink.output(PillarCoord::new(o, best));
+                book.push_output(PillarCoord::new(o, best));
                 num_outputs += 1;
             }
             Some(out_index_base + num_outputs - 1)
@@ -270,15 +184,31 @@ pub(crate) fn sweep_output_row<R: RowSource>(
         for s in streams.iter_mut() {
             if s.head == best {
                 if let Some(q) = q_idx {
-                    sink.rule(s.tap as usize, s.base + s.cursor, q);
-                    num_rules += 1;
+                    book.push(s.tap as usize, s.base + s.cursor, q);
                 }
                 s.cursor += 1;
-                settle(rows, s, kind, out_grid.width);
+                settle(input, s, kind, out_grid.width);
             }
         }
     }
-    num_rules
+}
+
+/// The input row that kernel row offset `dr` reads for output row `o`, if
+/// it lies inside the input's `in_height` rows.
+pub(crate) fn input_row(o: u32, dr: i64, kind: ConvKind, in_height: u32) -> Option<u32> {
+    let p = match kind {
+        ConvKind::SpStConv => 2 * i64::from(o) + dr,
+        ConvKind::SpDeconv => {
+            // q.row = 2·p.row + dr ⇒ p.row = (o − dr) / 2.
+            let v = i64::from(o) - dr;
+            if v < 0 || v % 2 != 0 {
+                return None;
+            }
+            v / 2
+        }
+        _ => i64::from(o) + dr,
+    };
+    (0..i64::from(in_height)).contains(&p).then_some(p as u32)
 }
 
 /// The input rows the sweep of output row `o` reads, as an inclusive range
@@ -291,40 +221,17 @@ pub(crate) fn input_row_band(
     kind: ConvKind,
     kernel: KernelShape,
 ) -> Option<(u32, u32)> {
-    let centre_r = if kernel.kh % 2 == 1 {
-        i64::from(kernel.kh / 2)
-    } else {
-        0
-    };
-    let mut lo = i64::MAX;
-    let mut hi = i64::MIN;
-    for kr in 0..i64::from(kernel.kh) {
-        let dr = kr - centre_r;
-        let p_row: i64 = match kind {
-            ConvKind::SpStConv => 2 * i64::from(o) + dr,
-            ConvKind::SpDeconv => {
-                let v = i64::from(o) - dr;
-                if v < 0 || v % 2 != 0 {
-                    continue;
-                }
-                v / 2
-            }
-            _ => i64::from(o) + dr,
-        };
-        if p_row < 0 || p_row >= i64::from(in_grid.height) {
-            continue;
-        }
-        lo = lo.min(p_row);
-        hi = hi.max(p_row);
-    }
-    // Submanifold sweeps additionally intersect with the *output* row's own
-    // input set, which sits at input row `o` — inside [lo, hi] already for
-    // odd kernels, but include it defensively.
-    if kind == ConvKind::SpConvS && (o as usize) < in_grid.height as usize {
-        lo = lo.min(i64::from(o));
-        hi = hi.max(i64::from(o));
-    }
-    (lo <= hi).then_some((lo as u32, hi as u32))
+    let centre_r = i64::from(kernel.centre().0);
+    let rows = (0..i64::from(kernel.kh))
+        .filter_map(|kr| input_row(o, kr - centre_r, kind, in_grid.height))
+        // Submanifold sweeps additionally intersect with the *output* row's
+        // own input set, which sits at input row `o` — inside the band
+        // already for odd kernels, but include it defensively.
+        .chain((kind == ConvKind::SpConvS && o < in_grid.height).then_some(o));
+    rows.fold(None, |band, r| match band {
+        None => Some((r, r)),
+        Some((lo, hi)) => Some((r.min(lo), r.max(hi))),
+    })
 }
 
 /// Generates a rule book with the streaming sweep: output coordinates,
@@ -354,18 +261,7 @@ pub fn generate(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> RuleB
     };
     let mut streams: Vec<StreamState> = Vec::with_capacity(taps);
     for o in 0..out_grid.height {
-        let base = book.num_outputs();
-        sweep_output_row(
-            &input,
-            in_grid,
-            out_grid,
-            kind,
-            kernel,
-            &mut streams,
-            &mut book,
-            o,
-            base,
-        );
+        sweep_output_row(input, out_grid, kind, kernel, &mut streams, &mut book, o);
     }
     book
 }

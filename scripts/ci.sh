@@ -17,7 +17,7 @@
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
 #                                 wall time vs committed reference
 #   8. digest gate              — perfbench (built --locked) export digests
-#                                 for seeds 0-7 vs perfbench/reference_digests.txt
+#                                 for seeds 0-11 vs perfbench/reference_digests.txt
 #   9. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
 #
 # The repository benchmark is perfbench (see perfbench/README.md); only its
@@ -64,7 +64,7 @@ scripts/perf_smoke.sh
 echo "==> serve smoke (spade-serve request loop under spade-loadgen)"
 scripts/serve_smoke.sh
 
-echo "==> digest gate (perfbench export digests, seeds 0-7, vs committed reference)"
+echo "==> digest gate (perfbench export digests, seeds 0-11, vs committed reference)"
 scripts/digest_gate.sh
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
