@@ -399,6 +399,62 @@ fn per_frame_delta_runs_match_full_runs_exactly() {
 }
 
 #[test]
+fn delta_stats_match_the_committed_golden() {
+    // Every `DeltaStats` counter of the delta path, per named scenario and
+    // sparse zoo model, over a 5-frame reduced-scale drive (seed 1), pinned
+    // exactly: which frames take the delta path, which layers count as
+    // reused, patched or full, and how many rows a patched layer re-sweeps.
+    use spade::nn::{DeltaPolicy, FrameDeltaState, ModelKind, PruningConfig};
+    use spade_bench::workload::model_run_on_frame_delta;
+    use std::fmt::Write;
+
+    let preset = DatasetPreset::kitti_like();
+    let mut actual = String::new();
+    for scenario in NamedScenario::ALL {
+        let cfg = scenario.config(5, 1);
+        let frames = DriveScenario::new(preset.clone(), cfg.clone()).frames();
+        for model in ModelKind::SPARSE {
+            let mut state = FrameDeltaState::new(DeltaPolicy::default());
+            for f in &frames {
+                let _ = model_run_on_frame_delta(
+                    model,
+                    &preset,
+                    &f.frame,
+                    cfg.pruning_seed(f.index),
+                    WorkloadScale::Reduced,
+                    PruningConfig::default(),
+                    &mut state,
+                );
+            }
+            let s = state.stats();
+            writeln!(
+                actual,
+                "{scenario} {model} {} {} {} {} {} {} {}",
+                s.frames_total,
+                s.frames_delta,
+                s.layers_reused,
+                s.layers_patched,
+                s.layers_full,
+                s.rows_full_equivalent,
+                s.rows_swept
+            )
+            .unwrap();
+        }
+    }
+    let golden = std::fs::read_to_string(golden_path("delta_stats.txt"))
+        .expect("tests/golden/delta_stats.txt is committed");
+    let expected: String = golden
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        actual == expected,
+        "delta counters drifted from tests/golden/delta_stats.txt; now:\n{actual}"
+    );
+}
+
+#[test]
 fn denser_traffic_narrows_spades_win() {
     // Run the sparse model on the sparse and dense ends of the drive via the
     // sweep machinery: the SPADE-vs-DenseAcc latency gap should be wider on

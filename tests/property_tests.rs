@@ -16,6 +16,7 @@ use spade::pointcloud::{
     WorldStep,
 };
 use spade::tensor::{CprTensor, GridShape, PillarCoord};
+use std::collections::BTreeSet;
 
 fn arb_coords(max: usize) -> impl Strategy<Value = Vec<PillarCoord>> {
     prop::collection::vec(
@@ -290,13 +291,16 @@ proptest! {
         prop_assert!(iid_overlap < 0.2, "i.i.d. baseline {iid_overlap}");
     }
 
-    /// The delta executor is byte-identical to the plain path on real drive
-    /// data: over every frame of every named scenario, for every
-    /// convolution kind and kernel shape the zoo uses, a one-layer network
-    /// (plus its coordinate probe) executed with a `FrameDeltaState`
-    /// reproduces the plain execution's trace and workloads exactly. The
-    /// threshold admits every frame-to-frame change, so every frame after
-    /// the first splices rows in `ExecutionArena::sweep_layer`.
+    /// Row soundness of the delta accounting on real drive data. Over
+    /// consecutive frames of every named scenario, for every convolution
+    /// kind and kernel the zoo uses, every output row of layer 0 whose
+    /// coordinates or rule count differ between the two frames (per row,
+    /// from `rulegen::generate_rules`) must be reached by a changed input
+    /// row — have a rule from it on a fully active grid — and the delta
+    /// path must count exactly the output rows those changed input rows
+    /// reach as re-swept. Every frame after the first also runs the
+    /// two-layer network (layer 0 plus its probe) through the delta path
+    /// and matches the plain path.
     #[test]
     fn delta_patching_matches_full_sweeps_on_every_named_scenario(seed in 0u64..100_000) {
         // Downsample the BEV coordinates 8x so a whole scenario sweep of
@@ -305,6 +309,10 @@ proptest! {
         let base = DatasetPreset::kitti_like().grid_shape();
         let grid = GridShape::new(base.height / 8, base.width / 8);
         let networks = one_layer_networks();
+        let reaches: Vec<_> = networks
+            .iter()
+            .map(|spec| rows_reached(grid, spec.layers[0].spec.kind, spec.layers[0].spec.kernel))
+            .collect();
         for scenario in NamedScenario::ALL {
             let drive = DriveScenario::named(DatasetPreset::kitti_like(), scenario, 3, seed);
             let frames: Vec<Vec<PillarCoord>> = drive
@@ -323,27 +331,115 @@ proptest! {
                     coords
                 })
                 .collect();
-            for spec in &networks {
+            for (spec, reach) in networks.iter().zip(&reaches) {
                 let stats = delta_matches_plain(spec, grid, &frames, DeltaPolicy { threshold: 2.0 });
                 prop_assert_eq!(
                     stats.frames_delta, stats.frames_total - 1,
                     "{}: a frame of {} fell back", scenario, spec.name
                 );
-                // Persistent drives leave rows clean between frames, so
-                // layer 0's splice copies rows instead of re-sweeping every
-                // one. `DeltaStats` sums over layers, so this is asserted on
-                // layer 0 alone: the probe must not stand in for it.
-                if scenario != NamedScenario::Constant && spec.layers[0].spec.kind != ConvKind::Dense {
-                    let layer0 = NetworkSpec { layers: spec.layers[..1].to_vec(), ..spec.clone() };
-                    let stats = delta_matches_plain(&layer0, grid, &frames, DeltaPolicy { threshold: 2.0 });
+                let l0 = &spec.layers[0].spec;
+                if l0.kind == ConvKind::Dense {
+                    continue;
+                }
+                let layer0 = NetworkSpec { layers: spec.layers[..1].to_vec(), ..spec.clone() };
+                for pair in frames.windows(2) {
+                    let (prev, next) = (&pair[0], &pair[1]);
+                    let row = |coords: &[PillarCoord], r: u32| -> Vec<PillarCoord> {
+                        coords.iter().copied().filter(|c| c.row == r).collect()
+                    };
+                    let reached: BTreeSet<u32> = (0..grid.height)
+                        .filter(|&r| row(prev, r) != row(next, r))
+                        .flat_map(|r| reach[r as usize].iter().copied())
+                        .collect();
+                    let before = output_rows(prev, grid, l0.kind, l0.kernel);
+                    let after = output_rows(next, grid, l0.kind, l0.kernel);
+                    let changed: Vec<u32> = (0u32..)
+                        .zip(before.iter().zip(&after))
+                        .filter(|(_, (a, b))| a != b)
+                        .map(|(o, _)| o)
+                        .collect();
                     prop_assert!(
-                        stats.layers_patched > 0 && stats.rows_swept < stats.rows_full_equivalent,
-                        "{}: {} spliced no clean row: {:?}", scenario, spec.name, stats
+                        changed.iter().all(|o| reached.contains(o)),
+                        "{}: {}: output rows {:?} changed, changed input rows reach {:?}",
+                        scenario, spec.name, changed, reached
+                    );
+                    prop_assert_eq!(
+                        rows_counted(&layer0, grid, prev, next),
+                        reached.len() as u64,
+                        "{}: {} counted other rows than the changed input rows reach",
+                        scenario, spec.name
                     );
                 }
             }
         }
     }
+}
+
+/// Each output row of a `kind`/`kernel` layer on `coords`: its output
+/// coordinates and its rule count, read off the rule book.
+fn output_rows(
+    coords: &[PillarCoord],
+    grid: GridShape,
+    kind: ConvKind,
+    kernel: KernelShape,
+) -> Vec<(Vec<PillarCoord>, usize)> {
+    let book = rulegen::generate_rules(
+        &CprTensor::from_sorted_coords(grid, 1, coords),
+        kind,
+        kernel,
+    );
+    let outputs = book.output_coords();
+    let mut rows = vec![(Vec::new(), 0); rulegen::output_grid(grid, kind).height as usize];
+    for &c in outputs {
+        rows[c.row as usize].0.push(c);
+    }
+    for tap in 0..book.num_taps() {
+        for rule in book.rules_for_tap(tap) {
+            rows[outputs[rule.output].row as usize].1 += 1;
+        }
+    }
+    rows
+}
+
+/// For each input row of a `kind`/`kernel` layer, the output rows that
+/// have a rule from it when every cell of `grid` is active.
+fn rows_reached(grid: GridShape, kind: ConvKind, kernel: KernelShape) -> Vec<BTreeSet<u32>> {
+    let cells = grid.all_cells();
+    let book = rulegen::generate_rules(
+        &CprTensor::from_sorted_coords(grid, 1, &cells),
+        kind,
+        kernel,
+    );
+    let mut reach = vec![BTreeSet::new(); grid.height as usize];
+    for tap in 0..book.num_taps() {
+        for rule in book.rules_for_tap(tap) {
+            reach[cells[rule.input].row as usize].insert(book.output_coords()[rule.output].row);
+        }
+    }
+    reach
+}
+
+/// The rows the delta path counts as re-swept when `next` follows `prev`
+/// through a fresh state that admits any change.
+fn rows_counted(
+    spec: &NetworkSpec,
+    grid: GridShape,
+    prev: &[PillarCoord],
+    next: &[PillarCoord],
+) -> u64 {
+    let ctx = ExecutionContext::default();
+    let mut arena = ExecutionArena::new();
+    let mut state = FrameDeltaState::new(DeltaPolicy { threshold: 2.0 });
+    for coords in [prev, next] {
+        let _ = execute_pattern(spec, coords, grid, 0, &ctx, &mut arena, Some(&mut state));
+    }
+    let stats = state.stats();
+    assert_eq!(
+        stats.frames_delta, 1,
+        "{}: the second frame takes the delta path",
+        spec.name
+    );
+    stats.rows_swept - stats.rows_full_equivalent / 2
 }
 
 /// The (kind, kernel) cases the zoo uses, each as a one-layer network
