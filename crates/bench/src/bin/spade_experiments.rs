@@ -22,9 +22,9 @@
 //! result is bit-identical for every worker count. `--scenario` selects a
 //! scripted drive (`constant | urban | stop-and-go | tunnel`); without it
 //! the sweep runs the legacy i.i.d. density-ramp drive. `--delta` executes
-//! each drive through the temporal delta path (patching the previous frame's
-//! rule structures instead of regenerating them; byte-identical results,
-//! adds the `frames_delta_executed` / `delta_speedup` export columns);
+//! each drive through the temporal delta path (the same sweeps, plus a count
+//! of the rows SPADE's RGU would re-sweep from frame to frame; byte-identical
+//! results, adds the `frames_delta_executed` / `delta_speedup` export columns);
 //! `--no-delta` restores the full-sweep default. `--enlarged` crosses the
 //! grid with the buffer-split × banking axes (~91× more configurations);
 //! `--adaptive` explores the grid via roofline screening + successive

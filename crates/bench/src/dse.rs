@@ -235,11 +235,11 @@ pub struct DseParams {
     /// [`NamedScenario::config`]), still over `num_frames`/`base_seed`.
     pub scenario: Option<NamedScenario>,
     /// Execute each drive through the temporal delta path
-    /// ([`model_run_on_frame_delta`]): consecutive frames patch the previous
-    /// frame's rule structures instead of regenerating them. The per-frame
-    /// workloads — and therefore every simulated cell — are byte-identical
-    /// to a full-sweep run; only the rule-generation work changes. Adds the
-    /// `frames_delta_executed` / `delta_speedup` columns to the exported
+    /// ([`model_run_on_frame_delta`]): the same sweeps, plus a count of the
+    /// output rows SPADE's RGU would re-sweep on each frame instead of
+    /// regenerating every rule. The per-frame workloads — and therefore
+    /// every simulated cell — are byte-identical to a full-sweep run. Adds
+    /// the `frames_delta_executed` / `delta_speedup` columns to the exported
     /// grid.
     pub delta: bool,
     /// Explore the grid adaptively ([`adaptive`]): a roofline lower bound
@@ -354,14 +354,14 @@ pub struct DseCell {
     /// backend could exploit. A property of the drive, so every cell of the
     /// same workload shares the value; `0.0` for single-frame drives.
     pub mean_pillar_overlap: f64,
-    /// Frames of this cell's workload that executed through the delta path
-    /// (patching the previous frame's rule structures) rather than a full
-    /// sweep. A property of the drive run, so every cell of the same
+    /// Frames of this cell's workload that passed the delta path's gate
+    /// (counted incrementally against the previous frame) rather than as a
+    /// full sweep. A property of the drive run, so every cell of the same
     /// workload shares the value; `0` when delta execution is off.
     pub frames_delta_executed: usize,
     /// Modelled rule-generation speedup of the delta run over a full-sweep
     /// run ([`DeltaStats::modelled_speedup`]): full-equivalent output rows
-    /// divided by rows actually swept. `1.0` when delta execution is off.
+    /// divided by rows counted as re-swept. `1.0` when delta execution is off.
     pub delta_speedup: f64,
     /// Whether this cell was fully simulated. `false` only for cells the
     /// adaptive explorer screened out, whose latency/energy columns then
@@ -739,7 +739,7 @@ impl SweepPlan {
                 // persistent worlds (`pruning_seed`) so the pruned layers inherit
                 // the scene's temporal coherence.
                 if params.delta {
-                    // The delta path is stateful across a drive's frames, so one
+                    // The delta counts are stateful across a drive's frames, so one
                     // model's frames run sequentially in order; models (and the
                     // design-point fan-out of stage 3) still parallelise, and the
                     // per-frame results are byte-identical to the pooled full

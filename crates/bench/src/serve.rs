@@ -27,9 +27,10 @@
 //!   progress (a zero-token budget degrades to serial execution).
 //! * **Persistent-world streams.** A `FRAME` request advances one drive
 //!   one frame through a per-`(drive, model)` [`FrameDeltaState`], the
-//!   temporal-delta path of PR 6 — consecutive frames of a client's drive
-//!   are patched, not re-swept. Per-frame [`DeltaStats`] are drained into
-//!   the service-wide aggregate that `STATS` reports.
+//!   temporal-delta path — each frame runs the full sweep, and the state
+//!   counts the rows an RGU would re-sweep against the stream's previous
+//!   frame. Per-frame [`DeltaStats`] are drained into the service-wide
+//!   aggregate that `STATS` reports.
 //!
 //! [`spade_nn::FrameDeltaState`]: FrameDeltaState
 
@@ -366,7 +367,7 @@ impl Drop for InflightGuard<'_> {
 }
 
 /// One client drive stream: the generated drive plus the delta state that
-/// carries rule structures from frame to frame.
+/// carries the previous frame's input bitmaps from frame to frame.
 struct StreamEntry {
     scenario_config: DriveScenarioConfig,
     preset: DatasetPreset,

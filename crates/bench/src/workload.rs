@@ -66,15 +66,14 @@ pub fn model_run_on_frame(
 }
 
 /// Like [`model_run_on_frame`], but executes the network through the
-/// temporal delta path: `state` carries the previous frame's rule
-/// structures, and layers whose inputs barely moved are patched instead of
-/// re-swept (see [`spade_nn::rulegen::delta`]).
+/// temporal delta path: `state` carries the previous frame's per-layer input
+/// bitmaps and counts, beside each layer's sweep, the output rows SPADE's
+/// RGU would re-sweep (see [`spade_nn::rulegen::delta`]).
 ///
 /// The result is byte-identical to [`model_run_on_frame`] on the same frame
-/// — the delta path only changes how the trace is computed, never what it
-/// contains. Feed one `state` the frames of **one** drive, in order; an
-/// incompatible or low-overlap frame falls back to a full sweep
-/// automatically.
+/// — every layer runs the same sweep; only `state`'s counters differ. Feed
+/// one `state` the frames of **one** drive, in order; an incompatible or
+/// low-overlap frame counts as a full sweep automatically.
 #[must_use]
 pub fn model_run_on_frame_delta(
     kind: ModelKind,

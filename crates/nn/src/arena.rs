@@ -19,20 +19,18 @@
 //! (`trailing_zeros`), so they are in CPR order. The counts and sets equal
 //! what the RGU's streaming merge ([`crate::rulegen::streaming`]) produces,
 //! pinned by this module's tests against `generate_rules` and the hash/sort
-//! oracles. On the temporal delta path the same loop copies clean rows from
-//! the previous frame instead of re-sweeping them; a row is dirty when its
-//! input bitmap differs from the cached one. The arena holds the scratch
-//! that sweep needs — the input bitmap (also the neck union's), the output
-//! row words, the output-coordinate buffer, the delta path's dirty-row flags
-//! and staged row structure, and a cache of dense all-cells sets — so
+//! oracles. Every path runs this one sweep; the temporal delta path only
+//! compares the input bitmap it leaves behind with the previous frame's
+//! ([`crate::rulegen::delta`]). The arena holds the scratch the sweep needs —
+//! the input bitmap (also the neck union's), the output row words, the
+//! output-coordinate buffer, and a cache of dense all-cells sets — so
 //! consecutive layers (and consecutive `execute_pattern` calls that share one
 //! arena) reuse the same capacity instead of reallocating.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
-use crate::rulegen::delta::LayerDeltaCache;
 use crate::rulegen::output_grid;
-use crate::rulegen::streaming::{input_row, input_row_band};
+use crate::rulegen::streaming::input_row;
 use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
 
@@ -51,12 +49,6 @@ pub struct ExecutionArena {
     out_coords: Vec<PillarCoord>,
     /// General coordinate scratch (union output, input normalisation).
     pub(crate) scratch: Vec<PillarCoord>,
-    /// Delta path: dirty flag per input row of the current layer.
-    dirty_in: Vec<bool>,
-    /// Delta path: output row pointer being staged for the layer cache.
-    staged_row_ptr: Vec<usize>,
-    /// Delta path: per-row rule counts being staged for the layer cache.
-    staged_row_rules: Vec<u64>,
     /// Cached all-cells coordinate sets, one per dense grid seen.
     dense_cells: Vec<(GridShape, Arc<[PillarCoord]>)>,
 }
@@ -236,26 +228,13 @@ impl ExecutionArena {
     /// internal buffer) and the rule count together. [`ConvKind::SpConvS`]
     /// keeps its input set as its output set, so the sweep emits no outputs
     /// for it and the returned slice is empty.
-    ///
-    /// `delta` is `(cache, splice)` on the temporal delta path. The sweep
-    /// then records this frame's row structure — input bitmap, output row
-    /// spans, per-row rule counts — into `cache` for the next frame, and
-    /// with `splice` set, each output row whose receptive-field band saw no
-    /// input change since the cached frame is copied from the cache instead
-    /// of swept. Dirty rows are swept exactly as on the full path, so the
-    /// result is byte-identical either way. The cache's coordinate sets
-    /// (`input`, `dilated`) are the caller's to store.
-    ///
-    /// Returns the output slice, the rule count, and the number of output
-    /// rows actually swept.
     pub(crate) fn sweep_layer(
         &mut self,
         coords: &[PillarCoord],
         in_grid: GridShape,
         kind: ConvKind,
         kernel: KernelShape,
-        delta: Option<(&mut LayerDeltaCache, bool)>,
-    ) -> (&[PillarCoord], u64, u64) {
+    ) -> (&[PillarCoord], u64) {
         debug_assert!(
             coords.iter().all(|c| c.in_bounds(in_grid)),
             "layer inputs lie inside their grid"
@@ -268,89 +247,38 @@ impl ExecutionArena {
             row,
             spread,
             out_coords,
-            dirty_in,
-            staged_row_ptr,
-            staged_row_rules,
             ..
         } = self;
         row.clear();
         row.resize(layer.out_words, 0);
         spread.clear();
         spread.resize(layer.out_words, 0);
-        // On the delta path, stage the new row structure; when splicing, a
-        // dirty input row is one whose bitmap differs between the cached
-        // previous input and the current one.
-        let record = delta.is_some();
-        let splice = delta.as_ref().filter(|(_, s)| *s).map(|(c, _)| &**c);
-        if record {
-            staged_row_ptr.clear();
-            staged_row_ptr.push(0);
-            staged_row_rules.clear();
-        }
-        if let Some(cache) = splice {
-            debug_assert_eq!(cache.in_bits.len(), bits.len(), "recorded on this grid");
-            dirty_in.clear();
-            dirty_in.extend(
-                cache
-                    .in_bits
-                    .chunks_exact(layer.in_words)
-                    .zip(bits.chunks_exact(layer.in_words))
-                    .map(|(prev, next)| prev != next),
-            );
-        }
         out_coords.clear();
         let mut rules = 0u64;
-        let mut swept = 0u64;
         for o in 0..out_grid.height {
-            let clean = splice.filter(|_| {
-                !input_row_band(o, in_grid, kind, kernel)
-                    .is_some_and(|(lo, hi)| dirty_in[lo as usize..=hi as usize].contains(&true))
-            });
-            let row_rules = if let Some(cache) = clean {
-                let prev_dilated = cache
-                    .dilated
-                    .as_deref()
-                    .expect("splicing requires a recorded dilation");
-                let span = cache.out_row_ptr[o as usize]..cache.out_row_ptr[o as usize + 1];
-                out_coords.extend_from_slice(&prev_dilated[span]);
-                cache.row_rules[o as usize]
-            } else {
-                swept += 1;
-                let row_rules = layer.sweep_row(bits, o, row, spread);
-                push_row(row, o, out_coords);
-                row_rules
-            };
-            if record {
-                staged_row_ptr.push(out_coords.len());
-                staged_row_rules.push(row_rules);
-            }
-            rules += row_rules;
+            rules += layer.sweep_row(bits, o, row, spread);
+            push_row(row, o, out_coords);
         }
-        // Commit this frame into the cache, swapping the staged row
-        // structures in so their capacity is reused next frame.
-        if let Some((cache, _)) = delta {
-            std::mem::swap(&mut cache.out_row_ptr, staged_row_ptr);
-            std::mem::swap(&mut cache.row_rules, staged_row_rules);
-            cache.in_bits.clear();
-            cache.in_bits.extend_from_slice(bits);
-            cache.rules = rules;
-        }
-        (out_coords, rules, swept)
+        (out_coords, rules)
+    }
+
+    /// The row bitmap of the input the last [`Self::sweep_layer`] read:
+    /// `width.div_ceil(64)` words per grid row, bit `c % 64` of word `c / 64`
+    /// set for an active column `c`.
+    pub(crate) fn input_bits(&self) -> &[u64] {
+        &self.bits
     }
 
     /// Capacities of the arena's scratch buffers — pinned by the test that
     /// asserts the scratch stops growing on the steady-state delta path.
     #[must_use]
-    pub fn scratch_capacities(&self) -> [usize; 8] {
+    pub fn scratch_capacities(&self) -> [usize; 5] {
         [
             self.bits.capacity(),
             self.row.capacity(),
             self.spread.capacity(),
             self.out_coords.capacity(),
             self.scratch.capacity(),
-            self.dirty_in.capacity(),
-            self.staged_row_ptr.capacity(),
-            self.staged_row_rules.capacity(),
         ]
     }
 
@@ -412,7 +340,7 @@ mod tests {
             (ConvKind::SpStConv, KernelShape::k3x3()),
             (ConvKind::SpDeconv, KernelShape::k2x2()),
         ] {
-            let (out, rules, _) = arena.sweep_layer(&cs, grid, kind, kernel, None);
+            let (out, rules) = arena.sweep_layer(&cs, grid, kind, kernel);
             let book = rulegen::generate_rules(&t, kind, kernel);
             assert_eq!(out, book.output_coords(), "outputs for {kind}");
             assert_eq!(rules, book.num_rules() as u64, "rules for {kind}");
@@ -425,8 +353,7 @@ mod tests {
         let cs = coords();
         let t = CprTensor::from_sorted_coords(grid, 1, &cs);
         let mut arena = ExecutionArena::new();
-        let (out, rules, _) =
-            arena.sweep_layer(&cs, grid, ConvKind::SpConvS, KernelShape::k3x3(), None);
+        let (out, rules) = arena.sweep_layer(&cs, grid, ConvKind::SpConvS, KernelShape::k3x3());
         assert!(out.is_empty(), "submanifold layers keep their input set");
         let book = rulegen::generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
         assert_eq!(rules, book.num_rules() as u64);
@@ -469,7 +396,7 @@ mod tests {
                 let t = CprTensor::from_sorted_coords(grid, 1, &cs);
                 for kind in kinds {
                     for kernel in kernels {
-                        let (out, rules, _) = arena.sweep_layer(&cs, grid, kind, kernel, None);
+                        let (out, rules) = arena.sweep_layer(&cs, grid, kind, kernel);
                         let case = format!("{kind} {kernel:?} on {height}x{width}");
                         let book = rulegen::generate_rules(&t, kind, kernel);
                         if kind == ConvKind::SpConvS {
@@ -499,58 +426,6 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same grid must share one allocation");
         assert_eq!(a.len(), 6);
         assert!(a.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn delta_splice_methods_match_full_sweeps() {
-        let grid = GridShape::new(16, 16);
-        let prev: Vec<PillarCoord> = vec![
-            PillarCoord::new(1, 1),
-            PillarCoord::new(1, 2),
-            PillarCoord::new(4, 6),
-            PillarCoord::new(7, 0),
-            PillarCoord::new(12, 9),
-        ];
-        // Move one pillar: rows 4 and 5 become dirty, the rest splice.
-        let next: Vec<PillarCoord> = vec![
-            PillarCoord::new(1, 1),
-            PillarCoord::new(1, 2),
-            PillarCoord::new(5, 6),
-            PillarCoord::new(7, 0),
-            PillarCoord::new(12, 9),
-        ];
-        let prev_arc: Arc<[PillarCoord]> = Arc::from(&prev[..]);
-        // Submanifold counts splice row-wise through the same loop.
-        for (kind, kernel) in [
-            (ConvKind::SpConv, KernelShape::k3x3()),
-            (ConvKind::SpStConv, KernelShape::k3x3()),
-            (ConvKind::SpDeconv, KernelShape::k2x2()),
-            (ConvKind::SpConvS, KernelShape::k3x3()),
-        ] {
-            let full = |coords: &[PillarCoord]| {
-                let mut arena = ExecutionArena::new();
-                let (o, r, _) = arena.sweep_layer(coords, grid, kind, kernel, None);
-                (o.to_vec(), r)
-            };
-            let mut arena = ExecutionArena::new();
-            let mut cache = LayerDeltaCache::default();
-            let (out, rules, swept) =
-                arena.sweep_layer(&prev, grid, kind, kernel, Some((&mut cache, false)));
-            let recorded: Arc<[PillarCoord]> = Arc::from(out);
-            let out_rows = u64::from(output_grid(grid, kind).height);
-            assert_eq!(swept, out_rows, "recording sweeps every row for {kind}");
-            cache.dilated = Some(Arc::clone(&recorded));
-            cache.input = Some(Arc::clone(&prev_arc));
-            let (full_out, full_rules) = full(&prev);
-            assert_eq!(&recorded[..], &full_out[..], "record diverged for {kind}");
-            assert_eq!(rules, full_rules, "record rules diverged for {kind}");
-            let (patched, rules, swept) =
-                arena.sweep_layer(&next, grid, kind, kernel, Some((&mut cache, true)));
-            let (oracle, oracle_rules) = full(&next);
-            assert_eq!(patched, &oracle[..], "splice diverged for {kind}");
-            assert_eq!(rules, oracle_rules, "splice rules diverged for {kind}");
-            assert!(swept > 0 && swept < out_rows, "kind {kind}: swept {swept}");
-        }
     }
 
     #[test]
@@ -599,16 +474,23 @@ mod tests {
         let ctx = ExecutionContext::default();
         let mut arena = ExecutionArena::new();
         let mut state = crate::rulegen::delta::FrameDeltaState::default();
+        let state_caps = |state: &crate::rulegen::delta::FrameDeltaState| {
+            let mut caps: Vec<usize> = state.prev_bits.iter().map(Vec::capacity).collect();
+            caps.push(state.dirty_before.capacity());
+            caps
+        };
         // Warm-up: one full frame plus one delta frame of each flavour.
         for coords in [&a, &b, &a] {
             let _ = execute_pattern(&spec, coords, grid, 0, &ctx, &mut arena, Some(&mut state));
         }
         let arena_caps = arena.scratch_capacities();
-        // Steady state: the coord-diff and halo-row scratch buffers must be
-        // reused as-is — no scratch reallocation on the delta path.
+        let delta_caps = state_caps(&state);
+        // Steady state: the sweep's scratch and the delta accounting's
+        // cached bitmaps and row-diff scratch are reused as-is.
         for coords in [&b, &a, &b, &a, &b] {
             let _ = execute_pattern(&spec, coords, grid, 0, &ctx, &mut arena, Some(&mut state));
             assert_eq!(arena.scratch_capacities(), arena_caps);
+            assert_eq!(state_caps(&state), delta_caps);
         }
         assert_eq!(state.stats().frames_total, 8);
         assert_eq!(state.stats().frames_delta, 7);

@@ -20,7 +20,7 @@
 use crate::arena::ExecutionArena;
 use crate::conv::{ConvKind, LayerSpec};
 use crate::pruning::{ImportanceModel, PruningConfig, VectorPruner};
-use crate::rulegen::delta::{changed_fraction, FrameDeltaState, LayerDeltaCache};
+use crate::rulegen::delta::{changed_fraction, FrameDeltaState};
 use serde::{Deserialize, Serialize};
 use spade_pointcloud::pillarize::PillarizationConfig;
 use spade_pointcloud::Scene;
@@ -196,20 +196,6 @@ pub struct ExecutionContext<'a> {
     pub seed: u64,
 }
 
-/// How one layer's dilated set and rule count are produced this frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LayerStep {
-    /// Closed form: a dense layer's output set is the whole grid.
-    Dense,
-    /// Full sweep; with a delta state it records the row structure for the
-    /// next frame.
-    Full,
-    /// Re-sweeps only the output rows whose halo band changed; splices the rest.
-    Patch,
-    /// The input is unchanged since last frame: reuses the cached result.
-    Reuse,
-}
-
 /// Executes a network at pattern level — the one executor entry point.
 ///
 /// `initial_coords` are the active pillars produced by the pillar encoder on
@@ -220,18 +206,15 @@ enum LayerStep {
 ///
 /// With `delta: None` (the plain path) nothing is recorded or compared.
 /// With a [`FrameDeltaState`], consecutive frames of **one** drive, fed in
-/// order, execute through the temporal delta path: a layer whose input did
-/// not change reuses last frame's result, and a changed layer re-sweeps only
-/// the output rows whose halo band is dirty, splicing the rest from the
-/// previous frame ([`crate::rulegen::delta`]). The result is byte-identical
-/// to the plain path on every frame — the delta path changes only *how* each
-/// layer's dilated set and rule count are produced (row splice vs full
-/// sweep — pinned equal by the delta property tests), never what is derived
-/// from them. Frames that changed too much (per
+/// order, also run the temporal delta accounting
+/// ([`crate::rulegen::delta`]): every layer still runs the same sweep, so
+/// the result equals the plain path's on every frame, and beside each sweep
+/// the state counts the output rows SPADE's RGU would re-sweep — those whose
+/// halo band touches an input row that changed since the previous frame.
+/// Frames that changed too much (per
 /// [`crate::rulegen::delta::DeltaPolicy`]), the first frame, and
-/// network/grid switches fall back to full sweeps while still recording the
-/// caches for the next frame. [`FrameDeltaState::stats`] reports what the
-/// delta path did.
+/// network/grid switches count every row while still recording the bitmaps
+/// for the next frame. [`FrameDeltaState::stats`] reports the counts.
 #[must_use]
 pub fn execute_pattern(
     spec: &NetworkSpec,
@@ -259,12 +242,12 @@ pub fn execute_pattern(
         arena.scratch.dedup();
         Arc::from(&arena.scratch[..])
     };
-    // Frame-level delta gate: the delta path runs only when the caches hold
-    // the same network (layer by layer) on the same grid and the
-    // frame-to-frame change stays within the policy threshold. Anything else
-    // (first frame, i.i.d. drive, scene cut, model switch) falls back to full
-    // sweeps — which still *record* the caches so the next frame can go
-    // incremental.
+    // Frame-level delta gate: a frame counts as a delta frame only when the
+    // cached bitmaps come from the same network (layer by layer) on the same
+    // grid and the frame-to-frame change stays within the policy threshold.
+    // Anything else (first frame, i.i.d. drive, scene cut, model switch)
+    // counts as full sweeps — which still *record* the bitmaps so the next
+    // frame can count incrementally.
     let mut frame_delta = false;
     if let Some(state) = delta.as_deref_mut() {
         state.stats.frames_total += 1;
@@ -285,18 +268,16 @@ pub fn execute_pattern(
                 .iter()
                 .map(|l| (l.spec.kind, l.spec.kernel, l.input.clone(), l.densify_input))
                 .collect();
-            state
-                .layers
-                .resize_with(spec.layers.len(), LayerDeltaCache::default);
+            state.prev_bits.resize_with(spec.layers.len(), Vec::new);
         }
         if let Some(prev) = &state.prev_initial {
             if compatible
                 && state.policy.accepts(changed_fraction(prev, &initial))
                 && state
-                    .layers
+                    .prev_bits
                     .iter()
                     .zip(&spec.layers)
-                    .all(|(c, l)| l.spec.kind == ConvKind::Dense || c.is_populated())
+                    .all(|(bits, l)| l.spec.kind == ConvKind::Dense || !bits.is_empty())
             {
                 frame_delta = true;
                 state.stats.frames_delta += 1;
@@ -355,70 +336,28 @@ pub fn execute_pattern(
         }
         let sp = &layer.spec;
         let out_grid = sp.output_grid(in_grid);
-        // Choose how this layer runs. Dense layers need no sweep: their
-        // output set is the whole grid and their rule count is closed-form.
-        // Every other kind runs one bitmap sweep (submanifold layers keep
-        // their input set as the output set) — served incrementally on the
-        // delta path: an unchanged input reuses last frame's result
-        // wholesale, a changed input re-sweeps only the output rows whose
-        // halo band is dirty, and full (fallback) frames record the row
-        // structure for the next one.
-        let step = match delta.as_deref() {
-            _ if sp.kind == ConvKind::Dense => LayerStep::Dense,
-            Some(state) if frame_delta => {
-                let prev = state.layers[li].input.as_ref();
-                if prev.is_some_and(|p| Arc::ptr_eq(p, &in_coords) || **p == *in_coords) {
-                    LayerStep::Reuse
-                } else {
-                    LayerStep::Patch
-                }
-            }
-            // The plain path, and the delta path's fallback frames.
-            _ => LayerStep::Full,
-        };
-        let mut cache = delta.as_deref_mut().map(|state| &mut state.layers[li]);
-        let (dilated, rules, rows_swept): (Arc<[PillarCoord]>, u64, u64) = match step {
-            LayerStep::Dense => (
+        // Dense layers need no sweep: their output set is the whole grid and
+        // their rule count is closed-form. Every other kind runs one bitmap
+        // sweep (submanifold layers keep their input set as the output set),
+        // with the delta accounting beside it.
+        let (dilated, rules): (Arc<[PillarCoord]>, u64) = if sp.kind == ConvKind::Dense {
+            (
                 arena.dense_cells(out_grid),
                 out_grid.num_cells() as u64 * sp.kernel.num_taps() as u64,
-                0,
-            ),
-            LayerStep::Reuse => {
-                let cache = cache.expect("reuse requires a delta cache");
-                let dilated = cache.dilated.as_ref().expect("populated cache");
-                (Arc::clone(dilated), cache.rules, 0)
+            )
+        } else {
+            let (out, rules) = arena.sweep_layer(&in_coords, in_grid, sp.kind, sp.kernel);
+            let dilated = if sp.kind == ConvKind::SpConvS {
+                Arc::clone(&in_coords)
+            } else {
+                Arc::from(out)
+            };
+            if let Some(state) = delta.as_deref_mut() {
+                let bits = arena.input_bits();
+                state.count_layer(li, bits, in_grid, sp.kind, sp.kernel, frame_delta);
             }
-            LayerStep::Full | LayerStep::Patch => {
-                let splice = step == LayerStep::Patch;
-                let (out, rules, swept) = arena.sweep_layer(
-                    &in_coords,
-                    in_grid,
-                    sp.kind,
-                    sp.kernel,
-                    cache.as_deref_mut().map(|c| (c, splice)),
-                );
-                let dilated = if sp.kind == ConvKind::SpConvS {
-                    Arc::clone(&in_coords)
-                } else {
-                    Arc::from(out)
-                };
-                if let Some(cache) = cache {
-                    cache.input = Some(Arc::clone(&in_coords));
-                    cache.dilated = Some(Arc::clone(&dilated));
-                }
-                (dilated, rules, swept)
-            }
+            (dilated, rules)
         };
-        if let Some(state) = delta.as_deref_mut().filter(|_| step != LayerStep::Dense) {
-            let stats = &mut state.stats;
-            stats.rows_full_equivalent += u64::from(out_grid.height);
-            stats.rows_swept += rows_swept;
-            match step {
-                LayerStep::Reuse => stats.layers_reused += 1,
-                LayerStep::Patch => stats.layers_patched += 1,
-                _ => stats.layers_full += 1,
-            }
-        }
         // Dynamic pruning for SpConv-P layers.
         let out_coords: Arc<[PillarCoord]> = if sp.kind == ConvKind::SpConvP {
             let downsample = (grid.height / out_grid.height).max(1);
@@ -455,8 +394,6 @@ pub fn execute_pattern(
                 let fg_after = keep.iter().filter(|&&i| foreground[i]).count();
                 pruned_foreground_ratio.push(fg_after as f64 / fg_before as f64);
             }
-            // Pruning is scene-dependent, so it re-runs every frame even on
-            // the delta path.
             keep.into_iter().map(|i| dilated[i]).collect()
         } else {
             // Non-pruning layers pass the dilated set through unchanged — an
@@ -780,10 +717,13 @@ mod tests {
         let stats = state.stats();
         assert_eq!(stats.frames_total, 8);
         assert!(stats.frames_delta >= 6, "drifting frames should go delta");
-        assert!(stats.layers_patched > 0, "some layers must row-splice");
+        assert!(
+            stats.layers_patched > 0,
+            "some layers must count as patched"
+        );
         assert!(
             stats.rows_swept < stats.rows_full_equivalent,
-            "the delta path must sweep fewer rows than the full path"
+            "the delta path must count fewer rows than the full path"
         );
         assert!(stats.modelled_speedup() > 1.0);
     }
@@ -856,8 +796,8 @@ mod tests {
         assert_eq!(first, second);
         let stats = state.stats();
         assert_eq!(stats.frames_delta, 1);
-        // Frame 2's non-dense layers are all served from the cache: every
-        // layer's input equals last frame's, so nothing is swept at all.
+        // Frame 2's non-dense layers all count as reused: every layer's
+        // input equals last frame's, so no row counts as re-swept.
         assert_eq!(stats.layers_patched, 0);
         assert_eq!(stats.layers_reused, spec.layers.len());
         assert_eq!(stats.rows_swept, stats.rows_full_equivalent / 2);

@@ -16,9 +16,9 @@
 //!   hash-table algorithm (as used by the SpConv GPU library), and a
 //!   merge-sort algorithm (as used by the PointAcc accelerator), each with a
 //!   cycle-cost model for Fig. 5(b) — plus [`rulegen::delta`], the
-//!   cross-frame state with which the executor copies the previous frame's
-//!   unchanged output rows instead of re-sweeping them when consecutive
-//!   frames of a drive overlap (temporal delta execution).
+//!   cross-frame state with which the executor counts, beside each sweep,
+//!   the output rows an RGU would re-sweep when consecutive frames of a
+//!   drive overlap (temporal delta execution).
 //! * [`conv`] — sparse convolution variants (SpConv, SpConv-S, SpConv-P,
 //!   strided SpConv, SpDeconv) and a dense reference, executed functionally on
 //!   CPR tensors.

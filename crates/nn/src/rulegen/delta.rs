@@ -1,44 +1,38 @@
-//! Temporal delta execution: the cross-frame state that lets the one row
-//! sweep splice the previous frame's output rows instead of re-sweeping them.
+//! Temporal delta execution: counting the rule-generation work SPADE's RGU
+//! would redo on consecutive frames of one drive.
 //!
 //! Consecutive frames of a persistent drive share most of their active
-//! pillars (~0.88 consecutive-frame overlap on scripted scenarios), yet a
-//! full sweep rebuilds every output row of every layer each frame. A layer
+//! pillars (~0.88 consecutive-frame overlap on scripted scenarios). A layer
 //! sweep is row-independent: output row `o` reads only the input rows inside
-//! its receptive-field band (`input_row_band`) and emits a contiguous run of
-//! output coordinates. A frame-to-frame change confined to a few input rows
-//! can therefore only affect the output rows whose halo band touches them.
+//! its receptive-field band (`input_row_band`), so a frame-to-frame change
+//! confined to a few input rows can only affect the output rows whose band
+//! touches them. An RGU that kept the previous frame's rules would re-sweep
+//! just those rows.
 //!
-//! `ExecutionArena::sweep_layer`, the executor's bitmap sweep, is also the
-//! splice. On a delta frame:
+//! The host does not: every layer on every path runs the same full
+//! `ExecutionArena::sweep_layer`, so the delta path's results are the plain
+//! path's by construction. `--delta` is accounting beside that sweep. For
+//! each sparse layer of a delta frame:
 //!
 //! 1. **Row diff** — a *dirty* input row is one whose bitmap words differ
 //!    from the layer's cached bitmap of the previous frame.
-//! 2. **Halo rows** — an output row is dirty iff any input row in its
-//!    receptive-field band is dirty.
-//! 3. **Splice** — dirty output rows are re-swept; clean rows copy their
-//!    output coordinates and rule count from the layer's `LayerDeltaCache`.
-//! 4. **Fallback** — when the frame's [`changed_fraction`] exceeds the
-//!    [`DeltaPolicy`] threshold (always for frame 0 and i.i.d. drives,
-//!    where overlap is near zero), every row is swept and recorded instead.
+//! 2. **Halo rows** — an output row counts as re-swept iff any input row in
+//!    its receptive-field band is dirty (a running count of dirty input rows
+//!    answers each band in O(1)); no dirty row counts the layer as reused.
+//! 3. **Fallback** — when the frame's [`changed_fraction`] exceeds the
+//!    [`DeltaPolicy`] threshold (always for frame 0 and i.i.d. drives, where
+//!    overlap is near zero), every layer counts as a full re-sweep.
 //!
-//! Byte-identity with the full sweep is structural: each output row's
-//! coordinates and rules depend only on its input band, so splicing clean
-//! rows between freshly swept dirty rows reproduces the full sweep exactly.
-//! The property tests pin `execute_pattern(.., Some(&mut state))` against
-//! `execute_pattern(.., None)` on every frame of every named drive scenario.
-//!
-//! [`FrameDeltaState`] carries the cross-frame caches for the one
+//! Either way the layer's input bitmap is cached for the next frame.
+//! [`FrameDeltaState`] carries those bitmaps and the counters for the one
 //! pattern-level executor entry point, [`crate::graph::execute_pattern`]
-//! (pass `Some(&mut state)`): the previous frame's per-layer inputs and
-//! their row bitmaps, dilated outputs, per-row rule counts, and row spans.
-//! The splice runs in the arena's scratch and swaps its staged row structure
-//! into the cache, so once warm that scratch stops growing; each frame still
-//! allocates the coordinate sets it produces.
+//! (pass `Some(&mut state)`); once warm, its buffers stop growing.
 
 use crate::conv::ConvKind;
 use crate::graph::LayerInput;
 use crate::kernel::KernelShape;
+use crate::rulegen::output_grid;
+use crate::rulegen::streaming::input_row_band;
 use serde::{Deserialize, Serialize};
 use spade_tensor::{GridShape, PillarCoord};
 use std::sync::Arc;
@@ -46,9 +40,10 @@ use std::sync::Arc;
 /// When to take the delta path instead of a full sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeltaPolicy {
-    /// Maximum changed fraction (see [`changed_fraction`]) at which the
-    /// delta path still runs; above it the full sweep is cheaper than
-    /// patching. Frames *at* the threshold take the delta path.
+    /// Maximum changed fraction (see [`changed_fraction`]) at which a frame
+    /// is counted as a delta frame; above it every layer counts as a full
+    /// re-sweep, as most rows would be dirty anyway. Frames *at* the
+    /// threshold take the delta path.
     pub threshold: f64,
 }
 
@@ -56,7 +51,7 @@ impl Default for DeltaPolicy {
     fn default() -> Self {
         // Persistent scripted drives measure ~0.1 changed fraction between
         // consecutive frames; i.i.d. drives measure ~1.0. Anything near the
-        // middle means most rows are dirty and the splice saves little.
+        // middle means most rows are dirty and re-sweeping them saves little.
         Self { threshold: 0.35 }
     }
 }
@@ -93,27 +88,31 @@ pub fn changed_fraction(prev: &[PillarCoord], next: &[PillarCoord]) -> f64 {
     changed as f64 / prev.len().max(next.len()).max(1) as f64
 }
 
-/// Deterministic counters of what the delta path did over a drive.
+/// Deterministic counters of the rule-generation work the delta path
+/// models over a drive. The host sweeps every row of every layer either
+/// way; these count what an RGU keeping the previous frame would redo.
 ///
 /// `modelled_speedup` is the rulegen-row ratio (rows a full per-frame sweep
-/// would walk over rows actually swept) — a pure function of the frame
+/// would walk over rows counted as re-swept) — a pure function of the frame
 /// stream, so it is identical across `--jobs` settings, unlike wall-clock.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct DeltaStats {
     /// Frames executed through a delta-capable entry point.
     pub frames_total: usize,
-    /// Frames that took the delta path (vs full-sweep fallback).
+    /// Frames that passed the [`DeltaPolicy`] gate (vs full-sweep fallback).
     pub frames_delta: usize,
-    /// Layer executions served wholesale from the previous frame (input
-    /// unchanged).
+    /// Sparse layer executions on delta frames whose input was unchanged
+    /// since the previous frame: no row counted as re-swept.
     pub layers_reused: usize,
-    /// Layer executions row-spliced (some rows re-swept, the rest copied).
+    /// Sparse layer executions on delta frames whose input changed: only the
+    /// output rows whose band touches a changed input row count as re-swept.
     pub layers_patched: usize,
-    /// Layer executions that ran the full sweep (fallback or first frame).
+    /// Sparse layer executions on fallback frames (first frame, too much
+    /// change, network or grid switch): every output row counts.
     pub layers_full: usize,
     /// Output rows a from-scratch sweep of every frame would have walked.
     pub rows_full_equivalent: u64,
-    /// Output rows actually re-swept.
+    /// Output rows counted as re-swept.
     pub rows_swept: u64,
 }
 
@@ -141,37 +140,11 @@ impl DeltaStats {
     }
 }
 
-/// Per-layer cross-frame cache: the previous frame's inputs and outputs of
-/// one layer, with the row structure needed to splice rows.
-#[derive(Debug, Default)]
-pub(crate) struct LayerDeltaCache {
-    /// The layer's input coords last frame.
-    pub(crate) input: Option<Arc<[PillarCoord]>>,
-    /// Row bitmap of `input` (the arena's layout: `width.div_ceil(64)`
-    /// words per row), compared row by row to find dirty input rows.
-    pub(crate) in_bits: Vec<u64>,
-    /// The dilated (pre-pruning) output coords last frame.
-    pub(crate) dilated: Option<Arc<[PillarCoord]>>,
-    /// Row pointer over `dilated` (`out height + 1` entries).
-    pub(crate) out_row_ptr: Vec<usize>,
-    /// Rule count of each output row last frame.
-    pub(crate) row_rules: Vec<u64>,
-    /// Total rule count last frame.
-    pub(crate) rules: u64,
-}
-
-impl LayerDeltaCache {
-    /// Whether the cache holds a complete previous-frame snapshot.
-    pub(crate) fn is_populated(&self) -> bool {
-        self.input.is_some()
-    }
-}
-
 /// Cross-frame state for [`crate::graph::execute_pattern`]: one drive's
-/// rolling cache of the previous frame. Feed frames of **one** drive in order
-/// through a single state; the executor resets the caches automatically if
-/// the network or grid changes underneath it. The row splice's scratch
-/// buffers live in the [`crate::ExecutionArena`].
+/// delta counters and the previous frame's per-layer input bitmaps. Feed
+/// frames of **one** drive in order through a single state; the executor
+/// resets the bitmaps automatically if the network or grid changes
+/// underneath it.
 #[derive(Debug)]
 pub struct FrameDeltaState {
     /// Fallback policy.
@@ -187,8 +160,13 @@ pub struct FrameDeltaState {
     /// a grid and a layer count (SPP1 and SPP3 both have 23 layers) and still
     /// differ here, so the executor compares these per layer.
     pub(crate) network: Vec<(ConvKind, KernelShape, LayerInput, bool)>,
-    /// Per-layer caches, indexed like the pattern's layer list.
-    pub(crate) layers: Vec<LayerDeltaCache>,
+    /// Row bitmap of each layer's input last frame (the arena's layout:
+    /// `width.div_ceil(64)` words per row), indexed like the pattern's layer
+    /// list; empty until recorded, and always empty for dense layers.
+    pub(crate) prev_bits: Vec<Vec<u64>>,
+    /// Scratch of the row diff: entry `r` counts the dirty input rows among
+    /// rows `0..r`. Reused across layers and frames.
+    pub(crate) dirty_before: Vec<u32>,
 }
 
 impl FrameDeltaState {
@@ -201,7 +179,8 @@ impl FrameDeltaState {
             prev_initial: None,
             grid: None,
             network: Vec::new(),
-            layers: Vec::new(),
+            prev_bits: Vec::new(),
+            dirty_before: Vec::new(),
         }
     }
 
@@ -229,14 +208,62 @@ impl FrameDeltaState {
     }
 
     /// Drops the cached previous frame (the counters survive). The next
-    /// frame runs the full path and re-records.
+    /// frame counts as a full re-sweep and re-records.
     pub fn invalidate(&mut self) {
         self.prev_initial = None;
         self.grid = None;
         self.network.clear();
-        for layer in &mut self.layers {
-            *layer = LayerDeltaCache::default();
+        self.prev_bits.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Counts sparse layer `li`'s execution, beside the sweep that just read
+    /// the input bitmap `bits` (the arena's layout) on `in_grid`, and caches
+    /// `bits` for the next frame. On a delta frame (`delta_frame`), the
+    /// output rows whose band touches a dirty input row count as re-swept;
+    /// otherwise every output row does.
+    pub(crate) fn count_layer(
+        &mut self,
+        li: usize,
+        bits: &[u64],
+        in_grid: GridShape,
+        kind: ConvKind,
+        kernel: KernelShape,
+        delta_frame: bool,
+    ) {
+        let out_rows = output_grid(in_grid, kind).height;
+        let prev = &mut self.prev_bits[li];
+        let stats = &mut self.stats;
+        stats.rows_full_equivalent += u64::from(out_rows);
+        if delta_frame {
+            debug_assert_eq!(prev.len(), bits.len(), "recorded on this grid");
+            let words = in_grid.width.div_ceil(64) as usize;
+            let dirty_before = &mut self.dirty_before;
+            dirty_before.clear();
+            dirty_before.push(0);
+            let mut dirty = 0u32;
+            for (p, b) in prev.chunks_exact(words).zip(bits.chunks_exact(words)) {
+                dirty += u32::from(p != b);
+                dirty_before.push(dirty);
+            }
+            if dirty == 0 {
+                // Equal bitmaps: the cache already holds this frame's.
+                stats.layers_reused += 1;
+                return;
+            }
+            stats.layers_patched += 1;
+            stats.rows_swept += (0..out_rows)
+                .filter(|&o| {
+                    input_row_band(o, in_grid, kind, kernel).is_some_and(|(lo, hi)| {
+                        dirty_before[hi as usize + 1] > dirty_before[lo as usize]
+                    })
+                })
+                .count() as u64;
+        } else {
+            stats.layers_full += 1;
+            stats.rows_swept += u64::from(out_rows);
         }
+        prev.clear();
+        prev.extend_from_slice(bits);
     }
 }
 
@@ -315,13 +342,9 @@ mod tests {
     fn delta_state_invalidation_keeps_counters() {
         let mut state = FrameDeltaState::default();
         state.stats.frames_total = 3;
-        state.layers.push(LayerDeltaCache {
-            input: Some(Arc::from(&[PillarCoord::new(0, 0)][..])),
-            ..LayerDeltaCache::default()
-        });
-        assert!(state.layers[0].is_populated());
+        state.prev_bits.push(vec![1]);
         state.invalidate();
-        assert!(!state.layers[0].is_populated());
+        assert!(state.prev_bits[0].is_empty());
         assert_eq!(state.stats().frames_total, 3);
     }
 }

@@ -16,9 +16,10 @@
 //! the oracle tests use it). Pattern-level execution needs only each
 //! layer's output set and rule count, so `ExecutionArena::sweep_layer`
 //! computes those on occupancy bitmaps instead, pinned equal to this
-//! module's generators, and splices clean rows on the temporal [`delta`]
-//! path. The hash and sort generators exist to verify equivalence and to
-//! model their cycle costs.
+//! module's generators; the temporal [`delta`] path only counts, beside
+//! that sweep, the rows an RGU would re-sweep from frame to frame. The hash
+//! and sort generators exist to verify equivalence and to model their cycle
+//! costs.
 
 pub mod delta;
 pub mod hash;

@@ -28,7 +28,7 @@
 //! `ExecutionArena::sweep_layer` computes the same output sets and rule
 //! counts on occupancy bitmaps, and its tests pin it to this module. Both
 //! align kernel rows to input rows through `input_row`; `input_row_band` is
-//! the receptive field the delta path checks for dirty rows.
+//! the receptive field the delta accounting checks for dirty rows.
 
 use crate::conv::ConvKind;
 use crate::kernel::KernelShape;
@@ -214,7 +214,7 @@ pub(crate) fn input_row(o: u32, dr: i64, kind: ConvKind, in_height: u32) -> Opti
 /// The input rows the sweep of output row `o` reads, as an inclusive range
 /// clipped to the input grid — the receptive-field ("halo") row band. Any
 /// change confined to input rows outside this band cannot affect output row
-/// `o`, which is the row-granular invariant the delta patcher relies on.
+/// `o`, which is the row-granular invariant the delta accounting relies on.
 pub(crate) fn input_row_band(
     o: u32,
     in_grid: GridShape,

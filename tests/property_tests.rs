@@ -528,7 +528,7 @@ fn delta_fallback_boundaries_are_exact() {
     let empty = Vec::new();
     let moved = coords_of(&[(15, 15), (16, 16), (17, 17), (18, 18), (19, 19)]);
     // A threshold of 2.0 admits any change: disjoint, emptied, refilled and
-    // unchanged frames all splice.
+    // unchanged frames all take the delta path.
     let any = DeltaPolicy { threshold: 2.0 };
     let cases = [
         (&prev, &next, DeltaPolicy { threshold: 0.4 }, 1),
