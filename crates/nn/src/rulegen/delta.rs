@@ -234,36 +234,40 @@ impl FrameDeltaState {
         let prev = &mut self.prev_bits[li];
         let stats = &mut self.stats;
         stats.rows_full_equivalent += u64::from(out_rows);
-        if delta_frame {
-            debug_assert_eq!(prev.len(), bits.len(), "recorded on this grid");
-            let words = in_grid.width.div_ceil(64) as usize;
-            let dirty_before = &mut self.dirty_before;
-            dirty_before.clear();
-            dirty_before.push(0);
-            let mut dirty = 0u32;
-            for (p, b) in prev.chunks_exact(words).zip(bits.chunks_exact(words)) {
-                dirty += u32::from(p != b);
-                dirty_before.push(dirty);
-            }
-            if dirty == 0 {
-                // Equal bitmaps: the cache already holds this frame's.
-                stats.layers_reused += 1;
-                return;
-            }
-            stats.layers_patched += 1;
-            stats.rows_swept += (0..out_rows)
-                .filter(|&o| {
-                    input_row_band(o, in_grid, kind, kernel).is_some_and(|(lo, hi)| {
-                        dirty_before[hi as usize + 1] > dirty_before[lo as usize]
-                    })
-                })
-                .count() as u64;
-        } else {
+        if !delta_frame {
             stats.layers_full += 1;
             stats.rows_swept += u64::from(out_rows);
+            prev.clear();
+            prev.extend_from_slice(bits);
+            return;
         }
-        prev.clear();
-        prev.extend_from_slice(bits);
+        debug_assert_eq!(prev.len(), bits.len(), "recorded on this grid");
+        // Row diff, recording this frame's rows over the cached ones as it
+        // goes: entry `r` of `dirty_before` counts the dirty rows in `0..r`.
+        let words = in_grid.width.div_ceil(64) as usize;
+        let dirty_before = &mut self.dirty_before;
+        dirty_before.clear();
+        dirty_before.push(0);
+        let mut dirty = 0u32;
+        for (p, b) in prev.chunks_exact_mut(words).zip(bits.chunks_exact(words)) {
+            if p != b {
+                p.copy_from_slice(b);
+                dirty += 1;
+            }
+            dirty_before.push(dirty);
+        }
+        if dirty == 0 {
+            stats.layers_reused += 1;
+            return;
+        }
+        stats.layers_patched += 1;
+        stats.rows_swept += (0..out_rows)
+            .filter(|&o| {
+                input_row_band(o, in_grid, kind, kernel).is_some_and(|(lo, hi)| {
+                    dirty_before[hi as usize + 1] > dirty_before[lo as usize]
+                })
+            })
+            .count() as u64;
     }
 }
 
