@@ -270,15 +270,10 @@ pub fn execute_pattern(
                 .collect();
             state.prev_bits.resize_with(spec.layers.len(), Vec::new);
         }
+        // `prev_initial` is set only once a frame has recorded every sparse
+        // layer's bitmap, and invalidation clears it.
         if let Some(prev) = &state.prev_initial {
-            if compatible
-                && state.policy.accepts(changed_fraction(prev, &initial))
-                && state
-                    .prev_bits
-                    .iter()
-                    .zip(&spec.layers)
-                    .all(|(bits, l)| l.spec.kind == ConvKind::Dense || !bits.is_empty())
-            {
+            if compatible && state.policy.accepts(changed_fraction(prev, &initial)) {
                 frame_delta = true;
                 state.stats.frames_delta += 1;
             }
