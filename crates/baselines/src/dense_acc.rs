@@ -5,10 +5,9 @@
 //! convolution on the same weight-stationary systolic array. It is the
 //! "ideal dense accelerator design" reference of the abstract and Fig. 9–12.
 
-use serde::{Deserialize, Serialize};
 use spade_core::{simulate_network_via_layers, Accelerator, LayerPerf, NetworkPerf, SpadeConfig};
-use spade_nn::graph::{dense_macs_for, LayerWorkload, NetworkTrace};
-use spade_sim::{EnergyBreakdown, EnergyModel};
+use spade_nn::graph::{dense_macs_for, LayerWorkload};
+use spade_sim::EnergyModel;
 
 /// The dense accelerator model.
 #[derive(Debug, Clone)]
@@ -18,33 +17,6 @@ pub struct DenseAccelerator {
     /// Achievable utilisation on dense convolution (weight-load overheads are
     /// amortised over full feature maps).
     utilization: f64,
-}
-
-/// Dense execution result for one network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DensePerf {
-    /// Total cycles.
-    pub total_cycles: u64,
-    /// Latency in milliseconds.
-    pub latency_ms: f64,
-    /// Total dense MACs executed.
-    pub total_macs: u64,
-    /// DRAM bytes moved (dense feature maps + weights).
-    pub dram_bytes: u64,
-    /// Energy breakdown.
-    pub energy: EnergyBreakdown,
-}
-
-impl DensePerf {
-    /// Average power in watts.
-    #[must_use]
-    pub fn average_power_w(&self) -> f64 {
-        if self.latency_ms <= 0.0 {
-            0.0
-        } else {
-            self.energy.total_mj() / self.latency_ms
-        }
-    }
 }
 
 impl DenseAccelerator {
@@ -63,61 +35,6 @@ impl DenseAccelerator {
     #[must_use]
     pub const fn config(&self) -> &SpadeConfig {
         &self.config
-    }
-
-    /// Simulates a network trace densely: every layer executes its
-    /// dense-equivalent MAC count regardless of activation sparsity.
-    ///
-    /// This is the *trace-level* estimate: it only sees layer shapes (it
-    /// assumes 3×3 weights and overlaps compute/DRAM across the whole
-    /// network), so it reports slightly different totals than the canonical
-    /// per-layer [`Accelerator`] path. Use the trait for model comparisons;
-    /// use this when only a [`NetworkTrace`] is available.
-    #[must_use]
-    pub fn simulate_trace(&self, trace: &NetworkTrace) -> DensePerf {
-        let dense_macs = trace.dense_macs();
-        let compute_cycles =
-            (dense_macs as f64 / (self.config.num_pes() as f64 * self.utilization)).ceil() as u64;
-        // Dense feature maps move through DRAM: per layer, the full input and
-        // output grids at int8 plus the weights.
-        let mut dram_bytes: u64 = 0;
-        for l in &trace.layers {
-            dram_bytes += l.in_grid.num_cells() as u64 * l.in_channels as u64;
-            dram_bytes += l.out_grid.num_cells() as u64 * l.out_channels as u64;
-            dram_bytes += 9 * (l.in_channels * l.out_channels) as u64;
-        }
-        let dram_cycles = (dram_bytes as f64 / self.config.dram_bytes_per_cycle).ceil() as u64;
-        let total_cycles = compute_cycles.max(dram_cycles);
-        let sram_bytes = dense_macs / self.config.pe_rows as u64 + dram_bytes;
-        let latency_ms = total_cycles as f64 / (self.config.freq_ghz * 1e9) * 1e3;
-        let energy = self.energy.breakdown(
-            dense_macs,
-            sram_bytes,
-            dram_bytes,
-            total_cycles,
-            self.config.freq_ghz,
-        );
-        DensePerf {
-            total_cycles,
-            latency_ms,
-            total_macs: dense_macs,
-            dram_bytes,
-            energy,
-        }
-    }
-
-    /// Speedup of a SPADE run over this dense baseline for the same network.
-    #[must_use]
-    pub fn speedup_of(&self, spade: &NetworkPerf, trace: &NetworkTrace) -> f64 {
-        let dense = self.simulate_trace(trace);
-        dense.total_cycles as f64 / spade.total_cycles.max(1) as f64
-    }
-
-    /// Energy-savings factor of a SPADE run over this dense baseline.
-    #[must_use]
-    pub fn energy_savings_of(&self, spade: &NetworkPerf, trace: &NetworkTrace) -> f64 {
-        let dense = self.simulate_trace(trace);
-        dense.energy.total_pj() / spade.energy.total_pj().max(1e-9)
     }
 }
 
@@ -176,11 +93,11 @@ impl Accelerator for DenseAccelerator {
 mod tests {
     use super::*;
     use spade_core::SpadeAccelerator;
-    use spade_nn::graph::{execute_pattern, ExecutionContext};
+    use spade_nn::graph::{execute_pattern, ExecutionContext, NetworkTrace};
     use spade_nn::{ExecutionArena, Model, ModelKind};
     use spade_tensor::{GridShape, PillarCoord};
 
-    fn run(kind: ModelKind) -> (NetworkTrace, Vec<spade_nn::graph::LayerWorkload>) {
+    fn run(kind: ModelKind) -> (NetworkTrace, Vec<LayerWorkload>) {
         // A 128x128 grid with a few clustered blocks of active pillars keeps
         // the sparsity in the realistic few-percent regime even after
         // dilation, like a real LiDAR frame does.
@@ -206,9 +123,9 @@ mod tests {
 
     #[test]
     fn dense_cycles_track_dense_macs() {
-        let (trace, _) = run(ModelKind::Spp2);
+        let (trace, workloads) = run(ModelKind::Spp2);
         let acc = DenseAccelerator::new(SpadeConfig::high_end());
-        let perf = acc.simulate_trace(&trace);
+        let perf = acc.simulate_network(&workloads, trace.encoder_macs);
         assert_eq!(perf.total_macs, trace.dense_macs());
         assert!(perf.total_cycles > 0);
     }
@@ -221,9 +138,10 @@ mod tests {
         for kind in [ModelKind::Spp1, ModelKind::Spp3] {
             let (trace, workloads) = run(kind);
             let perf = spade.simulate_network(&workloads, trace.encoder_macs);
-            let s = dense.speedup_of(&perf, &trace);
+            let base = dense.simulate_network(&workloads, trace.encoder_macs);
+            let s = base.total_cycles as f64 / perf.total_cycles as f64;
             assert!(s > 1.0, "{kind}: speedup {s}");
-            assert!(dense.energy_savings_of(&perf, &trace) > 1.0);
+            assert!(base.energy.total_pj() > perf.energy.total_pj());
             speedups.push((trace.computation_savings(), s));
         }
         // The sparser model (SPP3) gains more than SPP1.
@@ -233,9 +151,11 @@ mod tests {
 
     #[test]
     fn high_end_dense_is_faster_than_low_end_dense() {
-        let (trace, _) = run(ModelKind::Pp);
-        let he = DenseAccelerator::new(SpadeConfig::high_end()).simulate_trace(&trace);
-        let le = DenseAccelerator::new(SpadeConfig::low_end()).simulate_trace(&trace);
+        let (trace, workloads) = run(ModelKind::Pp);
+        let he = DenseAccelerator::new(SpadeConfig::high_end())
+            .simulate_network(&workloads, trace.encoder_macs);
+        let le = DenseAccelerator::new(SpadeConfig::low_end())
+            .simulate_network(&workloads, trace.encoder_macs);
         assert!(he.total_cycles < le.total_cycles);
         assert!(he.average_power_w() > 0.0);
     }

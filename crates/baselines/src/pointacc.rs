@@ -8,13 +8,13 @@
 
 use serde::{Deserialize, Serialize};
 use spade_core::{
-    encoder_cycles, simulate_network_via_layers, Accelerator, LayerPerf, NetworkPerf, SpadeConfig,
+    simulate_network_via_layers, Accelerator, LayerPerf, NetworkPerf, SpadeConfig,
     ENCODER_MXU_UTILIZATION,
 };
 use spade_nn::graph::LayerWorkload;
 use spade_nn::rulegen::RuleGenMethod;
 use spade_sim::units::Bytes;
-use spade_sim::{EnergyBreakdown, EnergyModel};
+use spade_sim::EnergyModel;
 
 /// Miss count of the statistical gather walk, in closed form.
 ///
@@ -77,21 +77,6 @@ pub struct PointAccLayerPerf {
     pub dram_bytes: u64,
 }
 
-/// PointAcc whole-network result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PointAccPerf {
-    /// Per-layer results.
-    pub layers: Vec<PointAccLayerPerf>,
-    /// Total cycles.
-    pub total_cycles: u64,
-    /// Total DRAM bytes.
-    pub total_dram_bytes: u64,
-    /// Latency (ms).
-    pub latency_ms: f64,
-    /// Energy breakdown.
-    pub energy: EnergyBreakdown,
-}
-
 impl PointAccModel {
     /// Creates a PointAcc model matched in form factor to a SPADE config.
     #[must_use]
@@ -151,44 +136,6 @@ impl PointAccModel {
             compute_cycles,
             total_cycles,
             dram_bytes,
-        }
-    }
-
-    /// Simulates a network, returning the PointAcc-specific result with the
-    /// per-layer latency breakdowns.
-    #[must_use]
-    pub fn network_breakdown(
-        &self,
-        workloads: &[LayerWorkload],
-        encoder_macs: u64,
-    ) -> PointAccPerf {
-        let layers: Vec<PointAccLayerPerf> =
-            workloads.iter().map(|w| self.layer_breakdown(w)).collect();
-        let encoder_cycles =
-            encoder_cycles(encoder_macs, self.config.num_pes(), ENCODER_MXU_UTILIZATION);
-        let total_cycles: u64 = layers.iter().map(|l| l.total_cycles).sum::<u64>() + encoder_cycles;
-        let total_dram_bytes: u64 = layers.iter().map(|l| l.dram_bytes).sum();
-        // `rules.max(1)` matches the layer cycle model (and the trait view),
-        // which charges every layer at least one rule.
-        let total_macs: u64 = workloads
-            .iter()
-            .map(|w| w.rules.max(1) * (w.spec.in_channels * w.spec.out_channels) as u64)
-            .sum::<u64>()
-            + encoder_macs;
-        let latency_ms = total_cycles as f64 / (self.config.freq_ghz * 1e9) * 1e3;
-        let energy = self.energy.breakdown(
-            total_macs,
-            total_dram_bytes * 2,
-            total_dram_bytes,
-            total_cycles,
-            self.config.freq_ghz,
-        );
-        PointAccPerf {
-            layers,
-            total_cycles,
-            total_dram_bytes,
-            latency_ms,
-            energy,
         }
     }
 }
@@ -326,7 +273,7 @@ mod tests {
 
     #[test]
     fn trait_layer_view_matches_breakdown() {
-        let (w, enc) = workloads(ModelKind::Spp2);
+        let (w, _) = workloads(ModelKind::Spp2);
         let model = PointAccModel::new(SpadeConfig::high_end());
         let detail = model.layer_breakdown(&w[0]);
         let layer = Accelerator::simulate_layer(&model, &w[0]);
@@ -334,9 +281,5 @@ mod tests {
         assert_eq!(layer.rulegen_cycles, detail.mapping_cycles);
         assert_eq!(layer.scatter_cycles, detail.gather_scatter_cycles);
         assert_eq!(layer.dram_bytes, detail.dram_bytes);
-        let net = Accelerator::simulate_network(&model, &w, enc);
-        let breakdown = model.network_breakdown(&w, enc);
-        assert_eq!(net.total_cycles, breakdown.total_cycles);
-        assert_eq!(net.total_dram_bytes, breakdown.total_dram_bytes);
     }
 }

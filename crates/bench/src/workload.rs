@@ -1,7 +1,9 @@
 //! Shared workload construction for the experiments.
 
 use spade_core::{Accelerator, NetworkPerf};
-use spade_nn::graph::{execute_pattern, ExecutionContext, LayerWorkload, NetworkTrace};
+use spade_nn::graph::{
+    encoder_macs, execute_pattern, ExecutionContext, LayerWorkload, NetworkTrace,
+};
 use spade_nn::{ExecutionArena, FrameDeltaState, Model, ModelKind, PruningConfig};
 use spade_pointcloud::dataset::{DatasetKind, DatasetPreset, Frame};
 use spade_tensor::GridShape;
@@ -122,9 +124,7 @@ fn model_run_on_frame_inner(
             (grid, coords)
         }
     };
-    // Encoder MACs: 9 input features × 64 channels per retained point.
-    let total_points: usize = frame.pillars.points_per_pillar.iter().map(Vec::len).sum();
-    let encoder_macs = (total_points * 9 * 64) as u64;
+    let encoder_macs = encoder_macs(&frame.pillars);
     let model = Model::build(kind);
     let ctx = ExecutionContext {
         pruning,

@@ -22,7 +22,7 @@ use crate::conv::{ConvKind, LayerSpec};
 use crate::pruning::{ImportanceModel, PruningConfig, VectorPruner};
 use crate::rulegen::delta::{changed_fraction, FrameDeltaState};
 use serde::{Deserialize, Serialize};
-use spade_pointcloud::pillarize::PillarizationConfig;
+use spade_pointcloud::pillarize::{PillarizationConfig, PillarizedCloud};
 use spade_pointcloud::Scene;
 use spade_tensor::stats::iopr;
 use spade_tensor::{GridShape, PillarCoord};
@@ -469,6 +469,16 @@ pub fn dense_macs_for(spec: &LayerSpec, in_grid: GridShape, out_grid: GridShape)
         _ => out_grid.num_cells(),
     } as u64;
     cells * spec.kernel.num_taps() as u64 * spec.macs_per_rule() as u64
+}
+
+/// MACs of the pillar feature encoder on a pillarised frame: PointPillars'
+/// PointNet-lite layer maps each retained point's 9 augmented features
+/// (`x, y, z, intensity`, offsets from the pillar's point mean and from its
+/// centre) to 64 channels. Every model is charged 64 channels.
+#[must_use]
+pub fn encoder_macs(pillars: &PillarizedCloud) -> u64 {
+    let points: u64 = pillars.point_counts.iter().map(|&n| u64::from(n)).sum();
+    points * 9 * 64
 }
 
 #[cfg(test)]

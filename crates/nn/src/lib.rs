@@ -22,7 +22,6 @@
 //! * [`conv`] — sparse convolution variants (SpConv, SpConv-S, SpConv-P,
 //!   strided SpConv, SpDeconv) and a dense reference, executed functionally on
 //!   CPR tensors.
-//! * [`encoder`] — the PointNet-lite pillar feature encoder.
 //! * [`pruning`] — dynamic vector pruning (Top-K per layer) and its
 //!   importance model.
 //! * [`graph`] — layer graphs, network execution traces (active pillars,
@@ -31,7 +30,7 @@
 //!   occupancy bitmaps, and its reusable scratch buffers (zero per-layer
 //!   reallocation).
 //! * [`zoo`] — the paper's model zoo: PP, SPP1–3, CP, SCP1–3, PN, SPN.
-//! * [`stats`] — GOPs/sparsity accounting helpers (Table I).
+//! * [`stats`] — the per-layer IOPR series of a trace (Fig. 2(d–f)).
 //!
 //! ## Example
 //!
@@ -48,7 +47,6 @@
 
 pub mod arena;
 pub mod conv;
-pub mod encoder;
 pub mod graph;
 pub mod kernel;
 pub mod pruning;

@@ -1,80 +1,6 @@
-//! Table-level accounting helpers (GOPs, sparsity, IOPR series).
+//! Per-layer IOPR series (the Fig. 2(d–f) curves).
 
 use crate::graph::NetworkTrace;
-use serde::{Deserialize, Serialize};
-
-/// One row of the paper's Table I, produced from a measured network trace and
-/// the accuracy proxy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TableOneRow {
-    /// Model name (e.g. "SPP2").
-    pub model: String,
-    /// Backbone convolution description.
-    pub backbone: String,
-    /// Head convolution description.
-    pub head: String,
-    /// Average GOPs per frame.
-    pub avg_gops: f64,
-    /// Computation savings vs. the dense baseline (the paper's "Sparsity").
-    pub sparsity: f64,
-    /// Primary accuracy metric (mAP BEV for KITTI-like, mAP for nuScenes-like).
-    pub accuracy_primary: f64,
-    /// Secondary accuracy metric (mAP 3D for KITTI-like, NDS for
-    /// nuScenes-like).
-    pub accuracy_secondary: f64,
-}
-
-/// Averages computation statistics over several per-frame traces of the same
-/// model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AveragedStats {
-    /// Mean GOPs per frame.
-    pub mean_gops: f64,
-    /// Mean dense-equivalent GOPs per frame.
-    pub mean_dense_gops: f64,
-    /// Mean computation savings.
-    pub mean_savings: f64,
-    /// Mean foreground coverage (if traced).
-    pub mean_foreground_coverage: Option<f64>,
-    /// Number of frames averaged.
-    pub frames: usize,
-}
-
-impl AveragedStats {
-    /// Averages a set of traces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `traces` is empty.
-    #[must_use]
-    pub fn from_traces(traces: &[NetworkTrace]) -> Self {
-        assert!(!traces.is_empty(), "at least one trace is required");
-        let n = traces.len() as f64;
-        let mean_gops = traces.iter().map(NetworkTrace::total_gops).sum::<f64>() / n;
-        let mean_dense_gops = traces.iter().map(NetworkTrace::dense_gops).sum::<f64>() / n;
-        let mean_savings = traces
-            .iter()
-            .map(NetworkTrace::computation_savings)
-            .sum::<f64>()
-            / n;
-        let coverages: Vec<f64> = traces
-            .iter()
-            .filter_map(|t| t.foreground_coverage)
-            .collect();
-        let mean_foreground_coverage = if coverages.is_empty() {
-            None
-        } else {
-            Some(coverages.iter().sum::<f64>() / coverages.len() as f64)
-        };
-        Self {
-            mean_gops,
-            mean_dense_gops,
-            mean_savings,
-            mean_foreground_coverage,
-            frames: traces.len(),
-        }
-    }
-}
 
 /// Extracts the per-layer IOPR series of a trace, restricted to the backbone
 /// convolution layers (the Fig. 2(d–f) curves).
@@ -118,21 +44,6 @@ mod tests {
             None,
         )
         .0
-    }
-
-    #[test]
-    fn averaged_stats_over_identical_traces() {
-        let t = tiny_trace(ConvKind::SpConvS);
-        let stats = AveragedStats::from_traces(&[t.clone(), t.clone()]);
-        assert_eq!(stats.frames, 2);
-        assert!((stats.mean_gops - t.total_gops()).abs() < 1e-12);
-        assert!(stats.mean_savings > 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trace")]
-    fn averaged_stats_requires_traces() {
-        let _ = AveragedStats::from_traces(&[]);
     }
 
     #[test]

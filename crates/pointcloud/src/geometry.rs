@@ -1,4 +1,4 @@
-//! Points, oriented boxes, and BEV intersection-over-union.
+//! Points and oriented boxes.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,19 +39,6 @@ impl Point3 {
     #[must_use]
     pub const fn with_intensity(x: f64, y: f64, z: f64, intensity: f64) -> Self {
         Self { x, y, z, intensity }
-    }
-
-    /// Euclidean distance to another point.
-    #[must_use]
-    pub fn distance(&self, other: &Self) -> f64 {
-        ((self.x - other.x).powi(2) + (self.y - other.y).powi(2) + (self.z - other.z).powi(2))
-            .sqrt()
-    }
-
-    /// Horizontal (BEV) range from the sensor origin.
-    #[must_use]
-    pub fn bev_range(&self) -> f64 {
-        (self.x * self.x + self.y * self.y).sqrt()
     }
 }
 
@@ -109,32 +96,6 @@ impl BoundingBox3 {
         }
     }
 
-    /// The four BEV (XY-plane) corners of the box, counter-clockwise.
-    #[must_use]
-    pub fn bev_corners(&self) -> [(f64, f64); 4] {
-        let (s, c) = self.yaw.sin_cos();
-        let hl = self.length / 2.0;
-        let hw = self.width / 2.0;
-        let local = [(hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)];
-        let mut out = [(0.0, 0.0); 4];
-        for (i, (lx, ly)) in local.iter().enumerate() {
-            out[i] = (self.cx + lx * c - ly * s, self.cy + lx * s + ly * c);
-        }
-        out
-    }
-
-    /// BEV footprint area (m²).
-    #[must_use]
-    pub fn bev_area(&self) -> f64 {
-        self.length * self.width
-    }
-
-    /// Volume (m³).
-    #[must_use]
-    pub fn volume(&self) -> f64 {
-        self.length * self.width * self.height
-    }
-
     /// Returns `true` if the BEV point `(x, y)` lies inside the box footprint.
     #[must_use]
     pub fn contains_bev(&self, x: f64, y: f64) -> bool {
@@ -152,172 +113,11 @@ impl BoundingBox3 {
     pub fn contains(&self, p: &Point3) -> bool {
         self.contains_bev(p.x, p.y) && (p.z - self.cz).abs() <= self.height / 2.0 + 1e-12
     }
-
-    /// Vertical overlap length with another box (m).
-    #[must_use]
-    pub fn z_overlap(&self, other: &Self) -> f64 {
-        let a_lo = self.cz - self.height / 2.0;
-        let a_hi = self.cz + self.height / 2.0;
-        let b_lo = other.cz - other.height / 2.0;
-        let b_hi = other.cz + other.height / 2.0;
-        (a_hi.min(b_hi) - a_lo.max(b_lo)).max(0.0)
-    }
-
-    /// BEV (rotated rectangle) intersection-over-union with another box.
-    #[must_use]
-    pub fn bev_iou(&self, other: &Self) -> f64 {
-        let inter = polygon_intersection_area(&self.bev_corners(), &other.bev_corners());
-        let union = self.bev_area() + other.bev_area() - inter;
-        if union <= 0.0 {
-            0.0
-        } else {
-            (inter / union).clamp(0.0, 1.0)
-        }
-    }
-
-    /// 3D intersection-over-union with another box.
-    #[must_use]
-    pub fn iou_3d(&self, other: &Self) -> f64 {
-        let inter_bev = polygon_intersection_area(&self.bev_corners(), &other.bev_corners());
-        let inter = inter_bev * self.z_overlap(other);
-        let union = self.volume() + other.volume() - inter;
-        if union <= 0.0 {
-            0.0
-        } else {
-            (inter / union).clamp(0.0, 1.0)
-        }
-    }
-}
-
-/// Area of a convex polygon given counter-clockwise vertices (shoelace).
-fn polygon_area(poly: &[(f64, f64)]) -> f64 {
-    if poly.len() < 3 {
-        return 0.0;
-    }
-    let mut acc = 0.0;
-    for i in 0..poly.len() {
-        let (x1, y1) = poly[i];
-        let (x2, y2) = poly[(i + 1) % poly.len()];
-        acc += x1 * y2 - x2 * y1;
-    }
-    acc.abs() / 2.0
-}
-
-/// Intersection area of two convex polygons via Sutherland–Hodgman clipping.
-fn polygon_intersection_area(a: &[(f64, f64); 4], b: &[(f64, f64); 4]) -> f64 {
-    let mut subject: Vec<(f64, f64)> = a.to_vec();
-    // Ensure the clip polygon is counter-clockwise for a consistent inside test.
-    let clip = to_ccw(b);
-    for i in 0..clip.len() {
-        if subject.is_empty() {
-            return 0.0;
-        }
-        let edge_start = clip[i];
-        let edge_end = clip[(i + 1) % clip.len()];
-        let input = std::mem::take(&mut subject);
-        for j in 0..input.len() {
-            let current = input[j];
-            let previous = input[(j + input.len() - 1) % input.len()];
-            let current_in = is_inside(edge_start, edge_end, current);
-            let previous_in = is_inside(edge_start, edge_end, previous);
-            if current_in {
-                if !previous_in {
-                    if let Some(p) = line_intersection(previous, current, edge_start, edge_end) {
-                        subject.push(p);
-                    }
-                }
-                subject.push(current);
-            } else if previous_in {
-                if let Some(p) = line_intersection(previous, current, edge_start, edge_end) {
-                    subject.push(p);
-                }
-            }
-        }
-    }
-    polygon_area(&subject)
-}
-
-fn to_ccw(poly: &[(f64, f64); 4]) -> Vec<(f64, f64)> {
-    let mut v = poly.to_vec();
-    let mut signed = 0.0;
-    for i in 0..v.len() {
-        let (x1, y1) = v[i];
-        let (x2, y2) = v[(i + 1) % v.len()];
-        signed += x1 * y2 - x2 * y1;
-    }
-    if signed < 0.0 {
-        v.reverse();
-    }
-    v
-}
-
-fn is_inside(a: (f64, f64), b: (f64, f64), p: (f64, f64)) -> bool {
-    (b.0 - a.0) * (p.1 - a.1) - (b.1 - a.1) * (p.0 - a.0) >= -1e-12
-}
-
-fn line_intersection(
-    p1: (f64, f64),
-    p2: (f64, f64),
-    p3: (f64, f64),
-    p4: (f64, f64),
-) -> Option<(f64, f64)> {
-    let denom = (p1.0 - p2.0) * (p3.1 - p4.1) - (p1.1 - p2.1) * (p3.0 - p4.0);
-    if denom.abs() < 1e-12 {
-        return None;
-    }
-    let t = ((p1.0 - p3.0) * (p3.1 - p4.1) - (p1.1 - p3.1) * (p3.0 - p4.0)) / denom;
-    Some((p1.0 + t * (p2.0 - p1.0), p1.1 + t * (p2.1 - p1.1)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn point_distance_and_range() {
-        let a = Point3::new(3.0, 4.0, 0.0);
-        assert!((a.bev_range() - 5.0).abs() < 1e-12);
-        assert!((a.distance(&Point3::new(0.0, 0.0, 0.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn identical_boxes_have_iou_one() {
-        let b = BoundingBox3::new(5.0, 3.0, 0.0, 4.0, 2.0, 1.5, 0.3);
-        assert!((b.bev_iou(&b) - 1.0).abs() < 1e-6);
-        assert!((b.iou_3d(&b) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn disjoint_boxes_have_iou_zero() {
-        let a = BoundingBox3::new(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0);
-        let b = BoundingBox3::new(10.0, 10.0, 0.0, 2.0, 2.0, 2.0, 0.0);
-        assert_eq!(a.bev_iou(&b), 0.0);
-        assert_eq!(a.iou_3d(&b), 0.0);
-    }
-
-    #[test]
-    fn axis_aligned_half_overlap() {
-        // Two 2x2 boxes offset by 1 in x: intersection 1x2=2, union 8-2=6.
-        let a = BoundingBox3::new(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0);
-        let b = BoundingBox3::new(1.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0);
-        assert!((a.bev_iou(&b) - 2.0 / 6.0).abs() < 1e-9);
-        assert!((a.iou_3d(&b) - (2.0 * 2.0) / (16.0 - 4.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rotation_invariance_of_self_iou() {
-        for yaw in [0.0, 0.4, 1.2, std::f64::consts::FRAC_PI_2] {
-            let b = BoundingBox3::new(2.0, -3.0, 0.5, 3.9, 1.7, 1.6, yaw);
-            assert!((b.bev_iou(&b) - 1.0).abs() < 1e-6, "yaw={yaw}");
-        }
-    }
-
-    #[test]
-    fn rotated_90_degrees_square_overlaps_fully() {
-        let a = BoundingBox3::new(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0);
-        let b = BoundingBox3::new(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, std::f64::consts::FRAC_PI_2);
-        assert!((a.bev_iou(&b) - 1.0).abs() < 1e-6);
-    }
 
     #[test]
     fn contains_bev_respects_rotation() {
@@ -332,28 +132,5 @@ mod tests {
         let b = BoundingBox3::new(0.0, 0.0, 1.0, 2.0, 2.0, 2.0, 0.0);
         assert!(b.contains(&Point3::new(0.0, 0.0, 1.9)));
         assert!(!b.contains(&Point3::new(0.0, 0.0, 2.5)));
-    }
-
-    #[test]
-    fn z_overlap_cases() {
-        let a = BoundingBox3::new(0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 0.0);
-        let b = BoundingBox3::new(0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 0.0);
-        assert!((a.z_overlap(&b) - 1.0).abs() < 1e-12);
-        let c = BoundingBox3::new(0.0, 0.0, 5.0, 1.0, 1.0, 2.0, 0.0);
-        assert_eq!(a.z_overlap(&c), 0.0);
-    }
-
-    #[test]
-    fn bev_corners_are_consistent_with_area() {
-        let b = BoundingBox3::new(1.0, 2.0, 0.0, 4.0, 2.0, 1.0, 0.7);
-        let corners = b.bev_corners();
-        assert!((polygon_area(&corners) - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nested_boxes_iou_is_area_ratio() {
-        let outer = BoundingBox3::new(0.0, 0.0, 0.0, 4.0, 4.0, 2.0, 0.0);
-        let inner = BoundingBox3::new(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0);
-        assert!((outer.bev_iou(&inner) - 4.0 / 16.0).abs() < 1e-9);
     }
 }

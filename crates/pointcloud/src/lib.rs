@@ -1,7 +1,7 @@
 //! # spade-pointcloud
 //!
-//! Synthetic LiDAR point-cloud workloads and 3D-object-detection evaluation
-//! for the SPADE reproduction (HPCA 2024).
+//! Synthetic LiDAR point-cloud workloads for the SPADE reproduction (HPCA
+//! 2024).
 //!
 //! The paper evaluates on KITTI and nuScenes LiDAR frames. Those datasets are
 //! not redistributable here, so this crate provides a **synthetic scene and
@@ -13,7 +13,7 @@
 //!
 //! Modules:
 //!
-//! * [`geometry`] — points, oriented 3D boxes, rotated-rectangle BEV IoU.
+//! * [`geometry`] — points and oriented 3D boxes.
 //! * [`object`] — road-agent classes and per-class size models.
 //! * [`scene`] — scene composition (object placement, ground truth).
 //! * [`lidar`] — LiDAR-style point sampling from a scene.
@@ -27,8 +27,7 @@
 //!   per-class velocities, advance between frames, despawn out of range,
 //!   and spawn at scripted rates.
 //! * [`pillarize`] — point cloud → active pillar coordinates + per-pillar
-//!   point groups.
-//! * [`eval`] — detection matching, average precision (AP), and mAP.
+//!   retained point counts.
 //! * [`proxy`] — the accuracy-proxy model used to reproduce the paper's
 //!   accuracy-vs-sparsity trade-off curves without GPU training.
 //!
@@ -52,7 +51,6 @@
 
 pub mod dataset;
 pub mod drive;
-pub mod eval;
 pub mod geometry;
 pub mod lidar;
 pub mod object;
@@ -66,7 +64,6 @@ pub use drive::{
     DensityProfile, DriveEvent, DriveFrame, DriveScenario, DriveScenarioConfig, EventTimeline,
     NamedScenario, ScenePersistence, TimedEvent,
 };
-pub use eval::{evaluate_detections, Detection, EvalResult};
 pub use geometry::{BoundingBox3, Point3};
 pub use lidar::LidarConfig;
 pub use object::{ObjectClass, SceneObject};

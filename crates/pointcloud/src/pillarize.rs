@@ -2,8 +2,7 @@
 
 use crate::geometry::Point3;
 use serde::{Deserialize, Serialize};
-use spade_tensor::{CprTensor, GridShape, PillarCoord};
-use std::collections::BTreeMap;
+use spade_tensor::{GridShape, PillarCoord};
 
 /// Configuration of the BEV pillarisation grid.
 ///
@@ -97,16 +96,21 @@ impl Default for PillarizationConfig {
 }
 
 /// The result of pillarising a point cloud: active coordinates (CPR order)
-/// and the points gathered into each pillar.
+/// and how many points each pillar retains.
+///
+/// Only the point counts are kept, not the points: the pillar feature
+/// encoder is modelled by its operation count, which depends on nothing
+/// else.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PillarizedCloud {
     /// Grid shape of the pillarisation.
     pub grid: GridShape,
     /// Active pillar coordinates, sorted row-major (CPR order).
     pub active_coords: Vec<PillarCoord>,
-    /// Points per active pillar, parallel to `active_coords`, each truncated
-    /// to `max_points_per_pillar`.
-    pub points_per_pillar: Vec<Vec<Point3>>,
+    /// Retained points per active pillar, parallel to `active_coords`: the
+    /// number of points that fell into the pillar, capped at
+    /// `max_points_per_pillar`.
+    pub point_counts: Vec<u32>,
 }
 
 impl PillarizedCloud {
@@ -152,35 +156,36 @@ impl PillarizedCloud {
         let union = a.len() + b.len() - inter;
         inter as f64 / union as f64
     }
-
-    /// Builds a pattern-only CPR tensor (all features 1.0) with the given
-    /// channel count. Useful when only the sparsity pattern matters.
-    /// `active_coords` is CPR-sorted by construction, so this takes the
-    /// sort-free fast path.
-    #[must_use]
-    pub fn to_pattern_tensor(&self, channels: usize) -> CprTensor {
-        CprTensor::from_sorted_coords(self.grid, channels, &self.active_coords)
-    }
 }
 
-/// Discretises a point cloud onto the BEV grid.
+/// Discretises a point cloud onto the BEV grid: the active pillars in CPR
+/// order and each one's point count, capped at `max_points_per_pillar`.
+/// Points outside the grid or the Z crop are dropped.
 #[must_use]
 pub fn pillarize(points: &[Point3], config: &PillarizationConfig) -> PillarizedCloud {
     let grid = config.grid_shape();
-    let mut map: BTreeMap<PillarCoord, Vec<Point3>> = BTreeMap::new();
+    // One counter per grid cell; a row-major scan then yields CPR order.
+    let mut cell_points = vec![0u32; grid.num_cells()];
     for p in points {
         if let Some(coord) = config.coord_of(p) {
-            let bucket = map.entry(coord).or_default();
-            if bucket.len() < config.max_points_per_pillar {
-                bucket.push(*p);
+            cell_points[coord.linear_index(grid)] += 1;
+        }
+    }
+    let cap = u32::try_from(config.max_points_per_pillar).unwrap_or(u32::MAX);
+    let mut active_coords = Vec::new();
+    let mut point_counts = Vec::new();
+    for (row, cells) in (0..grid.height).zip(cell_points.chunks_exact(grid.width as usize)) {
+        for (col, &n) in (0..grid.width).zip(cells) {
+            if n > 0 {
+                active_coords.push(PillarCoord::new(row, col));
+                point_counts.push(n.min(cap));
             }
         }
     }
-    let (active_coords, points_per_pillar): (Vec<_>, Vec<_>) = map.into_iter().unzip();
     PillarizedCloud {
         grid,
         active_coords,
-        points_per_pillar,
+        point_counts,
     }
 }
 
@@ -226,8 +231,7 @@ mod tests {
         assert_eq!(pc.num_active(), 2);
         // CPR order: sorted row-major.
         assert!(pc.active_coords.windows(2).all(|w| w[0] < w[1]));
-        let total_points: usize = pc.points_per_pillar.iter().map(Vec::len).sum();
-        assert_eq!(total_points, 3);
+        assert_eq!(pc.point_counts.iter().sum::<u32>(), 3);
     }
 
     #[test]
@@ -239,18 +243,7 @@ mod tests {
             .collect();
         let pc = pillarize(&pts, &cfg);
         assert_eq!(pc.num_active(), 1);
-        assert_eq!(pc.points_per_pillar[0].len(), 4);
-    }
-
-    #[test]
-    fn pattern_tensor_matches_active_count() {
-        let cfg = PillarizationConfig::kitti_like();
-        let pts = vec![Point3::new(1.0, 0.0, 0.0), Point3::new(60.0, 30.0, 0.0)];
-        let pc = pillarize(&pts, &cfg);
-        let t = pc.to_pattern_tensor(64);
-        assert_eq!(t.num_active(), pc.num_active());
-        assert_eq!(t.channels(), 64);
-        assert!(t.check_invariants());
+        assert_eq!(pc.point_counts, vec![4]);
     }
 
     #[test]

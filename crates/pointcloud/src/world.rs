@@ -113,7 +113,7 @@ impl PersistentWorld {
     }
 
     /// Snapshot of the current population as a [`Scene`] (ground truth for
-    /// frame generation and detection evaluation).
+    /// frame generation and the pruning importance model).
     #[must_use]
     pub fn scene(&self) -> Scene {
         Scene::from_objects(

@@ -30,11 +30,9 @@ pub mod area;
 pub mod cache;
 pub mod dram;
 pub mod energy;
-pub mod sram;
 pub mod units;
 
 pub use area::AreaModel;
 pub use cache::{CacheStats, DirectMappedCache};
 pub use dram::{DramModel, DramStats};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use sram::SramModel;

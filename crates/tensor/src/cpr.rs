@@ -10,7 +10,6 @@
 use crate::coord::{GridShape, PillarCoord};
 use crate::dense::DenseTensor;
 use crate::error::TensorError;
-use crate::stats::SparsityStats;
 use serde::{Deserialize, Serialize};
 
 /// A vector-sparse BEV tensor in compressed-pillar-row (CPR) format.
@@ -288,12 +287,6 @@ impl CprTensor {
             }
         }
         dense
-    }
-
-    /// Computes sparsity statistics for this tensor.
-    #[must_use]
-    pub fn stats(&self) -> SparsityStats {
-        SparsityStats::from_tensor(self)
     }
 
     /// Returns a copy retaining only the pillars whose indices are listed in

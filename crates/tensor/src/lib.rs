@@ -16,10 +16,7 @@
 //!   Generation Unit exploits for `O(P)` input-output mapping.
 //! * [`DenseTensor`] — a dense `C × H × W` pseudo-image, the densified form
 //!   used by GPU-friendly PointPillars baselines.
-//! * [`quant`] — symmetric int8 quantization helpers (the paper's models use
-//!   8-bit multiplication with 32-bit accumulation).
-//! * [`stats`] — sparsity statistics (occupancy, vector sparsity, per-row
-//!   histograms) used throughout the evaluation.
+//! * [`stats`] — the input-output pillar ratio (IOPR) of a layer.
 //!
 //! ## Example
 //!
@@ -47,12 +44,9 @@ pub mod coord;
 pub mod cpr;
 pub mod dense;
 pub mod error;
-pub mod quant;
 pub mod stats;
 
 pub use coord::{GridShape, PillarCoord};
 pub use cpr::{CprBuilder, CprTensor};
 pub use dense::DenseTensor;
 pub use error::TensorError;
-pub use quant::{QuantParams, QuantizedCprTensor};
-pub use stats::SparsityStats;

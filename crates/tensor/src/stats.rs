@@ -1,90 +1,4 @@
-//! Sparsity statistics over pillar tensors.
-
-use crate::cpr::CprTensor;
-use serde::{Deserialize, Serialize};
-
-/// Summary statistics of a sparse pillar tensor's activity pattern.
-///
-/// These statistics drive both the evaluation (Table I sparsity columns,
-/// Fig. 2(d–f) IOPR curves) and the accelerator's dataflow configuration
-/// (active-tile sizing in the Gather-Scatter Unit).
-///
-/// # Example
-///
-/// ```
-/// use spade_tensor::{CprTensor, GridShape, PillarCoord, SparsityStats};
-///
-/// let t = CprTensor::from_coords(
-///     GridShape::new(4, 4),
-///     8,
-///     &[PillarCoord::new(0, 0), PillarCoord::new(0, 1), PillarCoord::new(2, 2)],
-/// );
-/// let s = SparsityStats::from_tensor(&t);
-/// assert_eq!(s.active_pillars, 3);
-/// assert_eq!(s.max_row_occupancy, 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SparsityStats {
-    /// Number of active pillars.
-    pub active_pillars: usize,
-    /// Total grid cells.
-    pub total_cells: usize,
-    /// Fraction of cells that are active.
-    pub occupancy: f64,
-    /// Fraction of cells that are inactive (vector sparsity).
-    pub sparsity: f64,
-    /// Number of grid rows containing at least one active pillar.
-    pub non_empty_rows: usize,
-    /// Largest number of active pillars in any single row.
-    pub max_row_occupancy: usize,
-    /// Mean number of active pillars per non-empty row.
-    pub mean_row_occupancy: f64,
-    /// Mean nearest-neighbour column gap within rows (clustering indicator;
-    /// small gaps mean pillars are clustered, as around objects).
-    pub mean_column_gap: f64,
-}
-
-impl SparsityStats {
-    /// Computes statistics from a CPR tensor.
-    #[must_use]
-    pub fn from_tensor(tensor: &CprTensor) -> Self {
-        let grid = tensor.grid();
-        let mut non_empty_rows = 0usize;
-        let mut max_row = 0usize;
-        let mut gap_sum = 0f64;
-        let mut gap_count = 0usize;
-        for row in 0..grid.height {
-            let cols = tensor.pillars_in_row(row);
-            if !cols.is_empty() {
-                non_empty_rows += 1;
-                max_row = max_row.max(cols.len());
-            }
-            for w in cols.windows(2) {
-                gap_sum += f64::from(w[1] - w[0]);
-                gap_count += 1;
-            }
-        }
-        let active = tensor.num_active();
-        Self {
-            active_pillars: active,
-            total_cells: grid.num_cells(),
-            occupancy: tensor.occupancy(),
-            sparsity: tensor.sparsity(),
-            non_empty_rows,
-            max_row_occupancy: max_row,
-            mean_row_occupancy: if non_empty_rows == 0 {
-                0.0
-            } else {
-                active as f64 / non_empty_rows as f64
-            },
-            mean_column_gap: if gap_count == 0 {
-                0.0
-            } else {
-                gap_sum / gap_count as f64
-            },
-        }
-    }
-}
+//! The input-output pillar ratio (IOPR) of a layer.
 
 /// The input-output pillar ratio (IOPR) of a sparse convolution layer:
 /// `output active pillars / input active pillars`.
@@ -108,39 +22,6 @@ pub fn iopr(input_active: usize, output_active: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GridShape, PillarCoord};
-
-    #[test]
-    fn stats_on_empty_tensor() {
-        let t = CprTensor::empty(GridShape::new(10, 10), 4);
-        let s = SparsityStats::from_tensor(&t);
-        assert_eq!(s.active_pillars, 0);
-        assert_eq!(s.sparsity, 1.0);
-        assert_eq!(s.non_empty_rows, 0);
-        assert_eq!(s.mean_row_occupancy, 0.0);
-        assert_eq!(s.mean_column_gap, 0.0);
-    }
-
-    #[test]
-    fn stats_counts_rows_and_gaps() {
-        let t = CprTensor::from_coords(
-            GridShape::new(4, 10),
-            1,
-            &[
-                PillarCoord::new(0, 0),
-                PillarCoord::new(0, 2),
-                PillarCoord::new(0, 8),
-                PillarCoord::new(3, 5),
-            ],
-        );
-        let s = SparsityStats::from_tensor(&t);
-        assert_eq!(s.active_pillars, 4);
-        assert_eq!(s.non_empty_rows, 2);
-        assert_eq!(s.max_row_occupancy, 3);
-        assert!((s.mean_row_occupancy - 2.0).abs() < 1e-12);
-        // Gaps: (2-0)=2 and (8-2)=6 → mean 4.
-        assert!((s.mean_column_gap - 4.0).abs() < 1e-12);
-    }
 
     #[test]
     fn iopr_edge_cases() {

@@ -12,7 +12,7 @@ use spade::baselines::{
     DenseAccelerator, Platform, PlatformKind, PointAccModel, SpConv2dAccelerator,
 };
 use spade::core::{Accelerator, SpadeAccelerator, SpadeConfig};
-use spade::nn::graph::{execute_pattern, ExecutionContext};
+use spade::nn::graph::{encoder_macs, execute_pattern, ExecutionContext};
 use spade::nn::{ExecutionArena, Model, ModelKind};
 use spade::pointcloud::dataset::DatasetKind;
 use spade::pointcloud::DatasetPreset;
@@ -36,7 +36,7 @@ fn main() {
         let frame = preset.generate_frame(3);
         let pillar_cfg = preset.pillar_config();
         let model = Model::build(kind);
-        let encoder_macs = (frame.num_points * 9 * 64) as u64;
+        let encoder_macs = encoder_macs(&frame.pillars);
         let ctx = ExecutionContext {
             scene: Some(&frame.scene),
             pillar_config: Some(&pillar_cfg),

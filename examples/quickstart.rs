@@ -7,7 +7,7 @@
 
 use spade::baselines::DenseAccelerator;
 use spade::core::{Accelerator, SpadeAccelerator, SpadeConfig};
-use spade::nn::graph::{execute_pattern, ExecutionContext};
+use spade::nn::graph::{encoder_macs, execute_pattern, ExecutionContext};
 use spade::nn::{ExecutionArena, Model, ModelKind};
 use spade::pointcloud::DatasetPreset;
 
@@ -31,7 +31,7 @@ fn main() {
         pillar_config: Some(&pillar_cfg),
         ..Default::default()
     };
-    let encoder_macs = (frame.num_points * 9 * 64) as u64;
+    let encoder_macs = encoder_macs(&frame.pillars);
     let (trace, workloads) = execute_pattern(
         model.spec(),
         &frame.pillars.active_coords,

@@ -5,7 +5,7 @@
 //! cargo run --release --example sparsity_explorer
 //! ```
 
-use spade::nn::graph::{execute_pattern, ExecutionContext};
+use spade::nn::graph::{encoder_macs, execute_pattern, ExecutionContext};
 use spade::nn::{ExecutionArena, Model, ModelKind, PruningConfig};
 use spade::pointcloud::{AccuracyProxy, DatasetPreset};
 
@@ -15,7 +15,7 @@ fn main() {
     let pillar_cfg = preset.pillar_config();
     let model = Model::build(ModelKind::Spp2);
     let dense = Model::build(ModelKind::Pp);
-    let encoder_macs = (frame.num_points * 9 * 64) as u64;
+    let encoder_macs = encoder_macs(&frame.pillars);
 
     // Dense reference for the savings computation.
     let (dense_trace, _) = execute_pattern(

@@ -8,17 +8,18 @@
 #                                 determinism, panic surface) + fixture
 #                                 self-check + allowlist drift
 #   4. cargo test -q            — unit + integration + property + doc tests
-#   5. dse smoke with --jobs 4  — the parallel sweep path, reduced grid,
+#   5. examples                 — the four library examples, release
+#   6. dse smoke with --jobs 4  — the parallel sweep path, reduced grid,
 #                                 legacy drive + one scripted scenario,
 #                                 full-sweep, delta (the exact counter
 #                                 line), and adaptive execution
-#   6. perf smoke               — reduced dse (release) vs committed reference
-#   7. serve smoke              — spade-serve + 50 spade-loadgen requests:
+#   7. perf smoke               — reduced dse (release) vs committed reference
+#   8. serve smoke              — spade-serve + 50 spade-loadgen requests:
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
 #                                 wall time vs committed reference
-#   8. digest gate              — perfbench (built --locked) export digests
+#   9. digest gate              — perfbench (built --locked) export digests
 #                                 for seeds 0-11 vs perfbench/reference_digests.txt
-#   9. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
+#  10. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
 #
 # The repository benchmark is perfbench (see perfbench/README.md); only its
 # digest mode is part of this gate, not its timed runs.
@@ -37,6 +38,11 @@ scripts/lint.sh
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> examples (quickstart, accelerator_comparison, sparsity_explorer, dse_explorer)"
+for example in quickstart accelerator_comparison sparsity_explorer dse_explorer; do
+    cargo run -q --release --example "$example"
+done
 
 echo "==> dse smoke (reduced grid, 4 worker threads)"
 cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4

@@ -5,9 +5,9 @@
 //! It re-exports the workspace crates so applications can depend on a single
 //! crate:
 //!
-//! * [`tensor`] — CPR sparse tensors, dense BEV tensors, quantization.
-//! * [`pointcloud`] — synthetic LiDAR scenes, dataset presets, detection
-//!   evaluation, accuracy proxy.
+//! * [`tensor`] — CPR sparse tensors, dense BEV tensors.
+//! * [`pointcloud`] — synthetic LiDAR scenes, dataset presets, accuracy
+//!   proxy.
 //! * [`nn`] — sparse convolution variants, rule generation, dynamic vector
 //!   pruning, the PointPillars/CenterPoint/PillarNet model zoo.
 //! * [`sim`] — DRAM/SRAM/cache/energy/area models.

@@ -11,12 +11,13 @@ use spade::nn::{
     ConvKind, DeltaPolicy, DeltaStats, ExecutionArena, FrameDeltaState, KernelShape, LayerSpec,
     NetworkSpec, PruningConfig, VectorPruner,
 };
+use spade::pointcloud::pillarize::pillarize;
 use spade::pointcloud::{
-    DatasetPreset, DriveScenario, NamedScenario, PersistentWorld, SceneConfig, WorldObject,
-    WorldStep,
+    DatasetPreset, DriveScenario, NamedScenario, PersistentWorld, PillarizationConfig, Point3,
+    SceneConfig, WorldObject, WorldStep,
 };
 use spade::tensor::{CprTensor, GridShape, PillarCoord};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_coords(max: usize) -> impl Strategy<Value = Vec<PillarCoord>> {
     prop::collection::vec(
@@ -171,6 +172,87 @@ proptest! {
                 }
             }
             prev = world.objects().to_vec();
+        }
+    }
+}
+
+/// The `pillarize` that the counting one replaced: every in-grid point goes
+/// into its pillar's bucket until the bucket holds `max_points_per_pillar`.
+fn pillarize_collecting(
+    points: &[Point3],
+    config: &PillarizationConfig,
+) -> BTreeMap<PillarCoord, Vec<Point3>> {
+    let mut map: BTreeMap<PillarCoord, Vec<Point3>> = BTreeMap::new();
+    for p in points {
+        if let Some(coord) = config.coord_of(p) {
+            let bucket = map.entry(coord).or_default();
+            if bucket.len() < config.max_points_per_pillar {
+                bucket.push(*p);
+            }
+        }
+    }
+    map
+}
+
+/// A random cloud over `config`'s grid: scattered points reaching past the
+/// X/Y ranges and the Z crop, points on the far grid edges (where
+/// `coord_of` clamps), and a few crowded pillars that overflow the
+/// per-pillar cap.
+fn random_cloud(config: &PillarizationConfig, seed: u64) -> Vec<Point3> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (x0, x1) = config.x_range;
+    let (y0, y1) = config.y_range;
+    let (z0, z1) = config.z_range;
+    let mut points: Vec<Point3> = (0..rng.gen_range(50usize..600))
+        .map(|_| {
+            Point3::new(
+                rng.gen_range(x0 - 5.0..x1 + 5.0),
+                rng.gen_range(y0 - 5.0..y1 + 5.0),
+                rng.gen_range(z0 - 1.0..z1 + 1.0),
+            )
+        })
+        .collect();
+    for _ in 0..rng.gen_range(0usize..8) {
+        points.push(Point3::new(x1 - 1e-9, rng.gen_range(y0..y1), z0));
+        points.push(Point3::new(rng.gen_range(x0..x1), y1 - 1e-9, z0));
+    }
+    for _ in 0..rng.gen_range(1usize..5) {
+        let (x, y) = (rng.gen_range(x0..x1), rng.gen_range(y0..y1));
+        let crowd = config.max_points_per_pillar + rng.gen_range(1usize..12);
+        for _ in 0..crowd {
+            let z = rng.gen_range(z0..z1);
+            points.push(Point3::new(x, y, z));
+        }
+    }
+    points
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The counting `pillarize` finds the collecting one's active pillars,
+    /// in the same CPR order, and counts `min(points in the pillar, cap)`
+    /// in each, under both presets' grids and at caps down to zero.
+    #[test]
+    fn counting_pillarize_matches_the_collecting_one(seed in 0u64..u64::MAX) {
+        for preset in [PillarizationConfig::kitti_like(), PillarizationConfig::nuscenes_like()] {
+            for cap in [preset.max_points_per_pillar, 3, 1, 0] {
+                let config = PillarizationConfig { max_points_per_pillar: cap, ..preset.clone() };
+                let points = random_cloud(&config, seed);
+                let reference = pillarize_collecting(&points, &config);
+                let pillars = pillarize(&points, &config);
+                prop_assert_eq!(pillars.grid, config.grid_shape());
+                let coords: Vec<PillarCoord> = reference.keys().copied().collect();
+                prop_assert_eq!(&pillars.active_coords, &coords);
+                let counts: Vec<u32> = reference.values().map(|b| b.len() as u32).collect();
+                prop_assert_eq!(&pillars.point_counts, &counts);
+                // The cloud reaches outside the grid or the Z crop, and past
+                // the cap.
+                let in_grid = points.iter().filter(|p| config.coord_of(p).is_some()).count();
+                let kept: usize = reference.values().map(Vec::len).sum();
+                prop_assert!(in_grid < points.len(), "seed {} cap {}", seed, cap);
+                prop_assert!(kept < in_grid, "seed {} cap {}", seed, cap);
+            }
         }
     }
 }
