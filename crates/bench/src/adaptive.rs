@@ -9,23 +9,24 @@
 //! spends that insight in two stages:
 //!
 //! 1. **Roofline screen.** For every SPADE cell a per-frame *lower bound* on
-//!    latency and energy is computed from the layer workload counts alone
-//!    (no simulation): [`SpadeAccelerator::roofline_bound`], which charges
-//!    each layer the floor `schedule_layer` itself builds on — MXU
-//!    streaming, bank stall, one weight load per ATM tile, and the 16-cycle
-//!    rule-generation minimum, maxed against the DRAM-interface cycles —
-//!    without the dataflow surcharges. Energy is the exact MAC/SRAM/DRAM
-//!    activity energy plus leakage at the bound cycle count (leakage is
-//!    monotone in cycles, so the bound is sound).
+//!    latency and energy is read from the sweep's cost table
+//!    ([`spade_core::SpadeCostTable::frame_bound`], equal bit for bit to
+//!    [`SpadeAccelerator::roofline_bound`]): each layer's array term at its
+//!    floor — MXU streaming, one weight load per ATM tile, and the 16-cycle
+//!    rule-generation minimum, without the dataflow surcharges — plus the
+//!    bank stall, maxed against the DRAM-interface cycles. Energy is the
+//!    exact MAC/SRAM/DRAM activity energy plus leakage at the bound cycle
+//!    count (leakage is monotone in cycles, so the bound is sound).
 //!    A small *seed* set — the Pareto frontier of the bounds — plus every
 //!    baseline cell is fully simulated; any cell whose bound is dominated
 //!    by a simulated cell is screened out.
-//! 2. **Successive halving.** Survivors are simulated on a 1-frame prefix
-//!    of the drive, their bound refined (exact prefix + bound suffix), and
-//!    re-screened; the prefix doubles until the full drive is reached.
-//!    Cheap frames kill most survivors early; the few that reach the last
-//!    rung have simulated every frame and are emitted through the same
-//!    `spade_cell` constructor as the exhaustive path.
+//! 2. **Successive halving.** Survivors are priced on a 1-frame prefix of
+//!    the drive (cost-table lookups, equal to a simulation), their bound
+//!    refined (exact prefix + bound suffix), and re-screened; the prefix
+//!    doubles until the full drive is reached. Cheap frames kill most
+//!    survivors early; the few that reach the last rung have every frame
+//!    priced and are emitted through the same `spade_cell` constructor as
+//!    the exhaustive path.
 //!
 //! **Exactness.** The screen only ever discards a cell `c` when a *fully
 //! simulated* cell `s` dominates `bound(c)`. Since `bound(c) ≤ true(c)`
@@ -43,10 +44,10 @@
 //! serially on the assembled vectors. No map iteration, no wall clock: the
 //! result is bit-identical for any worker count.
 
-use super::{compute_cell, pareto_frontier, spade_cell, CellKind, DseCell, DseParams, SweepPlan};
+use super::{compute_cell, pareto_frontier, CellKind, DseCell, DseParams, SweepPlan};
 use crate::pool::WorkerPool;
-use crate::workload::{simulate_on, ModelRun};
-use spade_core::{AcceleratorReport, LayerCounts, NetworkPerf, SpadeAccelerator, SpadeConfig};
+use crate::workload::ModelRun;
+use spade_core::{FrameCost, SpadeAccelerator, SpadeConfig};
 
 /// How the adaptive explorer spent its cell budget. The exhaustive path
 /// reports `cells_screened = 0` and every cell simulated.
@@ -63,11 +64,13 @@ pub struct ScreenCounters {
 
 /// Per-frame roofline lower bounds `(latency_ms, energy_mj)` of `config`
 /// over a drive's model runs — the quantity the adaptive screen prunes on.
-/// Each frame is [`SpadeAccelerator::roofline_bound`]: every layer at the
-/// floor `schedule_layer` adds its dataflow surcharges to, so the bound
-/// holds for every dataflow setting. Public so the soundness property
-/// (`bound ≤ simulated`, for every frame, configuration, dataflow setting,
-/// and scenario) is testable from outside the explorer.
+/// Each frame is [`SpadeAccelerator::roofline_bound`]: every layer with its
+/// array term at the floor `schedule_layer` adds its dataflow surcharges
+/// to, so the bound holds for every dataflow setting. The explorer reads
+/// the same figures from the sweep's [`spade_core::SpadeCostTable`]; this
+/// is the trait path they are tested against. Public so the soundness
+/// property (`bound ≤ simulated`, for every frame, configuration, dataflow
+/// setting, and scenario) is testable from outside the explorer.
 #[must_use]
 pub fn roofline_bound(config: &SpadeConfig, runs: &[ModelRun]) -> Vec<(f64, f64)> {
     let acc = SpadeAccelerator::new(*config);
@@ -88,7 +91,7 @@ struct CellBound {
 struct Survivor {
     /// Position into the `spade` item-index list.
     pos: usize,
-    perfs: Vec<NetworkPerf>,
+    perfs: Vec<FrameCost>,
     prefix_lat: f64,
     prefix_energy: f64,
 }
@@ -109,36 +112,17 @@ pub(super) fn explore(
 ) -> (Vec<DseCell>, ScreenCounters) {
     let n_frames = plan.num_frames.max(1);
     let n_models = params.models.len();
-    let run_cell = |item_idx: usize| {
-        compute_cell(
-            &plan.items[item_idx],
-            &params.models,
-            &plan.configs,
-            &plan.runs_by_model,
-            &plan.overlap_by_model,
-            &plan.delta_by_model,
-        )
-    };
+    let run_cell = |item_idx: usize| compute_cell(plan, &params.models, &plan.items[item_idx]);
 
     // Mean DRAM traffic is configuration-independent; computed with the
     // same operation order as `mean_cell` so screened cells export the
     // exact value.
-    let mean_dram_by_model: Vec<f64> = plan
-        .runs_by_model
-        .iter()
-        .map(|runs| {
-            let n = runs.len().max(1) as f64;
-            runs.iter()
-                .map(|run| {
-                    let bytes: u64 = run
-                        .workloads
-                        .iter()
-                        .map(|w| LayerCounts::of(w).dram_bytes())
-                        .sum();
-                    bytes as f64 / (1024.0 * 1024.0)
-                })
+    let mean_dram_by_model: Vec<f64> = (0..n_models)
+        .map(|model_idx| {
+            (0..n_frames)
+                .map(|f| plan.costs.frame_dram_bytes(model_idx, f) as f64 / (1024.0 * 1024.0))
                 .sum::<f64>()
-                / n
+                / n_frames as f64
         })
         .collect();
 
@@ -150,12 +134,12 @@ pub(super) fn explore(
     let mut others: Vec<usize> = Vec::new();
     for (i, item) in plan.items.iter().enumerate() {
         match item.kind {
-            CellKind::Spade(_) => spade.push(i),
+            CellKind::Spade { .. } => spade.push(i),
             _ => others.push(i),
         }
     }
-    let spade_opts = |pos: usize| match plan.items[spade[pos]].kind {
-        CellKind::Spade(opts) => opts,
+    let spade_dataflow = |pos: usize| match plan.items[spade[pos]].kind {
+        CellKind::Spade { dataflow } => dataflow,
         _ => unreachable!("`spade` holds only SPADE items"),
     };
 
@@ -193,13 +177,14 @@ pub(super) fn explore(
         .collect();
     let pair_bounds: Vec<CellBound> = pool.run(pairs.len(), |i| {
         let (config_idx, model_idx) = pairs[i];
-        let config = &plan.configs[config_idx];
-        let per_frame = roofline_bound(config, &plan.runs_by_model[model_idx]);
+        let per_frame: Vec<(f64, f64)> = (0..n_frames)
+            .map(|f| plan.costs.frame_bound(model_idx, config_idx, f))
+            .collect();
         let n = per_frame.len().max(1) as f64;
         let mean = [
             per_frame.iter().map(|b| b.0).sum::<f64>() / n,
             per_frame.iter().map(|b| b.1).sum::<f64>() / n,
-            AcceleratorReport::for_spade("SPADE", config).total_mm2(),
+            plan.spade_area[config_idx],
         ];
         CellBound { per_frame, mean }
     });
@@ -251,12 +236,11 @@ pub(super) fn explore(
                       bound_lat: f64,
                       bound_energy: f64| {
         let item = &plan.items[spade[pos]];
-        let mut cell = spade_cell(
+        let mut cell = plan.spade_cell(
             params.models[item.model_idx],
-            &plan.configs[item.config_idx],
-            spade_opts(pos),
+            item,
+            spade_dataflow(pos),
             &[],
-            plan.overlap_by_model[item.model_idx],
         );
         cell.mean_latency_ms = bound_lat;
         cell.mean_energy_mj = bound_energy;
@@ -293,46 +277,38 @@ pub(super) fn explore(
         }
     }
 
-    // Stage 1 — successive halving: simulate survivors on a growing frame
+    // Stage 1 — successive halving: price survivors on a growing frame
     // prefix, re-screen with the refined bound (exact prefix + bound
-    // suffix), double the prefix. Rungs are synchronous: each fans out over
-    // the pool in canonical (survivor, frame) order and decides serially.
+    // suffix), double the prefix. Each frame is a cost-table lookup, so the
+    // rungs run serially in canonical (survivor, frame) order.
     let mut prefix = 1usize;
     while !active.is_empty() {
         let rung = prefix.min(n_frames);
-        let units: Vec<(usize, usize)> = active
-            .iter()
-            .enumerate()
-            .flat_map(|(s, surv)| (surv.perfs.len()..rung).map(move |f| (s, f)))
-            .collect();
-        let perfs = pool.run(units.len(), |u| {
-            let (s, f) = units[u];
-            let item = &plan.items[spade[active[s].pos]];
-            let acc = SpadeAccelerator::with_options(
-                plan.configs[item.config_idx],
-                spade_opts(active[s].pos),
-            );
-            simulate_on(&acc, &plan.runs_by_model[item.model_idx][f])
-        });
-        // Frames arrive in (survivor, frame) order, so pushing in the same
-        // iteration order keeps each survivor's perfs frame-sorted.
-        for (&(s, _), perf) in units.iter().zip(perfs) {
-            active[s].prefix_lat += perf.latency_ms;
-            active[s].prefix_energy += perf.energy.total_mj();
-            active[s].perfs.push(perf);
+        for surv in &mut active {
+            let item = &plan.items[spade[surv.pos]];
+            for f in surv.perfs.len()..rung {
+                let cost = plan.costs.frame_cost(
+                    item.model_idx,
+                    item.config_idx,
+                    spade_dataflow(surv.pos),
+                    f,
+                );
+                surv.prefix_lat += cost.latency_ms;
+                surv.prefix_energy += cost.energy_mj;
+                surv.perfs.push(cost);
+            }
         }
         if rung == n_frames {
-            // Every surviving cell has simulated the full drive: emit it
+            // Every surviving cell has priced the full drive: emit it
             // through the shared constructor — byte-identical to the
             // exhaustive path.
             for surv in active.drain(..) {
                 let item = &plan.items[spade[surv.pos]];
-                let mut cell = spade_cell(
+                let mut cell = plan.spade_cell(
                     params.models[item.model_idx],
-                    &plan.configs[item.config_idx],
-                    spade_opts(surv.pos),
+                    item,
+                    spade_dataflow(surv.pos),
                     &surv.perfs,
-                    plan.overlap_by_model[item.model_idx],
                 );
                 let (frames_delta, delta_speedup) = plan.delta_by_model[item.model_idx];
                 cell.frames_delta_executed = frames_delta;

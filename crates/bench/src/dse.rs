@@ -5,9 +5,11 @@
 //! single synthetic frames. This module sweeps a grid over [`SpadeConfig`]
 //! axes — PE-array shape, on-chip SRAM capacity, clock frequency, DRAM
 //! bandwidth, and the dataflow optimisations — crossed with the frames of a
-//! [`DriveScenario`], runs every `(configuration, accelerator, frame)` cell
-//! through the common [`Accelerator`] trait, and extracts the
-//! latency/energy/area Pareto frontier per workload. The output answers
+//! [`DriveScenario`], prices every `(configuration, accelerator, frame)`
+//! cell — the baselines through the common [`Accelerator`] trait, SPADE
+//! from a [`SpadeCostTable`] that tabulates its layer cost once per
+//! configuration class and equals the trait path bit for bit — and extracts
+//! the latency/energy/area Pareto frontier per workload. The output answers
 //! questions the paper's two points cannot: where does the sparsity hardware
 //! stop paying for itself as the array shrinks, and how does the win move as
 //! a drive passes through denser traffic.
@@ -46,8 +48,8 @@ use crate::workload::{
 };
 use spade_baselines::{DenseAccelerator, PointAccModel, SpConv2dAccelerator};
 use spade_core::{
-    Accelerator, AcceleratorReport, DataflowOptions, NetworkPerf, ReportTable, SpadeAccelerator,
-    SpadeConfig,
+    Accelerator, AcceleratorReport, DataflowOptions, FrameCost, ReportTable, SpadeConfig,
+    SpadeCostTable,
 };
 use spade_nn::{DeltaPolicy, DeltaStats, FrameDeltaState, ModelKind, PruningConfig};
 use spade_pointcloud::dataset::{DatasetKind, DatasetPreset};
@@ -473,10 +475,10 @@ fn mean_cell(
     config: &SpadeConfig,
     dataflow_enabled: bool,
     area_mm2: f64,
-    perfs: &[NetworkPerf],
+    frames: &[FrameCost],
     mean_pillar_overlap: f64,
 ) -> DseCell {
-    let n = perfs.len().max(1) as f64;
+    let n = frames.len().max(1) as f64;
     DseCell {
         workload,
         accelerator: accelerator.to_owned(),
@@ -487,12 +489,12 @@ fn mean_cell(
         freq_ghz: config.freq_ghz,
         dram_bytes_per_cycle: config.dram_bytes_per_cycle,
         dataflow_enabled,
-        mean_latency_ms: perfs.iter().map(|p| p.latency_ms).sum::<f64>() / n,
-        mean_energy_mj: perfs.iter().map(|p| p.energy.total_mj()).sum::<f64>() / n,
+        mean_latency_ms: frames.iter().map(|f| f.latency_ms).sum::<f64>() / n,
+        mean_energy_mj: frames.iter().map(|f| f.energy_mj).sum::<f64>() / n,
         area_mm2,
-        mean_dram_mib: perfs
+        mean_dram_mib: frames
             .iter()
-            .map(|p| p.total_dram_bytes as f64 / (1024.0 * 1024.0))
+            .map(|f| f.dram_bytes as f64 / (1024.0 * 1024.0))
             .sum::<f64>()
             / n,
         mean_pillar_overlap,
@@ -505,8 +507,9 @@ fn mean_cell(
 
 /// Which accelerator a work-list item simulates.
 enum CellKind {
-    /// SPADE with one dataflow setting.
-    Spade(DataflowOptions),
+    /// SPADE with one dataflow setting (its index in the plan's deduped
+    /// dataflow axis, which the cost table shares).
+    Spade { dataflow: usize },
     /// The dense-only ablation at the same form factor (one cell per
     /// PE-array × SRAM × frequency × bandwidth form factor — its behaviour
     /// model is insensitive to the buffer-split and banking axes, which
@@ -527,54 +530,30 @@ struct CellItem {
     kind: CellKind,
 }
 
-/// Builds the [`DseCell`] of a SPADE design point from its per-frame
-/// simulation results (in frame order). Shared by the exhaustive path
-/// ([`compute_cell`]) and the adaptive explorer's halving rungs, so a cell
-/// that survives screening is byte-identical however it was reached.
-fn spade_cell(
-    kind: ModelKind,
-    config: &SpadeConfig,
-    opts: DataflowOptions,
-    perfs: &[NetworkPerf],
-    overlap: f64,
-) -> DseCell {
-    let enabled = opts.weight_grouping || opts.ganged_scatter || opts.adaptive_tiling;
-    let design = format!("{}/{}", config.label(), if enabled { "+df" } else { "-df" });
-    mean_cell(
-        kind.name(),
-        "SPADE",
-        design,
-        config,
-        enabled,
-        AcceleratorReport::for_spade("SPADE", config).total_mm2(),
-        perfs,
-        overlap,
-    )
-}
-
-/// Simulates one work-list item into its [`DseCell`]. Pure w.r.t. the
-/// shared inputs, so items can run on any worker in any order.
-fn compute_cell(
-    item: &CellItem,
-    models: &[ModelKind],
-    configs: &[SpadeConfig],
-    runs_by_model: &[Vec<ModelRun>],
-    overlap_by_model: &[f64],
-    delta_by_model: &[(usize, f64)],
-) -> DseCell {
+/// Builds one work-list item into its [`DseCell`]: SPADE cells from the
+/// plan's cost table, baseline cells by simulation. Pure w.r.t. the plan,
+/// so items can run on any worker in any order.
+fn compute_cell(plan: &SweepPlan, models: &[ModelKind], item: &CellItem) -> DseCell {
     let kind = models[item.model_idx];
-    let config = &configs[item.config_idx];
-    let runs = &runs_by_model[item.model_idx];
-    let overlap = overlap_by_model[item.model_idx];
-    let (frames_delta, delta_speedup) = delta_by_model[item.model_idx];
-    let sim_all = |acc: &dyn Accelerator| -> Vec<NetworkPerf> {
-        runs.iter().map(|r| simulate_on(acc, r)).collect()
+    let config = &plan.configs[item.config_idx];
+    let runs = &plan.runs_by_model[item.model_idx];
+    let overlap = plan.overlap_by_model[item.model_idx];
+    let (frames_delta, delta_speedup) = plan.delta_by_model[item.model_idx];
+    let sim_all = |acc: &dyn Accelerator| -> Vec<FrameCost> {
+        runs.iter()
+            .map(|r| FrameCost::from(&simulate_on(acc, r)))
+            .collect()
     };
-    let spade_area = || AcceleratorReport::for_spade("SPADE", config).total_mm2();
+    let spade_area = plan.spade_area[item.config_idx];
     let mut cell = match &item.kind {
-        CellKind::Spade(opts) => {
-            let acc = SpadeAccelerator::with_options(*config, *opts);
-            spade_cell(kind, config, *opts, &sim_all(&acc), overlap)
+        CellKind::Spade { dataflow } => {
+            let frames: Vec<FrameCost> = (0..runs.len())
+                .map(|f| {
+                    plan.costs
+                        .frame_cost(item.model_idx, item.config_idx, *dataflow, f)
+                })
+                .collect();
+            plan.spade_cell(kind, item, *dataflow, &frames)
         }
         CellKind::Dense { label } => {
             let dense = DenseAccelerator::new(*config);
@@ -601,7 +580,7 @@ fn compute_cell(
                 label.clone(),
                 config,
                 true,
-                spade_area(),
+                spade_area,
                 &sim_all(&spconv),
                 overlap,
             )
@@ -614,7 +593,7 @@ fn compute_cell(
                 label.clone(),
                 config,
                 true,
-                spade_area(),
+                spade_area,
                 &sim_all(&pacc),
                 overlap,
             )
@@ -650,14 +629,7 @@ pub fn run_dse_on_pool(params: &DseParams, pool: &WorkerPool) -> DseResult {
         adaptive::explore(params, pool, &plan)
     } else {
         let cells = pool.run(plan.items.len(), |i| {
-            compute_cell(
-                &plan.items[i],
-                &params.models,
-                &plan.configs,
-                &plan.runs_by_model,
-                &plan.overlap_by_model,
-                &plan.delta_by_model,
-            )
+            compute_cell(&plan, &params.models, &plan.items[i])
         });
         let simulated = cells.len();
         (
@@ -673,12 +645,21 @@ pub fn run_dse_on_pool(params: &DseParams, pool: &WorkerPool) -> DseResult {
 }
 
 /// Everything the sweep shares between the exhaustive and adaptive paths:
-/// the expanded configurations, the per-model drive workloads (stage 1),
+/// the expanded configurations with their labels and SPADE areas, the
+/// per-model drive workloads (stage 1) and SPADE's cost table over them,
 /// and the canonical indexed work-list with its duel pairs and per-workload
 /// ranges (stage 2). Building the plan is identical for both paths, so an
 /// adaptive run starts from byte-identical inputs.
 struct SweepPlan {
     configs: Vec<SpadeConfig>,
+    /// `SpadeConfig::label` per configuration.
+    labels: Vec<String>,
+    /// SPADE's die area per configuration (mm²).
+    spade_area: Vec<f64>,
+    /// The deduped dataflow axis; [`CellKind::Spade`] indexes it.
+    dataflow: Vec<DataflowOptions>,
+    /// SPADE's cost of every (model, configuration, dataflow, frame).
+    costs: SpadeCostTable,
     num_frames: usize,
     runs_by_model: Vec<Vec<ModelRun>>,
     overlap_by_model: Vec<f64>,
@@ -795,6 +776,22 @@ impl SweepPlan {
         for s in &delta_stats_by_model {
             delta_stats.merge(s);
         }
+        // SPADE's layer cost, tabulated once per configuration class over
+        // every model's frames: each SPADE cell, halving rung, and roofline
+        // screen below is then built from lookups.
+        let costs = SpadeCostTable::new(
+            &configs,
+            &dataflow,
+            runs_by_model.iter().map(|runs| {
+                runs.iter()
+                    .map(|run| (run.workloads.as_slice(), run.encoder_macs))
+            }),
+        );
+        let labels = configs.iter().map(SpadeConfig::label).collect();
+        let spade_area = configs
+            .iter()
+            .map(|c| AcceleratorReport::for_spade("SPADE", c).total_mm2())
+            .collect();
 
         // Stage 2 — build the indexed work-list. Cell order is canonical
         // (model, then configuration, then SPADE/Dense/SpConv2D/PointAcc), so
@@ -820,13 +817,12 @@ impl SweepPlan {
             let mut pointacc_seen: std::collections::HashSet<(usize, usize, u64, u64)> =
                 Default::default();
             for (config_idx, config) in configs.iter().enumerate() {
-                let spade_idxs: Vec<usize> = dataflow
-                    .iter()
-                    .map(|&opts| {
+                let spade_idxs: Vec<usize> = (0..dataflow.len())
+                    .map(|dataflow| {
                         items.push(CellItem {
                             model_idx,
                             config_idx,
-                            kind: CellKind::Spade(opts),
+                            kind: CellKind::Spade { dataflow },
                         });
                         items.len() - 1
                     })
@@ -920,6 +916,10 @@ impl SweepPlan {
 
         SweepPlan {
             configs,
+            labels,
+            spade_area,
+            dataflow,
+            costs,
             num_frames,
             runs_by_model,
             overlap_by_model,
@@ -929,6 +929,37 @@ impl SweepPlan {
             duels,
             workload_ranges,
         }
+    }
+
+    /// Builds the [`DseCell`] of a SPADE design point from its per-frame
+    /// costs (in frame order), with the configuration's label and area
+    /// computed once per sweep. Shared by the exhaustive path
+    /// ([`compute_cell`]) and the adaptive explorer's halving rungs and
+    /// screen, so a cell that survives screening is byte-identical however
+    /// it was reached.
+    fn spade_cell(
+        &self,
+        kind: ModelKind,
+        item: &CellItem,
+        dataflow: usize,
+        frames: &[FrameCost],
+    ) -> DseCell {
+        let opts = self.dataflow[dataflow];
+        let enabled = opts.weight_grouping || opts.ganged_scatter || opts.adaptive_tiling;
+        let label = &self.labels[item.config_idx];
+        let mut design = String::with_capacity(label.len() + 4);
+        design.push_str(label);
+        design.push_str(if enabled { "/+df" } else { "/-df" });
+        mean_cell(
+            kind.name(),
+            "SPADE",
+            design,
+            &self.configs[item.config_idx],
+            enabled,
+            self.spade_area[item.config_idx],
+            frames,
+            self.overlap_by_model[item.model_idx],
+        )
     }
 }
 

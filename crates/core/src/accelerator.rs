@@ -64,8 +64,9 @@ pub fn encoder_cycles(encoder_macs: u64, num_pes: usize, utilization: f64) -> u6
 
 /// Latency (ms) and energy of a network run from its cycle count and its
 /// activity totals — the one cycles→latency/energy assembly, shared by
-/// [`NetworkPerf::from_layers`] and [`SpadeAccelerator::roofline_bound`].
-fn latency_and_energy(
+/// [`NetworkPerf::from_layers`], [`SpadeAccelerator::roofline_bound`], and
+/// [`crate::SpadeCostTable`].
+pub(crate) fn latency_and_energy(
     total_cycles: u64,
     total_macs: u64,
     total_sram: u64,

@@ -9,7 +9,7 @@
 /// Active-tile plan for one layer: how many active input pillars one tile
 /// holds and how many tiles the layer needs. The data each tile moves is
 /// not part of the plan: the ATM moves every element exactly once however
-/// the layer is tiled ([`crate::LayerCounts::dram_bytes`]).
+/// the layer is tiled ([`crate::LayerCounts`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TilePlan {
     /// Active input pillars per tile.

@@ -41,6 +41,7 @@
 
 pub mod accelerator;
 pub mod config;
+pub mod cost_table;
 pub mod dataflow;
 pub mod gsu;
 pub mod report;
@@ -51,6 +52,7 @@ pub use accelerator::{
     ENCODER_MXU_UTILIZATION,
 };
 pub use config::{DataflowOptions, SpadeConfig, GATHER_SCATTER_LANES};
+pub use cost_table::{FrameCost, SpadeCostTable};
 pub use dataflow::{LayerCounts, LayerPerf};
 pub use gsu::ActiveTileManager;
 pub use report::{AcceleratorReport, ReportTable, ReportValue};

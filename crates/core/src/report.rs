@@ -213,32 +213,34 @@ impl ReportTable {
     /// Serialises to CSV with a header row.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        fn csv_escape(s: &str) -> String {
-            if s.contains([',', '"', '\n']) {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_owned()
-            }
-        }
         let mut out = String::new();
-        let header: Vec<String> = self.columns.iter().map(|c| csv_escape(c)).collect();
-        out.push_str(&header.join(","));
+        for (i, column) in self.columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_csv_text(&mut out, column);
+        }
         out.push('\n');
         for row in &self.rows {
-            let cells: Vec<String> = row
-                .iter()
-                .map(|v| match v {
-                    ReportValue::Text(t) => csv_escape(t),
-                    ReportValue::Float(f) if f.is_finite() => format!("{f}"),
+            for (i, value) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                match value {
+                    ReportValue::Text(t) => push_csv_text(&mut out, t),
+                    ReportValue::Float(f) if f.is_finite() => {
+                        let _ = write!(out, "{f}");
+                    }
                     // CSV has no portable NaN/Infinity token; an empty cell
                     // is the tabular equivalent of the JSON writer's `null`,
                     // so both exports agree on non-finite values.
-                    ReportValue::Float(_) => String::new(),
-                    ReportValue::Int(i) => format!("{i}"),
-                    ReportValue::Bool(b) => format!("{b}"),
-                })
-                .collect();
-            out.push_str(&cells.join(","));
+                    ReportValue::Float(_) => {}
+                    ReportValue::Int(i) => {
+                        let _ = write!(out, "{i}");
+                    }
+                    ReportValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                }
+            }
             out.push('\n');
         }
         out
@@ -247,38 +249,30 @@ impl ReportTable {
     /// Serialises to a JSON array of objects keyed by column name.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn json_escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for ch in s.chars() {
-                match ch {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-            out
-        }
+        // Every row repeats the keys: escape them once.
+        let keys: Vec<String> = self
+            .columns
+            .iter()
+            .map(|column| {
+                let mut key = String::new();
+                push_json_string(&mut key, column);
+                key.push_str(": ");
+                key
+            })
+            .collect();
         let mut out = String::from("[");
         for (ri, row) in self.rows.iter().enumerate() {
             if ri > 0 {
                 out.push(',');
             }
             out.push_str("\n  {");
-            for (ci, (col, v)) in self.columns.iter().zip(row).enumerate() {
+            for (ci, (key, value)) in keys.iter().zip(row).enumerate() {
                 if ci > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{}\": ", json_escape(col));
-                match v {
-                    ReportValue::Text(t) => {
-                        let _ = write!(out, "\"{}\"", json_escape(t));
-                    }
+                out.push_str(key);
+                match value {
+                    ReportValue::Text(t) => push_json_string(&mut out, t),
                     ReportValue::Float(f) if f.is_finite() => {
                         let _ = write!(out, "{f}");
                     }
@@ -287,9 +281,7 @@ impl ReportTable {
                     ReportValue::Int(i) => {
                         let _ = write!(out, "{i}");
                     }
-                    ReportValue::Bool(b) => {
-                        let _ = write!(out, "{b}");
-                    }
+                    ReportValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
                 }
             }
             out.push('}');
@@ -326,6 +318,42 @@ impl ReportTable {
             .to_owned();
         format!("{inner}\n")
     }
+}
+
+/// Appends `s` as a CSV field, quoted (with quotes doubled) when it holds
+/// a comma, quote, or newline.
+fn push_csv_text(out: &mut String, s: &str) {
+    if s.contains([',', '"', '\n']) {
+        out.push('"');
+        for ch in s.chars() {
+            if ch == '"' {
+                out.push('"');
+            }
+            out.push(ch);
+        }
+        out.push('"');
+    } else {
+        out.push_str(s);
+    }
+}
+
+/// Appends `s` as a quoted JSON string.
+fn push_json_string(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -379,6 +407,65 @@ mod tests {
         assert!(json.contains("\"k\": \"line\\\"1\\\"\""), "{json}");
         assert!(json.contains("\"v\": 7"), "{json}");
         assert!(json.starts_with('[') && json.trim_end().ends_with(']'));
+    }
+
+    #[test]
+    fn writers_pin_escaping_and_value_formatting() {
+        let mut t = ReportTable::new(vec!["name", "note, \"q\"", "x", "n", "ok"]);
+        t.push_row(vec![
+            "plain".into(),
+            "a,b".into(),
+            1.5.into(),
+            42i64.into(),
+            true.into(),
+        ]);
+        t.push_row(vec![
+            "say \"hi\"".into(),
+            "line1\nline2".into(),
+            f64::NAN.into(),
+            (-7i64).into(),
+            false.into(),
+        ]);
+        t.push_row(vec![
+            "tab\there\u{1}".into(),
+            "back\\slash\r".into(),
+            f64::INFINITY.into(),
+            0usize.into(),
+            true.into(),
+        ]);
+        t.push_row(vec![
+            "".into(),
+            "ünï".into(),
+            f64::NEG_INFINITY.into(),
+            i64::MIN.into(),
+            false.into(),
+        ]);
+        t.push_row(vec![
+            "small".into(),
+            "big".into(),
+            (0.1 + 0.2).into(),
+            ReportValue::Float(1e21),
+            ReportValue::Float(-2.5e-7),
+        ]);
+        assert_eq!(
+            t.to_csv(),
+            "name,\"note, \"\"q\"\"\",x,n,ok\n\
+             plain,\"a,b\",1.5,42,true\n\
+             \"say \"\"hi\"\"\",\"line1\nline2\",,-7,false\n\
+             tab\there\u{1},back\\slash\r,,0,true\n\
+             ,ünï,,-9223372036854775808,false\n\
+             small,big,0.30000000000000004,1000000000000000000000,-0.00000025\n"
+        );
+        assert_eq!(
+            t.to_json(),
+            "[\n  \
+             {\"name\": \"plain\", \"note, \\\"q\\\"\": \"a,b\", \"x\": 1.5, \"n\": 42, \"ok\": true},\n  \
+             {\"name\": \"say \\\"hi\\\"\", \"note, \\\"q\\\"\": \"line1\\nline2\", \"x\": null, \"n\": -7, \"ok\": false},\n  \
+             {\"name\": \"tab\\there\\u0001\", \"note, \\\"q\\\"\": \"back\\\\slash\\r\", \"x\": null, \"n\": 0, \"ok\": true},\n  \
+             {\"name\": \"\", \"note, \\\"q\\\"\": \"ünï\", \"x\": null, \"n\": -9223372036854775808, \"ok\": false},\n  \
+             {\"name\": \"small\", \"note, \\\"q\\\"\": \"big\", \"x\": 0.30000000000000004, \"n\": 1000000000000000000000, \"ok\": -0.00000025}\n\
+             ]\n"
+        );
     }
 
     #[test]

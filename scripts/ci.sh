@@ -18,7 +18,8 @@
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
 #                                 wall time vs committed reference
 #   9. digest gate              — perfbench (built --locked) export digests
-#                                 for seeds 0-11 vs perfbench/reference_digests.txt
+#                                 for seeds 0-11 and held-out 1009 vs
+#                                 perfbench/reference_digests.txt
 #  10. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
 #
 # The repository benchmark is perfbench (see perfbench/README.md); only its
@@ -71,7 +72,7 @@ scripts/perf_smoke.sh
 echo "==> serve smoke (spade-serve request loop under spade-loadgen)"
 scripts/serve_smoke.sh
 
-echo "==> digest gate (perfbench export digests, seeds 0-11, vs committed reference)"
+echo "==> digest gate (perfbench export digests, seeds 0-11 and 1009, vs committed reference)"
 scripts/digest_gate.sh
 
 echo "==> cargo doc --no-deps (RUSTDOCFLAGS=-D warnings)"
