@@ -9,18 +9,20 @@
 #                                 self-check + allowlist drift
 #   4. cargo test -q            — unit + integration + property + doc tests
 #   5. examples                 — the four library examples, release
-#   6. dse smoke with --jobs 4  — the parallel sweep path, reduced grid,
+#   6. experiments golden       — spade-experiments --reduced --jobs 1
+#                                 stdout vs tests/golden/experiments_reduced.txt
+#   7. dse smoke with --jobs 4  — the parallel sweep path, reduced grid,
 #                                 legacy drive + one scripted scenario,
 #                                 full-sweep, delta (the exact counter
 #                                 line), and adaptive execution
-#   7. perf smoke               — reduced dse (release) vs committed reference
-#   8. serve smoke              — spade-serve + 50 spade-loadgen requests:
+#   8. perf smoke               — reduced dse (release) vs committed reference
+#   9. serve smoke              — spade-serve + 50 spade-loadgen requests:
 #                                 warm rate > 0, zero errors, clean SHUTDOWN,
 #                                 wall time vs committed reference
-#   9. digest gate              — perfbench (built --locked) export digests
+#  10. digest gate              — perfbench (built --locked) export digests
 #                                 for seeds 0-11 and held-out 1009 vs
 #                                 perfbench/reference_digests.txt
-#  10. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
+#  11. cargo doc --no-deps      — rustdoc with warnings denied (doc rot gate)
 #
 # The repository benchmark is perfbench (see perfbench/README.md); only its
 # digest mode is part of this gate, not its timed runs.
@@ -44,6 +46,13 @@ echo "==> examples (quickstart, accelerator_comparison, sparsity_explorer, dse_e
 for example in quickstart accelerator_comparison sparsity_explorer dse_explorer; do
     cargo run -q --release --example "$example"
 done
+
+echo "==> experiments golden (spade-experiments --reduced --jobs 1 vs tests/golden/experiments_reduced.txt)"
+cargo run -q --release -p spade-bench --bin spade-experiments -- --reduced --jobs 1 \
+    | diff -u tests/golden/experiments_reduced.txt - || {
+    echo "experiments golden FAILED: --reduced stdout differs from the committed golden"
+    exit 1
+}
 
 echo "==> dse smoke (reduced grid, 4 worker threads)"
 cargo run -q -p spade-bench --bin spade-experiments -- --reduced dse --jobs 4

@@ -158,3 +158,94 @@ fn foreground_coverage_is_tracked_for_pruning_models() {
     let coverage = trace.foreground_coverage.expect("scene was provided");
     assert!(coverage > 0.0 && coverage <= 1.0);
 }
+
+#[test]
+fn zoo_traces_match_the_committed_golden() {
+    // Every zoo model's per-layer active counts, rules and MACs, its encoder
+    // MACs and the bits of its foreground coverage, over the first three
+    // frames of the default drive at reduced scale. Frame 0 also runs at
+    // full scale for the models whose layers repeat an input (SpConv-S
+    // stacks and the heads that read one concatenated set), and under a
+    // harsh pruning configuration for the pruning models, whose default
+    // keeps every foreground pillar (coverage 1.0).
+    use spade::nn::PruningConfig;
+    use spade::pointcloud::dataset::DatasetKind;
+    use spade::pointcloud::{DriveScenario, DriveScenarioConfig};
+    use spade_bench::workload::model_run_on_frame;
+    use spade_bench::WorkloadScale::{Full, Reduced};
+    use std::fmt::Write;
+
+    let cfg = DriveScenarioConfig {
+        num_frames: 3,
+        ..DriveScenarioConfig::default()
+    };
+    let drive = |preset: DatasetPreset| {
+        let frames = DriveScenario::new(preset.clone(), cfg.clone()).frames();
+        (preset, frames)
+    };
+    let kitti = drive(DatasetPreset::kitti_like());
+    let nuscenes = drive(DatasetPreset::nuscenes_like());
+    let default = PruningConfig::default();
+    let harsh = PruningConfig {
+        keep_ratio: 0.02,
+        min_keep: 1,
+        finetuned: false,
+    };
+    let mut actual = String::new();
+    for model in ModelKind::ALL {
+        let (preset, frames) = match model.dataset() {
+            DatasetKind::KittiLike => &kitti,
+            DatasetKind::NuscenesLike => &nuscenes,
+        };
+        let mut runs: Vec<_> = frames.iter().map(|f| (Reduced, f, default)).collect();
+        if matches!(
+            model,
+            ModelKind::Spp3 | ModelKind::Scp2 | ModelKind::Scp3 | ModelKind::Spn
+        ) {
+            runs.push((Full, &frames[0], default));
+        }
+        if matches!(model, ModelKind::Spp2 | ModelKind::Scp2 | ModelKind::Scp3) {
+            runs.extend([(Reduced, &frames[0], harsh), (Full, &frames[0], harsh)]);
+        }
+        for (scale, f, pruning) in runs {
+            let run = model_run_on_frame(
+                model,
+                preset,
+                &f.frame,
+                cfg.pruning_seed(f.index),
+                scale,
+                pruning,
+            );
+            let tag = format!("{model} {scale:?} f{} keep{}", f.index, pruning.keep_ratio);
+            let coverage = run
+                .trace
+                .foreground_coverage
+                .map_or_else(|| "none".to_owned(), |c| format!("{:016x}", c.to_bits()));
+            writeln!(
+                actual,
+                "{tag} encoder_macs {} coverage {coverage}",
+                run.trace.encoder_macs
+            )
+            .unwrap();
+            for l in &run.trace.layers {
+                writeln!(
+                    actual,
+                    "{tag} {} {} {} {} {} {}",
+                    l.name, l.in_active, l.dilated_active, l.out_active, l.rules, l.macs
+                )
+                .unwrap();
+            }
+        }
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/zoo_traces.txt");
+    let golden = std::fs::read_to_string(path).expect("tests/golden/zoo_traces.txt is committed");
+    let expected: String = golden
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        actual == expected,
+        "zoo traces drifted from tests/golden/zoo_traces.txt; now:\n{actual}"
+    );
+}
