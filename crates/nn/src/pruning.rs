@@ -177,6 +177,110 @@ const BACKGROUND: u8 = 0;
 const NEAR: u8 = 1;
 const FOREGROUND: u8 = 2;
 
+/// Cell-centre geometry of a grid at some downsample factor of the
+/// pillarisation grid.
+struct CellGeometry {
+    grid: GridShape,
+    sx: f64,
+    sy: f64,
+    x0: f64,
+    y0: f64,
+}
+
+/// One object's reach on a grid: the rows and columns whose cell centres
+/// its box or its near radius can touch, and the object's class tests with
+/// the box rotation hoisted out of the cell loop.
+struct ObjectReach {
+    rows: std::ops::RangeInclusive<u32>,
+    cols: std::ops::RangeInclusive<u32>,
+    cx: f64,
+    cy: f64,
+    r: f64,
+    sin: f64,
+    cos: f64,
+    half_l: f64,
+    half_w: f64,
+}
+
+impl CellGeometry {
+    fn new(pillar_cfg: &PillarizationConfig, grid: GridShape, downsample: u32) -> Self {
+        Self {
+            grid,
+            sx: pillar_cfg.pillar_size_x * f64::from(downsample),
+            sy: pillar_cfg.pillar_size_y * f64::from(downsample),
+            x0: pillar_cfg.x_range.0,
+            y0: pillar_cfg.y_range.0,
+        }
+    }
+
+    /// X of row `row`'s cell centres.
+    fn x(&self, row: u32) -> f64 {
+        self.x0 + (f64::from(row) + 0.5) * self.sx
+    }
+
+    /// Y of column `col`'s cell centres.
+    fn y(&self, col: u32) -> f64 {
+        self.y0 + (f64::from(col) + 0.5) * self.sy
+    }
+
+    /// Every object's reach on this grid, in scene order.
+    ///
+    /// A cell can only be foreground (centre inside a box) or near (centre
+    /// within `max(length, width)` of an object centre) if it lies within
+    /// that radius of the object: a box-contained centre is within
+    /// `hypot(l, w) / 2` of it. The ranges are conservative and cropped to
+    /// the grid.
+    fn reaches<'s>(&'s self, scene: &'s Scene) -> impl Iterator<Item = ObjectReach> + 's {
+        // Conservative cell range covering [centre - reach, centre + reach]
+        // along one axis (cell centres sit at origin + (i + 0.5) * step).
+        let cell_range = |centre: f64, reach: f64, origin: f64, step: f64, len: u32| {
+            let lo = ((centre - reach - origin) / step - 1.5).floor().max(0.0) as u32;
+            let hi = ((centre + reach - origin) / step + 0.5)
+                .ceil()
+                .min(f64::from(len) - 1.0);
+            let (lo, hi) = if hi < 0.0 {
+                (1, 0) // empty range
+            } else {
+                (lo, (hi as u32).min(len.saturating_sub(1)))
+            };
+            lo..=hi
+        };
+        scene.objects().iter().map(move |obj| {
+            let b = &obj.bbox;
+            let r = b.length.max(b.width);
+            let (sin, cos) = b.yaw.sin_cos();
+            ObjectReach {
+                rows: cell_range(b.cx, r, self.x0, self.sx, self.grid.height),
+                cols: cell_range(b.cy, r, self.y0, self.sy, self.grid.width),
+                cx: b.cx,
+                cy: b.cy,
+                r,
+                sin,
+                cos,
+                half_l: b.length / 2.0 + 1e-12,
+                half_w: b.width / 2.0 + 1e-12,
+            }
+        })
+    }
+}
+
+impl ObjectReach {
+    /// The class this object claims for a cell centre at offset `(dx, dy)`
+    /// from its centre: `BoundingBox3::contains_bev` and the near test, in
+    /// the same expressions, so the same classes.
+    fn class(&self, dx: f64, dy: f64) -> u8 {
+        let lx = dx * self.cos + dy * self.sin;
+        let ly = -dx * self.sin + dy * self.cos;
+        if lx.abs() <= self.half_l && ly.abs() <= self.half_w {
+            FOREGROUND
+        } else if (dx * dx + dy * dy).sqrt() < self.r {
+            NEAR
+        } else {
+            BACKGROUND
+        }
+    }
+}
+
 /// An importance model for pattern-level pruning: scores each BEV coordinate
 /// by its proximity to ground-truth objects, emulating the magnitude profile
 /// a regularised, fine-tuned model produces.
@@ -198,12 +302,9 @@ impl ImportanceModel {
     /// and so on).
     ///
     /// Cells are rasterised object by object rather than by scanning the
-    /// whole grid against every object: a cell can only be foreground (centre
-    /// inside a box) or near (centre within `max(length, width)` of an object
-    /// centre) if it lies within that radius of the object, so only the cells
-    /// inside each object's reach are tested — the resulting classes are
-    /// identical to a full-grid scan at a fraction of the cost. Cells outside
-    /// `grid` are background.
+    /// whole grid against every object: only the cells inside each object's
+    /// reach are tested — the resulting classes are identical to a full-grid
+    /// scan at a fraction of the cost. Cells outside `grid` are background.
     ///
     /// Known defect: objects are placed from the pillarisation range's
     /// origin, so on a grid cropped from inside the base grid (reduced-scale
@@ -218,52 +319,16 @@ impl ImportanceModel {
         finetuned: bool,
     ) -> Self {
         let mut classes = vec![BACKGROUND; grid.num_cells()];
-        let sx = pillar_cfg.pillar_size_x * f64::from(downsample);
-        let sy = pillar_cfg.pillar_size_y * f64::from(downsample);
-        let x0 = pillar_cfg.x_range.0;
-        let y0 = pillar_cfg.y_range.0;
-        // Conservative cell range covering [centre - reach, centre + reach]
-        // along one axis (cell centres sit at origin + (i + 0.5) * step).
-        let cell_range = |centre: f64, reach: f64, origin: f64, step: f64, len: u32| {
-            let lo = ((centre - reach - origin) / step - 1.5).floor().max(0.0) as u32;
-            let hi = ((centre + reach - origin) / step + 0.5)
-                .ceil()
-                .min(f64::from(len) - 1.0);
-            if hi < 0.0 {
-                (1, 0) // empty range
-            } else {
-                (lo, hi as u32)
-            }
-        };
-        for obj in scene.objects() {
-            // A box-contained centre is within hypot(l, w)/2 of the object
-            // centre, and a near centre is within max(l, w) — `reach` bounds
-            // both predicates.
-            let b = &obj.bbox;
-            let r = b.length.max(b.width);
-            // `BoundingBox3::contains_bev`, with its rotation hoisted out of
-            // the cell loop: the same expressions, so the same classes.
-            let (sin, cos) = b.yaw.sin_cos();
-            let (half_l, half_w) = (b.length / 2.0 + 1e-12, b.width / 2.0 + 1e-12);
-            let (row_lo, row_hi) = cell_range(b.cx, r, x0, sx, grid.height);
-            let (col_lo, col_hi) = cell_range(b.cy, r, y0, sy, grid.width);
-            for row in row_lo..=row_hi.min(grid.height.saturating_sub(1)) {
-                let x = x0 + (f64::from(row) + 0.5) * sx;
-                let dx = x - b.cx;
+        let geometry = CellGeometry::new(pillar_cfg, grid, downsample);
+        for obj in geometry.reaches(scene) {
+            for row in obj.rows.clone() {
+                let dx = geometry.x(row) - obj.cx;
                 let cells = &mut classes[row as usize * grid.width as usize..];
-                for col in col_lo..=col_hi.min(grid.width.saturating_sub(1)) {
-                    let y = y0 + (f64::from(col) + 0.5) * sy;
-                    let dy = y - b.cy;
-                    let cell = &mut cells[col as usize];
-                    let lx = dx * cos + dy * sin;
-                    let ly = -dx * sin + dy * cos;
+                for col in obj.cols.clone() {
                     // A cell inside one object's box but merely near another
                     // is foreground, exactly as in the per-cell scan.
-                    if lx.abs() <= half_l && ly.abs() <= half_w {
-                        *cell = FOREGROUND;
-                    } else if (dx * dx + dy * dy).sqrt() < r {
-                        *cell = (*cell).max(NEAR);
-                    }
+                    let cell = &mut cells[col as usize];
+                    *cell = (*cell).max(obj.class(dx, geometry.y(col) - obj.cy));
                 }
             }
         }
@@ -273,6 +338,36 @@ impl ImportanceModel {
             noise_seed,
             finetuned,
         }
+    }
+
+    /// Whether any of `coords` is foreground at the base resolution — what
+    /// `for_scene(scene, pillar_cfg, grid, 1, ..)` answers through
+    /// [`Self::is_foreground`] for some coordinate — without rasterising the
+    /// grid: each object's reach is looked up in `coords`, stopping at the
+    /// first foreground hit.
+    ///
+    /// `coords` must be in CPR order (sorted, as [`PillarCoord`] orders).
+    #[must_use]
+    pub fn any_foreground(
+        scene: &Scene,
+        pillar_cfg: &PillarizationConfig,
+        grid: GridShape,
+        coords: &[PillarCoord],
+    ) -> bool {
+        debug_assert!(coords.windows(2).all(|w| w[0] <= w[1]), "CPR order");
+        let geometry = CellGeometry::new(pillar_cfg, grid, 1);
+        let mut reaches = geometry.reaches(scene);
+        reaches.any(|obj| {
+            obj.rows.clone().any(|row| {
+                let dx = geometry.x(row) - obj.cx;
+                let (lo, hi) = (*obj.cols.start(), *obj.cols.end());
+                let start = coords.partition_point(|c| (c.row, c.col) < (row, lo));
+                coords[start..]
+                    .iter()
+                    .take_while(|c| c.row == row && c.col <= hi)
+                    .any(|c| obj.class(dx, geometry.y(c.col) - obj.cy) == FOREGROUND)
+            })
+        })
     }
 
     /// The class of a cell; cells outside the model's grid are background.
@@ -448,6 +543,61 @@ mod tests {
             assert_eq!(model.classes, scan, "downsample {downsample}");
             assert!(scan.contains(&FOREGROUND) && scan.contains(&NEAR));
         }
+    }
+
+    #[test]
+    fn any_foreground_matches_the_base_raster() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use spade_pointcloud::SceneGenerator;
+        let cfg = PillarizationConfig::kitti_like();
+        let base = cfg.grid_shape();
+        let (mut hits, mut misses) = (0, 0);
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let scene = SceneGenerator::new(SceneConfig::kitti_like(), seed).generate();
+            // The whole grid, and crops anchored at the origin as small as a
+            // few cells (objects placed beyond a crop's edge fall outside).
+            let grid = if seed % 4 == 0 {
+                base
+            } else {
+                GridShape::new(
+                    rng.gen_range(1..=base.height),
+                    rng.gen_range(1..=base.width),
+                )
+            };
+            let raster = ImportanceModel::for_scene(&scene, &cfg, grid, 1, 0, true);
+            for _ in 0..8 {
+                let n = rng.gen_range(0..400usize);
+                let mut coords: Vec<PillarCoord> = (0..n)
+                    .map(|_| {
+                        PillarCoord::new(
+                            rng.gen_range(0..grid.height),
+                            rng.gen_range(0..grid.width),
+                        )
+                    })
+                    .collect();
+                // Seed some coordinates on foreground cells so hits occur.
+                if rng.gen_bool(0.5) {
+                    let fg = grid
+                        .all_cells()
+                        .into_iter()
+                        .filter(|&c| raster.is_foreground(c));
+                    coords.extend(fg.step_by(rng.gen_range(1..50usize)).take(3));
+                }
+                coords.sort_unstable();
+                coords.dedup();
+                let expected = coords.iter().any(|&c| raster.is_foreground(c));
+                let actual = ImportanceModel::any_foreground(&scene, &cfg, grid, &coords);
+                assert_eq!(actual, expected, "seed {seed}, grid {grid:?}, {coords:?}");
+                if expected {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+        }
+        assert!(hits > 20 && misses > 20, "{hits} hits, {misses} misses");
     }
 
     #[test]

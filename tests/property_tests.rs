@@ -13,8 +13,8 @@ use spade::nn::{
 };
 use spade::pointcloud::pillarize::pillarize;
 use spade::pointcloud::{
-    DatasetPreset, DriveScenario, NamedScenario, PersistentWorld, PillarizationConfig, Point3,
-    SceneConfig, WorldObject, WorldStep,
+    DatasetPreset, DriveScenario, NamedScenario, ObjectClass, PersistentWorld, PillarizationConfig,
+    Point3, SceneConfig, SceneObject, WorldObject, WorldStep,
 };
 use spade::tensor::{CprTensor, GridShape, PillarCoord};
 use std::collections::{BTreeMap, BTreeSet};
@@ -455,6 +455,231 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A layer that repeats the previous sweep's input set, grid, kind and
+    /// kernel, or the previous SpConv-P selection, reuses it; the result must
+    /// equal an oracle spec in which every layer reads an equal set under a
+    /// fresh allocation, so nothing is reused. Checked on the plain path and
+    /// the delta path (traces, workloads and `DeltaStats`), with and without
+    /// a scene driving the importance model.
+    #[test]
+    fn repeated_layers_match_an_oracle_that_never_reuses(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let grid = GridShape::new(rng.gen_range(8..40), rng.gen_range(8..40));
+        let (spec, oracle) = memo_and_oracle_specs(&mut rng, grid);
+        let scene = memo_scene(&mut rng);
+        let pillar_config = PillarizationConfig::kitti_like();
+        let ctx = ExecutionContext {
+            pruning: PruningConfig {
+                keep_ratio: rng.gen_range(0.05..0.9),
+                min_keep: 1,
+                finetuned: rng.gen_bool(0.5),
+            },
+            scene: rng.gen_bool(0.7).then_some(&scene),
+            pillar_config: Some(&pillar_config),
+            seed,
+        };
+        let frames = drifting_frames(&mut rng, grid, 4);
+        let policy = DeltaPolicy { threshold: 2.0 };
+        let (mut state, mut oracle_state) = (FrameDeltaState::new(policy), FrameDeltaState::new(policy));
+        let mut arenas: [ExecutionArena; 4] = Default::default();
+        for (i, coords) in frames.iter().enumerate() {
+            let [a, b, c, d] = &mut arenas;
+            let plain = execute_pattern(&spec, coords, grid, 7, &ctx, a, None);
+            let expected = execute_pattern(&oracle, coords, grid, 7, &ctx, b, None);
+            prop_assert_eq!(&plain, &expected, "seed {}: frame {} plain path", seed, i);
+            let delta = execute_pattern(&spec, coords, grid, 7, &ctx, c, Some(&mut state));
+            let oracle_delta =
+                execute_pattern(&oracle, coords, grid, 7, &ctx, d, Some(&mut oracle_state));
+            prop_assert_eq!(&delta, &oracle_delta, "seed {}: frame {} delta path", seed, i);
+            prop_assert_eq!(&delta, &plain, "seed {}: frame {} delta vs plain", seed, i);
+        }
+        prop_assert_eq!(state.stats(), oracle_state.stats(), "seed {}: DeltaStats", seed);
+    }
+}
+
+/// A random layer stack over every `ConvKind`, in which layers repeat an
+/// earlier sparse layer's input, kind and kernel (half of the repeats with
+/// a Dense layer reading a new `Union` in between), and its oracle: the same
+/// stack with every input after layer 0 spelled as a `Union` of distinct
+/// indices plus a per-layer count of repeats of the first. That union is
+/// equal in content and grid, but unique to its layer, so each layer reads a
+/// fresh allocation and can reuse no other layer's sweep or selection.
+fn memo_and_oracle_specs(rng: &mut StdRng, grid: GridShape) -> (NetworkSpec, NetworkSpec) {
+    let kinds = [
+        ConvKind::SpConv,
+        ConvKind::SpConvS,
+        ConvKind::SpConvP,
+        ConvKind::SpStConv,
+        ConvKind::SpDeconv,
+        ConvKind::Dense,
+    ];
+    let mut layers: Vec<NetworkLayer> = Vec::new();
+    let mut grids: Vec<GridShape> = Vec::new();
+    let source_grid = |input: &LayerInput, grids: &[GridShape]| match input {
+        LayerInput::Previous => grids.last().copied().unwrap_or(grid),
+        LayerInput::Layer(k) => grids[*k],
+        LayerInput::Union(ix) => ix
+            .iter()
+            .map(|&k| grids[k])
+            .min_by_key(|g| (g.height, g.width))
+            .unwrap(),
+    };
+    let random_union = |rng: &mut StdRng, n: usize| {
+        let mut ix: Vec<usize> = (0..rng.gen_range(1..4))
+            .map(|_| rng.gen_range(0..n))
+            .collect();
+        ix.sort_unstable();
+        ix.dedup();
+        LayerInput::Union(ix)
+    };
+    let push = |layers: &mut Vec<NetworkLayer>,
+                grids: &mut Vec<GridShape>,
+                spec: LayerSpec,
+                input: LayerInput| {
+        let in_grid = source_grid(&input, grids);
+        grids.push(spec.output_grid(in_grid));
+        layers.push(NetworkLayer {
+            densify_input: spec.kind == ConvKind::Dense && !matches!(input, LayerInput::Previous),
+            spec,
+            input,
+            stage: 1,
+        });
+    };
+    let depth = rng.gen_range(3..12);
+    while layers.len() < depth {
+        let i = layers.len();
+        // Repeat an earlier sparse layer that reads an earlier layer.
+        let repeatable: Vec<usize> = (1..i)
+            .filter(|&a| layers[a].spec.kind != ConvKind::Dense)
+            .collect();
+        if !repeatable.is_empty() && rng.gen_bool(0.5) {
+            let a = repeatable[rng.gen_range(0..repeatable.len())];
+            if rng.gen_bool(0.5) {
+                let union = random_union(rng, i);
+                let spec = LayerSpec::with_kernel(
+                    &format!("u{i}"),
+                    ConvKind::Dense,
+                    1,
+                    1,
+                    KernelShape::k1x1(),
+                );
+                push(&mut layers, &mut grids, spec, union);
+            }
+            let input = match &layers[a].input {
+                LayerInput::Previous => LayerInput::Layer(a - 1),
+                other => other.clone(),
+            };
+            let spec = LayerSpec {
+                name: format!("r{a}"),
+                ..layers[a].spec.clone()
+            };
+            push(&mut layers, &mut grids, spec, input);
+            continue;
+        }
+        let input = match (i, rng.gen_range(0..3)) {
+            (0, _) | (_, 0) => LayerInput::Previous,
+            (_, 1) => LayerInput::Layer(rng.gen_range(0..i)),
+            _ => random_union(rng, i),
+        };
+        let in_grid = source_grid(&input, &grids);
+        let kind = loop {
+            let kind = kinds[rng.gen_range(0..kinds.len())];
+            match kind {
+                ConvKind::SpDeconv if in_grid.height > 48 || in_grid.width > 48 => {}
+                ConvKind::SpStConv if in_grid.height < 4 || in_grid.width < 4 => {}
+                _ => break kind,
+            }
+        };
+        let kernel = match kind {
+            ConvKind::SpDeconv => KernelShape::k2x2(),
+            _ if rng.gen_bool(0.5) => KernelShape::k1x1(),
+            _ => KernelShape::k3x3(),
+        };
+        push(
+            &mut layers,
+            &mut grids,
+            LayerSpec::with_kernel(&format!("l{i}"), kind, 1, 1, kernel),
+            input,
+        );
+    }
+    let oracle_layers = layers
+        .iter()
+        .enumerate()
+        .map(|(i, l)| {
+            let mut ix = match &l.input {
+                LayerInput::Previous if i == 0 => return l.clone(),
+                LayerInput::Previous => vec![i - 1],
+                LayerInput::Layer(k) => vec![*k],
+                LayerInput::Union(ix) => ix.clone(),
+            };
+            ix.extend(std::iter::repeat_n(ix[0], i + 1));
+            NetworkLayer {
+                input: LayerInput::Union(ix),
+                ..l.clone()
+            }
+        })
+        .collect();
+    let spec = NetworkSpec {
+        name: "memo".into(),
+        encoder_channels: 1,
+        layers,
+    };
+    let oracle = NetworkSpec {
+        layers: oracle_layers,
+        ..spec.clone()
+    };
+    (spec, oracle)
+}
+
+/// A scene whose objects sit over the first few dozen cells of the
+/// KITTI-like pillar grid, where the random stacks' grids lie.
+fn memo_scene(rng: &mut StdRng) -> spade::pointcloud::Scene {
+    let cfg = PillarizationConfig::kitti_like();
+    let classes = [
+        ObjectClass::Car,
+        ObjectClass::Pedestrian,
+        ObjectClass::Cyclist,
+        ObjectClass::Truck,
+    ];
+    let objects = (0..rng.gen_range(1..6))
+        .map(|_| {
+            SceneObject::at(
+                classes[rng.gen_range(0..classes.len())],
+                cfg.x_range.0 + rng.gen_range(0.0..8.0),
+                cfg.y_range.0 + rng.gen_range(0.0..8.0),
+                rng.gen_range(0.0..std::f64::consts::PI),
+            )
+        })
+        .collect();
+    spade::pointcloud::Scene::from_objects(SceneConfig::kitti_like(), objects)
+}
+
+/// `n` frames on `grid`: a random sparse set, then a few pillars moved per
+/// frame.
+fn drifting_frames(rng: &mut StdRng, grid: GridShape, n: usize) -> Vec<Vec<PillarCoord>> {
+    let cell = |rng: &mut StdRng| {
+        PillarCoord::new(rng.gen_range(0..grid.height), rng.gen_range(0..grid.width))
+    };
+    let mut current: Vec<PillarCoord> = (0..rng.gen_range(1..grid.num_cells() / 3))
+        .map(|_| cell(rng))
+        .collect();
+    (0..n)
+        .map(|_| {
+            let mut frame = current.clone();
+            frame.sort_unstable();
+            frame.dedup();
+            for _ in 0..rng.gen_range(0..4) {
+                let k = rng.gen_range(0..current.len());
+                current[k] = cell(rng);
+            }
+            frame
+        })
+        .collect()
 }
 
 /// Each output row of a `kind`/`kernel` layer on `coords`: its output
