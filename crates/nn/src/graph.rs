@@ -32,8 +32,9 @@
 //! writer of that bitmap, a `Union` merge, drops the sweep memo. Nothing is
 //! kept across calls.
 //!
-//! Where full-scale time goes per frame, before the reuse above, measured
-//! with temporary stage timers (2-vCPU VM, release, milliseconds):
+//! Where full-scale time goes per frame, before the reuse above, as measured
+//! with temporary stage timers on a copy of the code (2-vCPU VM, release,
+//! milliseconds):
 //!
 //! | Stage | SPP2 | SCP3 |
 //! |---|---|---|

@@ -360,11 +360,11 @@ impl ImportanceModel {
         reaches.any(|obj| {
             obj.rows.clone().any(|row| {
                 let dx = geometry.x(row) - obj.cx;
-                let (lo, hi) = (*obj.cols.start(), *obj.cols.end());
-                let start = coords.partition_point(|c| (c.row, c.col) < (row, lo));
+                let start =
+                    coords.partition_point(|&c| c < PillarCoord::new(row, *obj.cols.start()));
                 coords[start..]
                     .iter()
-                    .take_while(|c| c.row == row && c.col <= hi)
+                    .take_while(|c| c.row == row && c.col <= *obj.cols.end())
                     .any(|c| obj.class(dx, geometry.y(c.col) - obj.cy) == FOREGROUND)
             })
         })

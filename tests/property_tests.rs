@@ -544,10 +544,10 @@ fn memo_and_oracle_specs(rng: &mut StdRng, grid: GridShape) -> (NetworkSpec, Net
         let in_grid = source_grid(&input, grids);
         grids.push(spec.output_grid(in_grid));
         layers.push(NetworkLayer {
-            densify_input: spec.kind == ConvKind::Dense && !matches!(input, LayerInput::Previous),
             spec,
             input,
             stage: 1,
+            densify_input: false,
         });
     };
     let depth = rng.gen_range(3..12);
