@@ -9,7 +9,7 @@ use spade::nn::rulegen::delta::changed_fraction;
 use spade::nn::rulegen::{self, RuleGenMethod};
 use spade::nn::{
     ConvKind, DeltaPolicy, DeltaStats, ExecutionArena, FrameDeltaState, KernelShape, LayerSpec,
-    NetworkSpec, PruningConfig, VectorPruner,
+    NetworkSpec, PruningConfig, Rule, VectorPruner,
 };
 use spade::pointcloud::pillarize::pillarize;
 use spade::pointcloud::{
@@ -123,6 +123,56 @@ proptest! {
                     let b = dense.get(ch, r, c);
                     prop_assert!((a - b).abs() < 1e-3, "mismatch at ({}, {}, {})", ch, r, c);
                 }
+            }
+        }
+    }
+
+    /// Every rule of a stride-1 layer is a dense gather: output `q` reads
+    /// input `q + offsets()[t]` through tap `t` whenever that cell is
+    /// active. Visiting every output cell and tap over an occupancy grid
+    /// gives the exact rule set the streaming generator must produce.
+    #[test]
+    fn streaming_rules_match_a_brute_force_gather(coords in arb_coords(48)) {
+        let grid = GridShape::new(24, 24);
+        let t = CprTensor::from_coords(grid, 1, &coords);
+        // The CPR index of the input at each cell, if it is active.
+        let mut occupancy = vec![None; grid.num_cells()];
+        for (i, c) in t.iter_coords().enumerate() {
+            occupancy[c.linear_index(grid)] = Some(i);
+        }
+        for (kind, kernel) in [
+            (ConvKind::SpConv, KernelShape::k3x3()),
+            (ConvKind::SpConvS, KernelShape::k3x3()),
+            (ConvKind::SpConv, KernelShape::k1x1()),
+            (ConvKind::SpConvS, KernelShape::k1x1()),
+        ] {
+            let mut outputs = Vec::new();
+            let mut per_tap = vec![Vec::new(); kernel.num_taps()];
+            for q in grid.all_cells() {
+                let gathered: Vec<(usize, usize)> = kernel
+                    .offsets()
+                    .into_iter()
+                    .enumerate()
+                    .filter_map(|(tap, (dr, dc))| {
+                        let p = q.offset(dr, dc, grid)?;
+                        occupancy[p.linear_index(grid)].map(|input| (tap, input))
+                    })
+                    .collect();
+                let active = match kind {
+                    ConvKind::SpConvS => occupancy[q.linear_index(grid)].is_some(),
+                    _ => !gathered.is_empty(),
+                };
+                if active {
+                    for (tap, input) in gathered {
+                        per_tap[tap].push(Rule { input, output: outputs.len() });
+                    }
+                    outputs.push(q);
+                }
+            }
+            let book = rulegen::streaming::generate(&t, kind, kernel);
+            prop_assert_eq!(book.output_coords(), &outputs[..], "outputs of {} {:?}", kind, kernel);
+            for (tap, rules) in per_tap.iter().enumerate() {
+                prop_assert_eq!(book.rules_for_tap(tap), &rules[..], "tap {} of {} {:?}", tap, kind, kernel);
             }
         }
     }
