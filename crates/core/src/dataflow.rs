@@ -373,9 +373,9 @@ mod tests {
         let spec = LayerSpec::new("L", kind, channels, channels);
         let out_grid = spec.output_grid(grid);
         let output_active = coords.iter().filter(|c| c.in_bounds(out_grid)).count();
-        let tensor = CprTensor::from_coords(grid, 1, &coords);
+        let tensor = CprTensor::from_coords(grid, &coords);
         let rules =
-            spade_nn::rulegen::generate_rules(&tensor, kind, spec.kernel).num_rules() as u64;
+            spade_nn::rulegen::streaming::generate(&tensor, kind, spec.kernel).num_rules() as u64;
         LayerWorkload {
             spec,
             stage: 1,

@@ -86,17 +86,6 @@ impl AcceleratorReport {
         self.peak_gops / self.total_mm2()
     }
 
-    /// Peak power efficiency (GOPS/W) for a measured run.
-    #[must_use]
-    pub fn peak_gops_per_w(&self, perf: &NetworkPerf) -> f64 {
-        let p = perf.average_power_w();
-        if p <= 0.0 {
-            0.0
-        } else {
-            self.peak_gops / p
-        }
-    }
-
     /// Effective power efficiency (GOPS/W) counting dense-equivalent
     /// operations completed per joule, the paper's "effective GOPS/W".
     #[must_use]

@@ -18,8 +18,7 @@
 //! Output coordinates come out of the finished row by walking its set bits
 //! (`trailing_zeros`), so they are in CPR order. The counts and sets equal
 //! what the RGU's streaming merge ([`crate::rulegen::streaming`]) produces,
-//! pinned by this module's tests against `generate_rules` and the hash/sort
-//! oracles. Every path runs this one sweep; the temporal delta path only
+//! pinned by this module's tests against the streaming and hash generators. Every path runs this one sweep; the temporal delta path only
 //! compares the input bitmap it leaves behind with the previous frame's
 //! ([`crate::rulegen::delta`]). The arena holds the scratch the sweep needs —
 //! the input bitmap (also the neck union's), the output row words, the
@@ -316,7 +315,7 @@ impl ExecutionArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rulegen;
+    use crate::rulegen::{hash, streaming};
     use spade_tensor::CprTensor;
 
     fn coords() -> Vec<PillarCoord> {
@@ -332,7 +331,7 @@ mod tests {
     fn dilate_and_count_matches_reference_passes() {
         let grid = GridShape::new(8, 8);
         let cs = coords();
-        let t = CprTensor::from_sorted_coords(grid, 1, &cs);
+        let t = CprTensor::from_sorted_coords(grid, &cs);
         let mut arena = ExecutionArena::new();
         for (kind, kernel) in [
             (ConvKind::SpConv, KernelShape::k3x3()),
@@ -341,7 +340,7 @@ mod tests {
             (ConvKind::SpDeconv, KernelShape::k2x2()),
         ] {
             let (out, rules) = arena.sweep_layer(&cs, grid, kind, kernel);
-            let book = rulegen::generate_rules(&t, kind, kernel);
+            let book = streaming::generate(&t, kind, kernel);
             assert_eq!(out, book.output_coords(), "outputs for {kind}");
             assert_eq!(rules, book.num_rules() as u64, "rules for {kind}");
         }
@@ -351,11 +350,11 @@ mod tests {
     fn submanifold_count_matches_rulebook() {
         let grid = GridShape::new(8, 8);
         let cs = coords();
-        let t = CprTensor::from_sorted_coords(grid, 1, &cs);
+        let t = CprTensor::from_sorted_coords(grid, &cs);
         let mut arena = ExecutionArena::new();
         let (out, rules) = arena.sweep_layer(&cs, grid, ConvKind::SpConvS, KernelShape::k3x3());
         assert!(out.is_empty(), "submanifold layers keep their input set");
-        let book = rulegen::generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
+        let book = streaming::generate(&t, ConvKind::SpConvS, KernelShape::k3x3());
         assert_eq!(rules, book.num_rules() as u64);
     }
 
@@ -393,25 +392,19 @@ mod tests {
                 ]);
                 cs.sort_unstable();
                 cs.dedup();
-                let t = CprTensor::from_sorted_coords(grid, 1, &cs);
+                let t = CprTensor::from_sorted_coords(grid, &cs);
                 for kind in kinds {
                     for kernel in kernels {
                         let (out, rules) = arena.sweep_layer(&cs, grid, kind, kernel);
                         let case = format!("{kind} {kernel:?} on {height}x{width}");
-                        let book = rulegen::generate_rules(&t, kind, kernel);
+                        let book = streaming::generate(&t, kind, kernel);
                         if kind == ConvKind::SpConvS {
                             assert!(out.is_empty(), "{case}");
                         } else {
                             assert_eq!(out, book.output_coords(), "outputs of {case}");
                         }
                         assert_eq!(rules, book.num_rules() as u64, "rules of {case}");
-                        for oracle in [
-                            rulegen::hash::generate(&t, kind, kernel),
-                            rulegen::sort::generate(&t, kind, kernel),
-                        ] {
-                            assert_eq!(oracle.output_coords(), book.output_coords(), "{case}");
-                            assert_eq!(oracle.num_rules(), book.num_rules(), "{case}");
-                        }
+                        assert_eq!(hash::generate(&t, kind, kernel), book, "{case}");
                     }
                 }
             }

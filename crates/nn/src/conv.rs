@@ -1,10 +1,8 @@
-//! Sparse convolution variants and their functional execution.
+//! Sparse convolution variants and layer shapes.
 
-use crate::kernel::{KernelShape, Weights};
-use crate::rule::RuleBook;
-use crate::rulegen;
+use crate::kernel::KernelShape;
 use serde::{Deserialize, Serialize};
-use spade_tensor::{CprBuilder, CprTensor, DenseTensor, GridShape};
+use spade_tensor::GridShape;
 use std::fmt;
 
 /// The sparse-convolution variants studied by the paper (Fig. 1(c–e)).
@@ -146,122 +144,11 @@ impl LayerSpec {
             _ => input,
         }
     }
-
-    /// Generates seeded weights with the layer's shape.
-    #[must_use]
-    pub fn seeded_weights(&self, seed: u64) -> Weights {
-        Weights::seeded(self.out_channels, self.in_channels, self.kernel, seed)
-    }
-
-    /// Generates the rule book mapping active inputs to active outputs for
-    /// this layer. For [`ConvKind::SpConvP`] the dilated (un-pruned) outputs
-    /// are produced; pruning is applied afterwards by the network executor.
-    #[must_use]
-    pub fn generate_rules(&self, input: &CprTensor) -> RuleBook {
-        rulegen::generate_rules(input, self.kind, self.kernel)
-    }
-
-    /// Functionally executes the layer on a CPR tensor, returning the output
-    /// CPR tensor. Accumulation is in f32; an optional ReLU is applied.
-    ///
-    /// This path is used for correctness tests and the feature-map study
-    /// (Fig. 13(b)); network-scale evaluation uses pattern-level execution in
-    /// [`crate::graph`].
-    #[must_use]
-    pub fn execute(&self, input: &CprTensor, weights: &Weights, relu: bool) -> CprTensor {
-        assert_eq!(
-            input.channels(),
-            self.in_channels,
-            "layer {} expects {} input channels, tensor has {}",
-            self.name,
-            self.in_channels,
-            input.channels()
-        );
-        assert_eq!(weights.in_channels(), self.in_channels);
-        assert_eq!(weights.out_channels(), self.out_channels);
-        let rules = self.generate_rules(input);
-        let num_out = rules.num_outputs();
-        let mut acc = vec![0.0f32; num_out * self.out_channels];
-        for tap in 0..rules.num_taps() {
-            for r in rules.rules_for_tap(tap) {
-                let in_feat = input.features(r.input);
-                let base = r.output * self.out_channels;
-                for oc in 0..self.out_channels {
-                    let mut sum = 0.0f32;
-                    for (ic, &x) in in_feat.iter().enumerate() {
-                        sum += x * f32::from(weights.get(oc, ic, tap));
-                    }
-                    acc[base + oc] += sum;
-                }
-            }
-        }
-        let mut builder = CprBuilder::new(rules.output_grid(), self.out_channels);
-        for (q, &coord) in rules.output_coords().iter().enumerate() {
-            let mut feat = acc[q * self.out_channels..(q + 1) * self.out_channels].to_vec();
-            if relu {
-                for v in &mut feat {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-            }
-            builder
-                .push(coord, feat)
-                .expect("rule book outputs are in CPR order");
-        }
-        builder.build()
-    }
-}
-
-/// Dense reference Conv2D (stride 1, zero padding) used to validate the
-/// sparse kernels: on an all-active input the sparse and dense paths must
-/// agree, and on a sparse input SpConv must agree with the dense result at
-/// every grid position.
-#[must_use]
-pub fn dense_conv2d_reference(input: &DenseTensor, weights: &Weights, relu: bool) -> DenseTensor {
-    let grid = input.grid();
-    let out_ch = weights.out_channels();
-    let offsets = weights.kernel().offsets();
-    let mut out = DenseTensor::zeros(out_ch, grid);
-    for row in 0..grid.height {
-        for col in 0..grid.width {
-            for oc in 0..out_ch {
-                let mut sum = 0.0f32;
-                for (tap, &(dr, dc)) in offsets.iter().enumerate() {
-                    let r = i64::from(row) + i64::from(dr);
-                    let c = i64::from(col) + i64::from(dc);
-                    if r < 0 || c < 0 || r >= i64::from(grid.height) || c >= i64::from(grid.width) {
-                        continue;
-                    }
-                    for ic in 0..weights.in_channels() {
-                        sum +=
-                            input.get(ic, r as u32, c as u32) * f32::from(weights.get(oc, ic, tap));
-                    }
-                }
-                out.set(oc, row, col, if relu && sum < 0.0 { 0.0 } else { sum });
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_tensor::PillarCoord;
-
-    fn small_input() -> CprTensor {
-        CprTensor::from_entries(
-            GridShape::new(6, 6),
-            2,
-            vec![
-                (PillarCoord::new(1, 1), vec![1.0, -2.0]),
-                (PillarCoord::new(1, 2), vec![0.5, 3.0]),
-                (PillarCoord::new(4, 4), vec![-1.0, 1.0]),
-            ],
-        )
-        .unwrap()
-    }
 
     #[test]
     fn conv_kind_properties() {
@@ -271,107 +158,6 @@ mod tests {
         assert_eq!(ConvKind::SpDeconv.upsample(), 2);
         assert_eq!(ConvKind::SpConv.to_string(), "SpConv");
         assert_eq!(ConvKind::SpConvS.to_string(), "SpConv-S");
-    }
-
-    #[test]
-    fn submanifold_preserves_active_set() {
-        let input = small_input();
-        let layer = LayerSpec::new("test", ConvKind::SpConvS, 2, 3);
-        let w = layer.seeded_weights(0);
-        let out = layer.execute(&input, &w, false);
-        assert_eq!(out.coords(), input.coords());
-        assert_eq!(out.channels(), 3);
-    }
-
-    #[test]
-    fn spconv_dilates_active_set() {
-        let input = small_input();
-        let layer = LayerSpec::new("test", ConvKind::SpConv, 2, 2);
-        let w = layer.seeded_weights(0);
-        let out = layer.execute(&input, &w, false);
-        assert!(out.num_active() > input.num_active());
-        // All original coordinates remain active positions.
-        for c in input.coords() {
-            assert!(out.index_of(c).is_some());
-        }
-    }
-
-    #[test]
-    fn spconv_matches_dense_reference_everywhere() {
-        let input = small_input();
-        let layer = LayerSpec::new("test", ConvKind::SpConv, 2, 3);
-        let w = layer.seeded_weights(3);
-        let sparse_out = layer.execute(&input, &w, false).to_dense();
-        let dense_out = dense_conv2d_reference(&input.to_dense(), &w, false);
-        let grid = input.grid();
-        for ch in 0..3 {
-            for r in 0..grid.height {
-                for c in 0..grid.width {
-                    let a = sparse_out.get(ch, r, c);
-                    let b = dense_out.get(ch, r, c);
-                    assert!(
-                        (a - b).abs() < 1e-3,
-                        "mismatch at ({ch}, {r}, {c}): sparse={a} dense={b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn submanifold_matches_dense_reference_at_active_inputs() {
-        let input = small_input();
-        let layer = LayerSpec::new("test", ConvKind::SpConvS, 2, 2);
-        let w = layer.seeded_weights(11);
-        let out = layer.execute(&input, &w, false);
-        let dense_out = dense_conv2d_reference(&input.to_dense(), &w, false);
-        for (i, coord) in out.coords().into_iter().enumerate() {
-            for ch in 0..2 {
-                let a = out.features(i)[ch];
-                let b = dense_out.get(ch, coord.row, coord.col);
-                assert!((a - b).abs() < 1e-3);
-            }
-        }
-    }
-
-    #[test]
-    fn strided_conv_halves_grid() {
-        let input = small_input();
-        let layer = LayerSpec::new("down", ConvKind::SpStConv, 2, 4);
-        let w = layer.seeded_weights(1);
-        let out = layer.execute(&input, &w, false);
-        assert_eq!(out.grid(), GridShape::new(3, 3));
-        assert!(out.num_active() >= 1);
-        assert!(out.check_invariants());
-    }
-
-    #[test]
-    fn deconv_doubles_grid() {
-        let input = small_input();
-        let layer = LayerSpec::new("up", ConvKind::SpDeconv, 2, 2);
-        let w = layer.seeded_weights(1);
-        let out = layer.execute(&input, &w, false);
-        assert_eq!(out.grid(), GridShape::new(12, 12));
-        // Each input produces 4 distinct outputs with a 2x2 stride-2 kernel.
-        assert_eq!(out.num_active(), input.num_active() * 4);
-    }
-
-    #[test]
-    fn relu_clamps_negative_outputs() {
-        let input = small_input();
-        let layer = LayerSpec::new("relu", ConvKind::SpConvS, 2, 4);
-        let w = layer.seeded_weights(5);
-        let out = layer.execute(&input, &w, true);
-        assert!(out.feature_data().iter().all(|&v| v >= 0.0));
-    }
-
-    #[test]
-    fn dense_kind_activates_whole_grid() {
-        let input = small_input();
-        let layer = LayerSpec::new("dense", ConvKind::Dense, 2, 1);
-        let w = layer.seeded_weights(2);
-        let out = layer.execute(&input, &w, false);
-        assert_eq!(out.num_active(), input.grid().num_cells());
     }
 
     #[test]
@@ -389,14 +175,5 @@ mod tests {
             LayerSpec::new("c", ConvKind::SpDeconv, 1, 1).output_grid(g),
             GridShape::new(20, 20)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "input channels")]
-    fn execute_checks_channel_count() {
-        let input = small_input();
-        let layer = LayerSpec::new("bad", ConvKind::SpConv, 3, 2);
-        let w = layer.seeded_weights(0);
-        let _ = layer.execute(&input, &w, false);
     }
 }

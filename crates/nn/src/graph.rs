@@ -174,12 +174,6 @@ impl NetworkTrace {
         self.total_macs() as f64 * 2.0 / 1e9
     }
 
-    /// Dense-equivalent giga-operations.
-    #[must_use]
-    pub fn dense_gops(&self) -> f64 {
-        self.dense_macs() as f64 * 2.0 / 1e9
-    }
-
     /// Computation savings relative to the dense equivalent (Table I's
     /// "Sparsity" column): `1 − ops / dense_ops`.
     #[must_use]

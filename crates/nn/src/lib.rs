@@ -6,22 +6,19 @@
 //!
 //! This crate is the *algorithm* half of the paper:
 //!
-//! * [`kernel`] — convolution kernel geometry, seeded int8 weights, and the
-//!   stride-pattern weight groups used by the weight-grouping dataflow
-//!   optimisation.
+//! * [`kernel`] — convolution kernel geometry (tap offsets).
 //! * [`rule`] — the *rule book*: the explicit `(input, weight, output)` index
 //!   mapping that sparse convolution executes from.
-//! * [`rulegen`] — three rule-generation algorithms: the paper's streaming
-//!   CPR-based algorithm (the RGU's algorithmic reference, `O(P)`), a
-//!   hash-table algorithm (as used by the SpConv GPU library), and a
-//!   merge-sort algorithm (as used by the PointAcc accelerator), each with a
-//!   cycle-cost model for Fig. 5(b) — plus [`rulegen::delta`], the
-//!   cross-frame state with which the executor counts, beside each sweep,
-//!   the output rows an RGU would re-sweep when consecutive frames of a
-//!   drive overlap (temporal delta execution).
-//! * [`conv`] — sparse convolution variants (SpConv, SpConv-S, SpConv-P,
-//!   strided SpConv, SpDeconv) and a dense reference, executed functionally on
-//!   CPR tensors.
+//! * [`rulegen`] — the cycle-cost models of three rule-generation algorithms
+//!   for Fig. 5(b) (the paper's streaming RGU, a hash table as used by the
+//!   SpConv GPU library, and a merge sorter as used by the PointAcc
+//!   accelerator), two rule-book generators that serve as test references
+//!   (the streaming CPR algorithm and the hash table), and
+//!   [`rulegen::delta`], the cross-frame state with which the executor
+//!   counts, beside each sweep, the output rows an RGU would re-sweep when
+//!   consecutive frames of a drive overlap (temporal delta execution).
+//! * [`conv`] — the sparse convolution variants (SpConv, SpConv-S, SpConv-P,
+//!   strided SpConv, SpDeconv) and layer shapes.
 //! * [`pruning`] — dynamic vector pruning (Top-K per layer) and its
 //!   importance model.
 //! * [`graph`] — layer graphs, network execution traces (active pillars,
@@ -58,7 +55,7 @@ pub mod zoo;
 pub use arena::ExecutionArena;
 pub use conv::{ConvKind, LayerSpec};
 pub use graph::{LayerTrace, NetworkSpec, NetworkTrace};
-pub use kernel::{KernelShape, WeightGroup, Weights};
+pub use kernel::KernelShape;
 pub use pruning::{PruningConfig, VectorPruner};
 pub use rule::{Rule, RuleBook};
 pub use rulegen::delta::{DeltaPolicy, DeltaStats, FrameDeltaState};

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 use spade_pointcloud::pillarize::PillarizationConfig;
 use spade_pointcloud::Scene;
-use spade_tensor::{CprTensor, GridShape, PillarCoord};
+use spade_tensor::{GridShape, PillarCoord};
 
 /// Configuration of the dynamic vector pruner.
 ///
@@ -88,13 +88,11 @@ impl VectorPruner {
     /// Keeps `max(min_keep, ceil(keep_ratio * n))` pillars with the highest
     /// scores; ties at the cut go to the lowest indices, as a stable sort by
     /// descending score would order them. Returned indices are sorted
-    /// ascending so they can be fed to [`CprTensor::select`] without
-    /// disturbing CPR order.
+    /// ascending, so selecting them from a CPR-ordered set keeps CPR order.
     ///
-    /// Scores must be finite and non-negative (importance scores and feature
-    /// magnitudes are); `-0.0` ties with `0.0`. On such scores the IEEE bit
-    /// pattern orders like the value, so the cut is a selection over plain
-    /// `u64` keys.
+    /// Scores must be finite and non-negative (importance scores are);
+    /// `-0.0` ties with `0.0`. On such scores the IEEE bit pattern orders
+    /// like the value, so the cut is a selection over plain `u64` keys.
     #[must_use]
     pub fn keep_indices(&self, scores: &[f64]) -> Vec<usize> {
         debug_assert!(
@@ -127,17 +125,6 @@ impl VectorPruner {
             }
         }
         kept
-    }
-
-    /// Prunes a tensor using per-pillar feature magnitudes as importance.
-    #[must_use]
-    pub fn prune_by_magnitude(&self, tensor: &CprTensor) -> CprTensor {
-        let scores: Vec<f64> = tensor
-            .pillar_magnitudes()
-            .into_iter()
-            .map(f64::from)
-            .collect();
-        tensor.select(&self.keep_indices(&scores))
     }
 }
 
@@ -446,30 +433,6 @@ mod tests {
         let scores = vec![0.1, 5.0, 0.2, 4.0, 3.0, 0.3, 2.0, 1.0, 0.5, 0.6];
         let kept = pruner.keep_indices(&scores);
         assert!(kept.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn prune_by_magnitude_keeps_strong_pillars() {
-        let t = CprTensor::from_entries(
-            GridShape::new(4, 4),
-            1,
-            vec![
-                (PillarCoord::new(0, 0), vec![0.01]),
-                (PillarCoord::new(1, 1), vec![10.0]),
-                (PillarCoord::new(2, 2), vec![0.02]),
-                (PillarCoord::new(3, 3), vec![8.0]),
-            ],
-        )
-        .unwrap();
-        let pruner = VectorPruner::new(PruningConfig {
-            keep_ratio: 0.5,
-            min_keep: 1,
-            finetuned: true,
-        });
-        let pruned = pruner.prune_by_magnitude(&t);
-        assert_eq!(pruned.num_active(), 2);
-        assert!(pruned.index_of(PillarCoord::new(1, 1)).is_some());
-        assert!(pruned.index_of(PillarCoord::new(3, 3)).is_some());
     }
 
     #[test]

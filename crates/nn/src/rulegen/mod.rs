@@ -1,36 +1,31 @@
 //! Rule generation: mapping active inputs to active outputs.
 //!
-//! Three algorithms produce the *same* rule book but at very different cost,
-//! which is the comparison of Fig. 5(b):
+//! Fig. 5(b) compares three rule-generation algorithms by cost, and
+//! [`RuleGenMethod::cost`] models the cycles of each: SPADE's streaming RGU,
+//! the SpConv GPU library's hash table and PointAcc's merge sorter. Two of
+//! them are implemented, as rule-book references:
 //!
 //! * [`streaming`] — the paper's CPR-streaming algorithm (alignment → row
 //!   merge → column-wise dilation), `O(P)`; this is the algorithm SPADE's
-//!   Rule Generation Unit implements.
-//! * [`hash`] — hash-table rule generation as used by the SpConv GPU library.
-//! * [`sort`] — merge-sort rule generation as used by the PointAcc
-//!   accelerator (64-element bitonic merge sorter).
+//!   Rule Generation Unit implements, and [`streaming::generate`] builds a
+//!   full [`RuleBook`](crate::rule::RuleBook) with it.
+//! * [`hash`] — hash-table rule generation as used by the SpConv GPU
+//!   library, an independent generator the streaming rule books are pinned
+//!   to.
 //!
-//! The streaming algorithm is one sweep core, `streaming::sweep_output_row`,
-//! with one driver: [`generate_rules`] runs it over every output row to
-//! build a [`RuleBook`] (the functional convolution kernels, `fig05b` and
-//! the oracle tests use it). Pattern-level execution needs only each
-//! layer's output set and rule count, so `ExecutionArena::sweep_layer`
-//! computes those on occupancy bitmaps instead, pinned equal to this
-//! module's generators; the temporal [`delta`] path only counts, beside
-//! that sweep, the rows an RGU would re-sweep from frame to frame. The hash
-//! and sort generators exist to verify equivalence and to model their cycle
-//! costs.
+//! Pattern-level execution needs only each layer's output set and rule
+//! count, so `ExecutionArena::sweep_layer` computes those on occupancy
+//! bitmaps instead, pinned equal to both generators by its tests. The
+//! temporal [`delta`] path only counts, beside that sweep, the rows an RGU
+//! would re-sweep from frame to frame.
 
 pub mod delta;
 pub mod hash;
-pub mod sort;
 pub mod streaming;
 
 use crate::conv::ConvKind;
-use crate::kernel::KernelShape;
-use crate::rule::RuleBook;
 use serde::{Deserialize, Serialize};
-use spade_tensor::{CprTensor, GridShape};
+use spade_tensor::GridShape;
 
 /// Which rule-generation algorithm (and therefore cost model) to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -116,77 +111,9 @@ pub fn output_grid(input: GridShape, kind: ConvKind) -> GridShape {
     }
 }
 
-/// Generates the rule book for a sparse convolution using the streaming
-/// (reference) algorithm.
-#[must_use]
-pub fn generate_rules(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> RuleBook {
-    streaming::generate(input, kind, kernel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_tensor::PillarCoord;
-
-    fn sample() -> CprTensor {
-        CprTensor::from_coords(
-            GridShape::new(8, 8),
-            1,
-            &[
-                PillarCoord::new(1, 1),
-                PillarCoord::new(1, 2),
-                PillarCoord::new(4, 6),
-                PillarCoord::new(7, 0),
-            ],
-        )
-    }
-
-    #[test]
-    fn spconv_output_superset_of_input() {
-        let t = sample();
-        let book = generate_rules(&t, ConvKind::SpConv, KernelShape::k3x3());
-        let out = book.output_coords();
-        for c in t.coords() {
-            assert!(out.contains(&c));
-        }
-        assert!(out.len() > t.num_active());
-        assert!(
-            out.windows(2).all(|w| w[0] < w[1]),
-            "output must be CPR sorted"
-        );
-    }
-
-    #[test]
-    fn submanifold_output_equals_input() {
-        let t = sample();
-        let book = generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
-        assert_eq!(book.output_coords(), t.coords());
-    }
-
-    #[test]
-    fn strided_output_lands_on_half_grid() {
-        let t = sample();
-        let book = generate_rules(&t, ConvKind::SpStConv, KernelShape::k3x3());
-        let out = book.output_coords();
-        let g = output_grid(t.grid(), ConvKind::SpStConv);
-        assert_eq!(g, GridShape::new(4, 4));
-        assert!(out.iter().all(|c| c.in_bounds(g)));
-        assert!(!out.is_empty());
-    }
-
-    #[test]
-    fn deconv_output_is_4x_input_count() {
-        let t = sample();
-        let book = generate_rules(&t, ConvKind::SpDeconv, KernelShape::k2x2());
-        assert_eq!(book.num_outputs(), t.num_active() * 4);
-    }
-
-    #[test]
-    fn dense_output_covers_grid() {
-        let t = sample();
-        let book = generate_rules(&t, ConvKind::Dense, KernelShape::k3x3());
-        assert_eq!(book.num_outputs(), 64);
-    }
 
     #[test]
     fn cost_ordering_matches_paper() {

@@ -22,9 +22,8 @@
 //!
 //! The private `sweep_output_row` is the sweep core and [`generate`] its one
 //! driver: it runs the core over every output row to build a full
-//! [`RuleBook`], which is what the functional convolutions, `fig05b` and the
-//! oracle tests read. Pattern-level execution does not merge at all: the
-//! RGU's cost is modelled from per-layer counts, so
+//! [`RuleBook`], which the oracle tests read. Pattern-level execution does
+//! not merge at all: the RGU's cost is modelled from per-layer counts, so
 //! `ExecutionArena::sweep_layer` computes the same output sets and rule
 //! counts on occupancy bitmaps, and its tests pin it to this module. Both
 //! align kernel rows to input rows through `input_row`; `input_row_band` is
@@ -269,12 +268,10 @@ pub fn generate(input: &CprTensor, kind: ConvKind, kernel: KernelShape) -> RuleB
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spade_tensor::GridShape;
 
     fn sample() -> CprTensor {
         CprTensor::from_coords(
             GridShape::new(6, 6),
-            1,
             &[
                 PillarCoord::new(1, 1),
                 PillarCoord::new(1, 4),
@@ -295,7 +292,7 @@ mod tests {
 
     #[test]
     fn edge_inputs_lose_out_of_bounds_rules() {
-        let t = CprTensor::from_coords(GridShape::new(6, 6), 1, &[PillarCoord::new(0, 0)]);
+        let t = CprTensor::from_coords(GridShape::new(6, 6), &[PillarCoord::new(0, 0)]);
         let book = generate(&t, ConvKind::SpConv, KernelShape::k3x3());
         // The corner input can only produce the 4 in-bounds outputs.
         assert_eq!(book.num_rules(), 4);
@@ -342,6 +339,20 @@ mod tests {
     }
 
     #[test]
+    fn output_sets_follow_the_kind() {
+        let t = sample();
+        let strided = generate(&t, ConvKind::SpStConv, KernelShape::k3x3());
+        let half = GridShape::new(3, 3);
+        assert!(!strided.output_coords().is_empty());
+        assert!(strided.output_coords().iter().all(|c| c.in_bounds(half)));
+        // A 2x2 stride-2 kernel gives each input four outputs of its own.
+        let deconv = generate(&t, ConvKind::SpDeconv, KernelShape::k2x2());
+        assert_eq!(deconv.num_outputs(), t.num_active() * 4);
+        let dense = generate(&t, ConvKind::Dense, KernelShape::k3x3());
+        assert_eq!(dense.output_coords(), t.grid().all_cells());
+    }
+
+    #[test]
     fn one_by_one_kernels_stream_correctly() {
         let t = sample();
         let book = generate(&t, ConvKind::SpConv, KernelShape::k1x1());
@@ -354,7 +365,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_empty_book() {
-        let t = CprTensor::empty(GridShape::new(8, 8), 1);
+        let t = CprTensor::from_coords(GridShape::new(8, 8), &[]);
         for kind in [ConvKind::SpConv, ConvKind::SpConvS, ConvKind::SpStConv] {
             let book = generate(&t, kind, KernelShape::k3x3());
             assert_eq!(book.num_rules(), 0, "kind {kind}");

@@ -755,26 +755,6 @@ impl DriveScenario {
             overlaps.iter().sum::<f64>() / overlaps.len() as f64
         }
     }
-
-    /// BEV occupancy of already-generated frames — the quantity whose drift
-    /// across the drive exercises IOPR drift in the backbone.
-    ///
-    /// Takes `&[DriveFrame]` so callers that already hold the drive's frames
-    /// (every sweep does) read occupancy off them instead of regenerating
-    /// the whole drive.
-    #[must_use]
-    pub fn occupancy_of(frames: &[DriveFrame]) -> Vec<f64> {
-        frames.iter().map(|f| f.frame.pillars.occupancy()).collect()
-    }
-
-    /// BEV occupancy of every frame of the drive. Convenience wrapper that
-    /// generates the frames and discards them; when the frames are needed
-    /// too, call [`DriveScenario::frames`] once and use
-    /// [`DriveScenario::occupancy_of`] so each frame is built only once.
-    #[must_use]
-    pub fn occupancy_series(&self) -> Vec<f64> {
-        Self::occupancy_of(&self.frames())
-    }
 }
 
 #[cfg(test)]
@@ -811,24 +791,15 @@ mod tests {
     #[test]
     fn occupancy_drifts_with_density() {
         let scenario = DriveScenario::urban_approach(DatasetPreset::kitti_like(), 5, 17);
-        let occ = scenario.occupancy_series();
+        let occ: Vec<f64> = scenario
+            .frames()
+            .iter()
+            .map(|f| f.frame.pillars.occupancy())
+            .collect();
         assert_eq!(occ.len(), 5);
         assert!(occ.iter().all(|&o| o > 0.0));
         // The dense end of the drive occupies more of the BEV grid.
         assert!(occ[4] > occ[0], "occupancy should rise: {occ:?}");
-    }
-
-    #[test]
-    fn occupancy_of_reuses_generated_frames() {
-        let scenario = DriveScenario::urban_approach(DatasetPreset::kitti_like(), 4, 17);
-        let frames = scenario.frames();
-        // Reading occupancy off already-generated frames matches the
-        // regenerate-everything convenience path exactly.
-        assert_eq!(
-            DriveScenario::occupancy_of(&frames),
-            scenario.occupancy_series()
-        );
-        assert!(DriveScenario::occupancy_of(&[]).is_empty());
     }
 
     #[test]

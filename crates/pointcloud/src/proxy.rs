@@ -81,13 +81,6 @@ impl AccuracyProxy {
         let drop = self.slope * excess.powf(self.curvature);
         (self.baseline_map - drop).max(0.0)
     }
-
-    /// Estimates accuracy degradation in percentage points relative to the
-    /// dense baseline.
-    #[must_use]
-    pub fn estimate_drop(&self, foreground_coverage: f64) -> f64 {
-        self.baseline_map - self.estimate_map(foreground_coverage)
-    }
 }
 
 /// Fraction of foreground evidence retained: the ratio of kept in-box pillars
@@ -111,7 +104,6 @@ mod tests {
     fn full_coverage_retains_baseline() {
         let p = AccuracyProxy::with_finetuning(77.3);
         assert_eq!(p.estimate_map(1.0), 77.3);
-        assert_eq!(p.estimate_drop(1.0), 0.0);
     }
 
     #[test]

@@ -126,8 +126,7 @@ pub struct Scene {
 }
 
 impl Scene {
-    /// Creates a scene from explicit objects (useful for targeted tests such
-    /// as the single-car feature-map study of Fig. 13(b)).
+    /// Creates a scene from explicit objects (useful for targeted tests).
     #[must_use]
     pub fn from_objects(config: SceneConfig, objects: Vec<SceneObject>) -> Self {
         Self { config, objects }
@@ -202,11 +201,6 @@ impl SceneGenerator {
             objects,
         }
     }
-
-    /// Generates a batch of scenes.
-    pub fn generate_batch(&mut self, count: usize) -> Vec<Scene> {
-        (0..count).map(|_| self.generate()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -258,10 +252,9 @@ mod tests {
     #[test]
     fn nuscenes_config_allows_negative_x() {
         let cfg = SceneConfig::nuscenes_like();
-        let scenes = SceneGenerator::new(cfg, 3).generate_batch(5);
-        assert!(scenes
-            .iter()
-            .flat_map(|s| s.objects())
+        let mut generator = SceneGenerator::new(cfg, 3);
+        assert!((0..5)
+            .flat_map(|_| generator.generate().objects)
             .any(|o| o.bbox.cx < 0.0));
     }
 

@@ -50,15 +50,6 @@ impl DramModel {
         }
     }
 
-    /// A model with explicit bandwidth (bytes per accelerator cycle).
-    #[must_use]
-    pub fn with_bandwidth(bytes_per_cycle: f64) -> Self {
-        Self {
-            bytes_per_cycle,
-            ..Self::lpddr4()
-        }
-    }
-
     /// Records a sequential (streaming) transfer of `bytes`.
     /// Returns the cycles this transfer occupies the DRAM interface.
     pub fn read_sequential(&mut self, bytes: u64) -> Cycles {
@@ -84,11 +75,6 @@ impl DramModel {
         self.stats.row_activations += misses;
         self.stats.cycles += cycles;
         cycles
-    }
-
-    /// Records a sequential write (same cost model as a sequential read).
-    pub fn write_sequential(&mut self, bytes: u64) -> Cycles {
-        self.read_sequential(bytes)
     }
 
     /// The accumulated statistics.
@@ -139,7 +125,7 @@ mod tests {
     fn stats_accumulate() {
         let mut d = DramModel::lpddr4();
         d.read_sequential(1000);
-        d.write_sequential(500);
+        d.read_sequential(500);
         d.read_random(10, 64);
         let s = d.stats();
         assert_eq!(s.total_bytes, 1000 + 500 + 640);
@@ -148,12 +134,5 @@ mod tests {
         assert!(s.cycles > Cycles::default());
         d.reset();
         assert_eq!(d.stats(), DramStats::default());
-    }
-
-    #[test]
-    fn higher_bandwidth_is_faster() {
-        let mut slow = DramModel::with_bandwidth(12.8);
-        let mut fast = DramModel::with_bandwidth(51.2);
-        assert!(slow.read_sequential(1 << 20) > fast.read_sequential(1 << 20));
     }
 }

@@ -5,7 +5,7 @@
 //! It re-exports the workspace crates so applications can depend on a single
 //! crate:
 //!
-//! * [`tensor`] — CPR sparse tensors, dense BEV tensors.
+//! * [`tensor`] — BEV coordinates, CPR sparse active sets.
 //! * [`pointcloud`] — synthetic LiDAR scenes, dataset presets, accuracy
 //!   proxy.
 //! * [`nn`] — sparse convolution variants, rule generation, dynamic vector

@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn cpr_invariants_hold(coords in arb_coords(80)) {
         let grid = GridShape::new(24, 24);
-        let t = CprTensor::from_coords(grid, 4, &coords);
+        let t = CprTensor::from_coords(grid, &coords);
         prop_assert!(t.check_invariants());
         let mut expected: Vec<PillarCoord> = coords.clone();
         expected.sort();
@@ -42,35 +42,14 @@ proptest! {
         prop_assert_eq!(t.coords(), expected);
     }
 
-    /// Dense round trip preserves the sparse tensor exactly.
-    #[test]
-    fn dense_round_trip(coords in arb_coords(60)) {
-        let grid = GridShape::new(24, 24);
-        let t = CprTensor::from_coords(grid, 3, &coords);
-        prop_assert_eq!(t.to_dense().to_cpr(), t);
-    }
-
-    /// All three rule-generation algorithms agree on outputs and rule counts
-    /// for every sparse convolution kind.
-    #[test]
-    fn rulegen_algorithms_agree(coords in arb_coords(40)) {
-        let grid = GridShape::new(24, 24);
-        let t = CprTensor::from_coords(grid, 1, &coords);
-        for kind in [ConvKind::SpConv, ConvKind::SpConvS, ConvKind::SpStConv] {
-            prop_assert!(spade::nn::rulegen::hash::equivalent_to_streaming(&t, kind, KernelShape::k3x3()));
-            prop_assert!(spade::nn::rulegen::sort::equivalent_to_streaming(&t, kind, KernelShape::k3x3()));
-        }
-        prop_assert!(spade::nn::rulegen::hash::equivalent_to_streaming(&t, ConvKind::SpDeconv, KernelShape::k2x2()));
-    }
-
-    /// The fused streaming pass is pinned to the hash-table and merge-sort
-    /// reference generators for every convolution kind and kernel shape the
-    /// zoo uses: the rule books must be *identical* (same outputs, same
-    /// per-tap rule sequences).
+    /// The fused streaming pass is pinned to the hash-table reference
+    /// generator for every convolution kind and kernel shape the zoo uses:
+    /// the rule books must be *identical* (same outputs, same per-tap rule
+    /// sequences).
     #[test]
     fn fused_streaming_is_pinned_to_reference_generators(coords in arb_coords(48)) {
         let grid = GridShape::new(24, 24);
-        let t = CprTensor::from_coords(grid, 1, &coords);
+        let t = CprTensor::from_coords(grid, &coords);
         let cases = [
             (ConvKind::SpConv, KernelShape::k3x3()),
             (ConvKind::SpConvS, KernelShape::k3x3()),
@@ -83,11 +62,9 @@ proptest! {
             (ConvKind::SpStConv, KernelShape::k1x1()),
         ];
         for (kind, kernel) in cases {
-            let fused = spade::nn::rulegen::streaming::generate(&t, kind, kernel);
-            let hashed = spade::nn::rulegen::hash::generate(&t, kind, kernel);
-            let sorted = spade::nn::rulegen::sort::generate(&t, kind, kernel);
+            let fused = rulegen::streaming::generate(&t, kind, kernel);
+            let hashed = rulegen::hash::generate(&t, kind, kernel);
             prop_assert_eq!(&fused, &hashed, "hash mismatch for {} {:?}", kind, kernel);
-            prop_assert_eq!(&fused, &sorted, "sort mismatch for {} {:?}", kind, kernel);
             prop_assert!(fused.check_monotone(), "monotonicity lost for {} {:?}", kind, kernel);
         }
     }
@@ -98,33 +75,12 @@ proptest! {
     #[test]
     fn sparse_conv_active_set_properties(coords in arb_coords(40)) {
         let grid = GridShape::new(24, 24);
-        let t = CprTensor::from_coords(grid, 1, &coords);
-        let sub = rulegen::generate_rules(&t, ConvKind::SpConvS, KernelShape::k3x3());
+        let t = CprTensor::from_coords(grid, &coords);
+        let sub = rulegen::streaming::generate(&t, ConvKind::SpConvS, KernelShape::k3x3());
         prop_assert_eq!(sub.output_coords(), t.coords());
-        let book = rulegen::generate_rules(&t, ConvKind::SpConv, KernelShape::k3x3());
+        let book = rulegen::streaming::generate(&t, ConvKind::SpConv, KernelShape::k3x3());
         prop_assert!(book.num_outputs() >= t.num_active());
         prop_assert!(book.check_monotone());
-    }
-
-    /// The sparse functional convolution matches the dense reference at every
-    /// grid position for random sparse inputs.
-    #[test]
-    fn spconv_matches_dense_reference(coords in arb_coords(12)) {
-        let grid = GridShape::new(10, 10);
-        let t = CprTensor::from_coords(grid, 2, &coords);
-        let layer = LayerSpec::new("p", ConvKind::SpConv, 2, 2);
-        let w = layer.seeded_weights(3);
-        let sparse = layer.execute(&t, &w, false).to_dense();
-        let dense = spade::nn::conv::dense_conv2d_reference(&t.to_dense(), &w, false);
-        for ch in 0..2 {
-            for r in 0..10 {
-                for c in 0..10 {
-                    let a = sparse.get(ch, r, c);
-                    let b = dense.get(ch, r, c);
-                    prop_assert!((a - b).abs() < 1e-3, "mismatch at ({}, {}, {})", ch, r, c);
-                }
-            }
-        }
     }
 
     /// Every rule of a stride-1 layer is a dense gather: output `q` reads
@@ -134,7 +90,7 @@ proptest! {
     #[test]
     fn streaming_rules_match_a_brute_force_gather(coords in arb_coords(48)) {
         let grid = GridShape::new(24, 24);
-        let t = CprTensor::from_coords(grid, 1, &coords);
+        let t = CprTensor::from_coords(grid, &coords);
         // The CPR index of the input at each cell, if it is active.
         let mut occupancy = vec![None; grid.num_cells()];
         for (i, c) in t.iter_coords().enumerate() {
@@ -427,7 +383,7 @@ proptest! {
     /// consecutive frames of every named scenario, for every convolution
     /// kind and kernel the zoo uses, every output row of layer 0 whose
     /// coordinates or rule count differ between the two frames (per row,
-    /// from `rulegen::generate_rules`) must be reached by a changed input
+    /// from `rulegen::streaming::generate`) must be reached by a changed input
     /// row — have a rule from it on a fully active grid — and the delta
     /// path must count exactly the output rows those changed input rows
     /// reach as re-swept. Every frame after the first also runs the
@@ -740,11 +696,8 @@ fn output_rows(
     kind: ConvKind,
     kernel: KernelShape,
 ) -> Vec<(Vec<PillarCoord>, usize)> {
-    let book = rulegen::generate_rules(
-        &CprTensor::from_sorted_coords(grid, 1, coords),
-        kind,
-        kernel,
-    );
+    let book =
+        rulegen::streaming::generate(&CprTensor::from_sorted_coords(grid, coords), kind, kernel);
     let outputs = book.output_coords();
     let mut rows = vec![(Vec::new(), 0); rulegen::output_grid(grid, kind).height as usize];
     for &c in outputs {
@@ -762,11 +715,8 @@ fn output_rows(
 /// have a rule from it when every cell of `grid` is active.
 fn rows_reached(grid: GridShape, kind: ConvKind, kernel: KernelShape) -> Vec<BTreeSet<u32>> {
     let cells = grid.all_cells();
-    let book = rulegen::generate_rules(
-        &CprTensor::from_sorted_coords(grid, 1, &cells),
-        kind,
-        kernel,
-    );
+    let book =
+        rulegen::streaming::generate(&CprTensor::from_sorted_coords(grid, &cells), kind, kernel);
     let mut reach = vec![BTreeSet::new(); grid.height as usize];
     for tap in 0..book.num_taps() {
         for rule in book.rules_for_tap(tap) {
