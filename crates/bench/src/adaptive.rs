@@ -25,15 +25,15 @@
 //!    refined (exact prefix + bound suffix), and re-screened; the prefix
 //!    doubles until the full drive is reached. Cheap frames kill most
 //!    survivors early; the few that reach the last rung have every frame
-//!    priced and are emitted through the same `spade_cell` constructor as
-//!    the exhaustive path.
+//!    priced and are emitted through the sweep's one cell constructor, as
+//!    on the exhaustive path.
 //!
 //! **Exactness.** The screen only ever discards a cell `c` when a *fully
 //! simulated* cell `s` dominates `bound(c)`. Since `bound(c) ≤ true(c)`
 //! componentwise and domination is transitive, `s` also dominates `true(c)`
 //! — so `c` is not on the exhaustive frontier, and anything `true(c)` would
 //! have dominated is dominated by `s` too. Surviving cells are built from
-//! per-frame simulations in frame order through the shared constructors, so
+//! per-frame simulations in frame order through the shared constructor, so
 //! the adaptive frontier is *byte-identical* to the exhaustive one — pinned
 //! by `tests/dse_adaptive.rs` across scenarios, `--jobs`, and `--delta`.
 //! Exact frontier ties are never screened (domination requires a strict
@@ -44,10 +44,10 @@
 //! serially on the assembled vectors. No map iteration, no wall clock: the
 //! result is bit-identical for any worker count.
 
-use super::{compute_cell, pareto_frontier, CellKind, DseCell, DseParams, SweepPlan};
+use super::{compute_cell, pareto_frontier, CellKind, DseCell, SweepPlan};
 use crate::pool::WorkerPool;
 use crate::workload::ModelRun;
-use spade_core::{FrameCost, SpadeAccelerator, SpadeConfig};
+use spade_core::{SpadeAccelerator, SpadeConfig};
 
 /// How the adaptive explorer spent its cell budget. The exhaustive path
 /// reports `cells_screened = 0` and every cell simulated.
@@ -86,12 +86,12 @@ struct CellBound {
     mean: [f64; 3],
 }
 
-/// A SPADE cell still alive in the halving loop, with the frames simulated
-/// so far (in frame order) and their exact running sums.
+/// A SPADE cell still alive in the halving loop, with the number of frames
+/// priced so far (in frame order) and their exact running sums.
 struct Survivor {
     /// Position into the `spade` item-index list.
     pos: usize,
-    perfs: Vec<FrameCost>,
+    frames_done: usize,
     prefix_lat: f64,
     prefix_energy: f64,
 }
@@ -105,26 +105,10 @@ const SEED_CAP: usize = 64;
 /// in the plan's canonical item order — fully simulated cells byte-identical
 /// to [`super::compute_cell`]'s output, screened cells carrying their bound
 /// values with `simulated = false` — plus the budget counters.
-pub(super) fn explore(
-    params: &DseParams,
-    pool: &WorkerPool,
-    plan: &SweepPlan,
-) -> (Vec<DseCell>, ScreenCounters) {
+pub(super) fn explore(pool: &WorkerPool, plan: &SweepPlan) -> (Vec<DseCell>, ScreenCounters) {
     let n_frames = plan.num_frames.max(1);
-    let n_models = params.models.len();
-    let run_cell = |item_idx: usize| compute_cell(plan, &params.models, &plan.items[item_idx]);
-
-    // Mean DRAM traffic is configuration-independent; computed with the
-    // same operation order as `mean_cell` so screened cells export the
-    // exact value.
-    let mean_dram_by_model: Vec<f64> = (0..n_models)
-        .map(|model_idx| {
-            (0..n_frames)
-                .map(|f| plan.costs.frame_dram_bytes(model_idx, f) as f64 / (1024.0 * 1024.0))
-                .sum::<f64>()
-                / n_frames as f64
-        })
-        .collect();
+    let n_models = plan.workloads.len();
+    let run_cell = |item_idx: usize| compute_cell(plan, &plan.items[item_idx]);
 
     // Split the canonical work-list: SPADE cells are screened adaptively,
     // every baseline cell is simulated outright (they are a small minority
@@ -226,30 +210,17 @@ pub(super) fn explore(
     };
     let mut cells_screened = 0usize;
     let mut frames_saved = 0usize;
-    // Builds the exported cell of a screened design point: the shared
-    // constructor for identity fields, the refined bound for the metric
-    // columns, `simulated = false` so the frontier and the duel tally skip
-    // it.
+    // Builds the exported cell of a screened design point: the refined
+    // bound for the latency and energy columns, SPADE's exact mean DRAM,
+    // and `simulated = false` so the frontier and the duel tally skip it.
     let mut screen = |cells: &mut Vec<Option<DseCell>>,
                       pos: usize,
                       frames_done: usize,
                       bound_lat: f64,
                       bound_energy: f64| {
         let item = &plan.items[spade[pos]];
-        let mut cell = plan.spade_cell(
-            params.models[item.model_idx],
-            item,
-            spade_dataflow(pos),
-            &[],
-        );
-        cell.mean_latency_ms = bound_lat;
-        cell.mean_energy_mj = bound_energy;
-        cell.mean_dram_mib = mean_dram_by_model[item.model_idx];
-        let (frames_delta, delta_speedup) = plan.delta_by_model[item.model_idx];
-        cell.frames_delta_executed = frames_delta;
-        cell.delta_speedup = delta_speedup;
-        cell.simulated = false;
-        cells[spade[pos]] = Some(cell);
+        let dram = plan.workloads[item.model_idx].spade_mean_dram_mib;
+        cells[spade[pos]] = Some(plan.cell(item, "SPADE", [bound_lat, bound_energy, dram], false));
         cells_screened += 1;
         frames_saved += n_frames - frames_done;
     };
@@ -270,7 +241,7 @@ pub(super) fn explore(
         } else {
             active.push(Survivor {
                 pos: p,
-                perfs: Vec::new(),
+                frames_done: 0,
                 prefix_lat: 0.0,
                 prefix_energy: 0.0,
             });
@@ -286,7 +257,7 @@ pub(super) fn explore(
         let rung = prefix.min(n_frames);
         for surv in &mut active {
             let item = &plan.items[spade[surv.pos]];
-            for f in surv.perfs.len()..rung {
+            for f in surv.frames_done..rung {
                 let cost = plan.costs.frame_cost(
                     item.model_idx,
                     item.config_idx,
@@ -295,29 +266,25 @@ pub(super) fn explore(
                 );
                 surv.prefix_lat += cost.latency_ms;
                 surv.prefix_energy += cost.energy_mj;
-                surv.perfs.push(cost);
             }
+            surv.frames_done = rung;
         }
+        let n = n_frames as f64;
         if rung == n_frames {
-            // Every surviving cell has priced the full drive: emit it
-            // through the shared constructor — byte-identical to the
-            // exhaustive path.
+            // Every surviving cell has priced the full drive: its running
+            // sums are the exhaustive path's frame-order sums, so the cell
+            // is byte-identical to `compute_cell`'s.
             for surv in active.drain(..) {
                 let item = &plan.items[spade[surv.pos]];
-                let mut cell = plan.spade_cell(
-                    params.models[item.model_idx],
-                    item,
-                    spade_dataflow(surv.pos),
-                    &surv.perfs,
-                );
-                let (frames_delta, delta_speedup) = plan.delta_by_model[item.model_idx];
-                cell.frames_delta_executed = frames_delta;
-                cell.delta_speedup = delta_speedup;
-                cells[spade[surv.pos]] = Some(cell);
+                let means = [
+                    surv.prefix_lat / n,
+                    surv.prefix_energy / n,
+                    plan.workloads[item.model_idx].spade_mean_dram_mib,
+                ];
+                cells[spade[surv.pos]] = Some(plan.cell(item, "SPADE", means, true));
             }
             break;
         }
-        let n = n_frames as f64;
         let mut still = Vec::with_capacity(active.len());
         for surv in active.drain(..) {
             let bound = bound_of(surv.pos);
@@ -336,7 +303,7 @@ pub(super) fn explore(
                 screen(
                     &mut cells,
                     surv.pos,
-                    surv.perfs.len(),
+                    surv.frames_done,
                     refined[0],
                     refined[1],
                 );

@@ -27,7 +27,7 @@
 //! pillars. The sweep measures that temporal locality and exports it as the
 //! `mean_pillar_overlap` column.
 //!
-//! Entry points: [`run_dse`] / [`run_dse_on_pool`] with [`DseParams`],
+//! Entry point: [`run_dse_on_pool`] with [`DseParams`],
 //! surfaced as the `dse` experiment of the `spade-experiments` binary
 //! (which can also export the full grid as CSV/JSON via [`ReportTable`] and
 //! takes `--jobs N` / `--scenario <name>` flags).
@@ -52,7 +52,7 @@ use spade_core::{
     SpadeCostTable,
 };
 use spade_nn::{DeltaPolicy, DeltaStats, FrameDeltaState, ModelKind, PruningConfig};
-use spade_pointcloud::dataset::{DatasetKind, DatasetPreset};
+use spade_pointcloud::dataset::DatasetKind;
 use spade_pointcloud::{
     DensityProfile, DriveFrame, DriveScenario, DriveScenarioConfig, NamedScenario,
 };
@@ -460,50 +460,7 @@ pub fn pareto_frontier(points: &[[f64; 3]]) -> Vec<bool> {
     keep
 }
 
-fn preset_for(kind: ModelKind) -> DatasetPreset {
-    match kind.dataset() {
-        DatasetKind::KittiLike => DatasetPreset::kitti_like(),
-        DatasetKind::NuscenesLike => DatasetPreset::nuscenes_like(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn mean_cell(
-    workload: &'static str,
-    accelerator: &str,
-    design: String,
-    config: &SpadeConfig,
-    dataflow_enabled: bool,
-    area_mm2: f64,
-    frames: &[FrameCost],
-    mean_pillar_overlap: f64,
-) -> DseCell {
-    let n = frames.len().max(1) as f64;
-    DseCell {
-        workload,
-        accelerator: accelerator.to_owned(),
-        design,
-        pe_rows: config.pe_rows,
-        pe_cols: config.pe_cols,
-        sram_kib: config.total_sram_kib(),
-        freq_ghz: config.freq_ghz,
-        dram_bytes_per_cycle: config.dram_bytes_per_cycle,
-        dataflow_enabled,
-        mean_latency_ms: frames.iter().map(|f| f.latency_ms).sum::<f64>() / n,
-        mean_energy_mj: frames.iter().map(|f| f.energy_mj).sum::<f64>() / n,
-        area_mm2,
-        mean_dram_mib: frames
-            .iter()
-            .map(|f| f.dram_bytes as f64 / (1024.0 * 1024.0))
-            .sum::<f64>()
-            / n,
-        mean_pillar_overlap,
-        frames_delta_executed: 0,
-        delta_speedup: 1.0,
-        simulated: true,
-        on_frontier: false,
-    }
-}
+const MIB: f64 = 1024.0 * 1024.0;
 
 /// Which accelerator a work-list item simulates.
 enum CellKind {
@@ -533,83 +490,43 @@ struct CellItem {
 /// Builds one work-list item into its [`DseCell`]: SPADE cells from the
 /// plan's cost table, baseline cells by simulation. Pure w.r.t. the plan,
 /// so items can run on any worker in any order.
-fn compute_cell(plan: &SweepPlan, models: &[ModelKind], item: &CellItem) -> DseCell {
-    let kind = models[item.model_idx];
+fn compute_cell(plan: &SweepPlan, item: &CellItem) -> DseCell {
     let config = &plan.configs[item.config_idx];
-    let runs = &plan.runs_by_model[item.model_idx];
-    let overlap = plan.overlap_by_model[item.model_idx];
-    let (frames_delta, delta_speedup) = plan.delta_by_model[item.model_idx];
-    let sim_all = |acc: &dyn Accelerator| -> Vec<FrameCost> {
-        runs.iter()
+    let workload = &plan.workloads[item.model_idx];
+    let sim_all = |acc: &dyn Accelerator| -> (String, Vec<FrameCost>) {
+        let frames = workload
+            .runs
+            .iter()
             .map(|r| FrameCost::from(&simulate_on(acc, r)))
-            .collect()
+            .collect();
+        (acc.name().to_owned(), frames)
     };
-    let spade_area = plan.spade_area[item.config_idx];
-    let mut cell = match &item.kind {
+    let (accelerator, frames) = match item.kind {
         CellKind::Spade { dataflow } => {
-            let frames: Vec<FrameCost> = (0..runs.len())
+            let frames = (0..workload.runs.len())
                 .map(|f| {
                     plan.costs
-                        .frame_cost(item.model_idx, item.config_idx, *dataflow, f)
+                        .frame_cost(item.model_idx, item.config_idx, dataflow, f)
                 })
                 .collect();
-            plan.spade_cell(kind, item, *dataflow, &frames)
+            ("SPADE".to_owned(), frames)
         }
-        CellKind::Dense { label } => {
-            let dense = DenseAccelerator::new(*config);
-            let area = AcceleratorReport::for_dense("DenseAcc", config).total_mm2();
-            mean_cell(
-                kind.name(),
-                dense.name(),
-                label.clone(),
-                config,
-                true,
-                area,
-                &sim_all(&dense),
-                overlap,
-            )
-        }
-        // SpConv2D-Acc and PointAcc carry their own sparsity hardware
-        // (condensing logic, sorter + cache); model their area like SPADE's
-        // sparsity-support overhead on the same datapath.
-        CellKind::SpConv2d { label } => {
-            let spconv = SpConv2dAccelerator::new(config.pe_rows, config.pe_cols, 16);
-            mean_cell(
-                kind.name(),
-                Accelerator::name(&spconv),
-                label.clone(),
-                config,
-                true,
-                spade_area,
-                &sim_all(&spconv),
-                overlap,
-            )
-        }
-        CellKind::PointAcc { label } => {
-            let pacc = PointAccModel::new(*config);
-            mean_cell(
-                kind.name(),
-                pacc.name(),
-                label.clone(),
-                config,
-                true,
-                spade_area,
-                &sim_all(&pacc),
-                overlap,
-            )
-        }
+        CellKind::Dense { .. } => sim_all(&DenseAccelerator::new(*config)),
+        CellKind::SpConv2d { .. } => sim_all(&SpConv2dAccelerator::new(
+            config.pe_rows,
+            config.pe_cols,
+            16,
+        )),
+        CellKind::PointAcc { .. } => sim_all(&PointAccModel::new(*config)),
     };
-    cell.frames_delta_executed = frames_delta;
-    cell.delta_speedup = delta_speedup;
-    cell
-}
-
-/// Runs the sweep serially — shorthand for [`run_dse_on_pool`] with a
-/// one-worker pool. Parallel runs produce bit-identical results, so this is
-/// also the reference the pool path is tested against.
-#[must_use]
-pub fn run_dse(params: &DseParams) -> DseResult {
-    run_dse_on_pool(params, &WorkerPool::new(1))
+    let n = frames.len().max(1) as f64;
+    let mean = |metric: fn(&FrameCost) -> f64| frames.iter().map(metric).sum::<f64>() / n;
+    let mean_dram_mib = match item.kind {
+        CellKind::Spade { .. } => workload.spade_mean_dram_mib,
+        _ => mean(|f| f.dram_bytes as f64 / MIB),
+    };
+    let means = [mean(|f| f.latency_ms), mean(|f| f.energy_mj), mean_dram_mib];
+    plan.cell(item, &accelerator, means, true)
 }
 
 /// Runs the sweep on a [`WorkerPool`]: every configuration × accelerator ×
@@ -626,11 +543,9 @@ pub fn run_dse(params: &DseParams) -> DseResult {
 pub fn run_dse_on_pool(params: &DseParams, pool: &WorkerPool) -> DseResult {
     let plan = SweepPlan::build(params, pool);
     let (cells, screen) = if params.adaptive {
-        adaptive::explore(params, pool, &plan)
+        adaptive::explore(pool, &plan)
     } else {
-        let cells = pool.run(plan.items.len(), |i| {
-            compute_cell(&plan, &params.models, &plan.items[i])
-        });
+        let cells = pool.run(plan.items.len(), |i| compute_cell(&plan, &plan.items[i]));
         let simulated = cells.len();
         (
             cells,
@@ -644,11 +559,28 @@ pub fn run_dse_on_pool(params: &DseParams, pool: &WorkerPool) -> DseResult {
     finish_result(params, plan, cells, screen)
 }
 
+/// One workload of the sweep — one entry of [`DseParams::models`] — with
+/// the drive-level facts every cell of that workload shares.
+struct Workload {
+    /// The network this workload runs.
+    kind: ModelKind,
+    /// The model's run on every drive frame, in frame order.
+    runs: Vec<ModelRun>,
+    /// Mean consecutive-frame pillar overlap of the drive.
+    mean_pillar_overlap: f64,
+    /// The delta path's counters over the drive (all zeros when off).
+    delta: DeltaStats,
+    /// SPADE's mean DRAM traffic per frame (MiB). It depends on neither the
+    /// configuration nor the dataflow, so simulated and screened SPADE
+    /// cells export this one value.
+    spade_mean_dram_mib: f64,
+}
+
 /// Everything the sweep shares between the exhaustive and adaptive paths:
 /// the expanded configurations with their labels and SPADE areas, the
-/// per-model drive workloads (stage 1) and SPADE's cost table over them,
-/// and the canonical indexed work-list with its duel pairs and per-workload
-/// ranges (stage 2). Building the plan is identical for both paths, so an
+/// per-model workloads (stage 1) and SPADE's cost table over them, and the
+/// canonical indexed work-list with its duel pairs and per-workload ranges
+/// (stage 2). Building the plan is identical for both paths, so an
 /// adaptive run starts from byte-identical inputs.
 struct SweepPlan {
     configs: Vec<SpadeConfig>,
@@ -661,10 +593,8 @@ struct SweepPlan {
     /// SPADE's cost of every (model, configuration, dataflow, frame).
     costs: SpadeCostTable,
     num_frames: usize,
-    runs_by_model: Vec<Vec<ModelRun>>,
-    overlap_by_model: Vec<f64>,
-    delta_by_model: Vec<(usize, f64)>,
-    delta_stats: DeltaStats,
+    /// One record per model, in [`DseParams::models`] order.
+    workloads: Vec<Workload>,
     items: Vec<CellItem>,
     duels: Vec<(Vec<usize>, usize)>,
     workload_ranges: Vec<std::ops::Range<usize>>,
@@ -679,21 +609,19 @@ impl SweepPlan {
 
         // Stage 1 — per-frame workload construction, parallel over frames.
         // Drive frames depend only on the dataset preset, so models sharing a
-        // dataset share one generated frame vector (built once per sweep); the
+        // dataset share one generated drive (built once per sweep); the
         // per-model `ModelRun`s are configuration-independent, so every design
         // point downstream reuses them. Each worker thread reuses one
         // `ExecutionArena` across its frames (thread-local in
         // `workload::model_run_on_frame`), so pattern execution allocates no
         // per-layer scratch anywhere in the sweep.
-        let mut frames_by_dataset: Vec<(DatasetKind, Vec<DriveFrame>, f64)> = Vec::new();
-        let mut delta_stats_by_model: Vec<DeltaStats> = Vec::new();
-        let runs_by_model: Vec<Vec<ModelRun>> = params
-            .models
-            .iter()
-            .map(|&kind| {
-                let preset = preset_for(kind);
-                let dataset = kind.dataset();
-                if !frames_by_dataset.iter().any(|(d, ..)| *d == dataset) {
+        let mut drives: Vec<(DatasetKind, Vec<DriveFrame>)> = Vec::new();
+        let mut workloads: Vec<Workload> = Vec::with_capacity(params.models.len());
+        for &kind in &params.models {
+            let preset = kind.dataset().preset();
+            let drive = match drives.iter().position(|(d, _)| *d == kind.dataset()) {
+                Some(drive) => drive,
+                None => {
                     let scenario = DriveScenario::new(preset.clone(), drive_cfg.clone());
                     // A persistent world evolves frame by frame, so its drive is
                     // generated sequentially (one pass, identical for any worker
@@ -706,75 +634,59 @@ impl SweepPlan {
                         DriveScenario::annotate_overlap(&mut frames);
                         frames
                     };
-                    let mean_overlap = DriveScenario::mean_overlap_of(&frames);
-                    frames_by_dataset.push((dataset, frames, mean_overlap));
+                    drives.push((kind.dataset(), frames));
+                    drives.len() - 1
                 }
-                let frames = &frames_by_dataset
+            };
+            let frames = &drives[drive].1;
+            // A model run's RNG (pruning noise) is seeded distinctly from the
+            // frame-generation stream — it must not replay the scene
+            // randomness of the frame it runs on — and held drive-stable on
+            // persistent worlds (`pruning_seed`) so the pruned layers inherit
+            // the scene's temporal coherence.
+            let (runs, delta) = if params.delta {
+                // The delta counts are stateful across a drive's frames, so one
+                // model's frames run sequentially in order; models (and the
+                // design-point fan-out of stage 3) still parallelise, and the
+                // per-frame results are byte-identical to the pooled full
+                // sweeps either way.
+                let mut state = FrameDeltaState::new(DeltaPolicy::default());
+                let runs = frames
                     .iter()
-                    .find(|(d, ..)| *d == dataset)
-                    .expect("frames generated above")
-                    .1;
-                // A model run's RNG (pruning noise) is seeded distinctly from the
-                // frame-generation stream — it must not replay the scene
-                // randomness of the frame it runs on — and held drive-stable on
-                // persistent worlds (`pruning_seed`) so the pruned layers inherit
-                // the scene's temporal coherence.
-                if params.delta {
-                    // The delta counts are stateful across a drive's frames, so one
-                    // model's frames run sequentially in order; models (and the
-                    // design-point fan-out of stage 3) still parallelise, and the
-                    // per-frame results are byte-identical to the pooled full
-                    // sweeps either way.
-                    let mut state = FrameDeltaState::new(DeltaPolicy::default());
-                    let runs = frames
-                        .iter()
-                        .map(|f| {
-                            model_run_on_frame_delta(
-                                kind,
-                                &preset,
-                                &f.frame,
-                                drive_cfg.pruning_seed(f.index),
-                                params.scale,
-                                PruningConfig::default(),
-                                &mut state,
-                            )
-                        })
-                        .collect();
-                    delta_stats_by_model.push(state.stats());
-                    runs
-                } else {
-                    delta_stats_by_model.push(DeltaStats::default());
-                    pool.run(num_frames, |i| {
-                        model_run_on_frame(
+                    .map(|f| {
+                        model_run_on_frame_delta(
                             kind,
                             &preset,
-                            &frames[i].frame,
-                            drive_cfg.pruning_seed(frames[i].index),
+                            &f.frame,
+                            drive_cfg.pruning_seed(f.index),
                             params.scale,
                             PruningConfig::default(),
+                            &mut state,
                         )
                     })
-                }
-            })
-            .collect();
-        let overlap_by_model: Vec<f64> = params
-            .models
-            .iter()
-            .map(|&kind| {
-                frames_by_dataset
-                    .iter()
-                    .find(|(d, ..)| *d == kind.dataset())
-                    .expect("frames generated above")
-                    .2
-            })
-            .collect();
-        let delta_by_model: Vec<(usize, f64)> = delta_stats_by_model
-            .iter()
-            .map(|s| (s.frames_delta, s.modelled_speedup()))
-            .collect();
-        let mut delta_stats = DeltaStats::default();
-        for s in &delta_stats_by_model {
-            delta_stats.merge(s);
+                    .collect();
+                (runs, state.stats())
+            } else {
+                let runs = pool.run(num_frames, |i| {
+                    model_run_on_frame(
+                        kind,
+                        &preset,
+                        &frames[i].frame,
+                        drive_cfg.pruning_seed(frames[i].index),
+                        params.scale,
+                        PruningConfig::default(),
+                    )
+                });
+                (runs, DeltaStats::default())
+            };
+            workloads.push(Workload {
+                kind,
+                runs,
+                mean_pillar_overlap: DriveScenario::mean_overlap_of(frames),
+                delta,
+                // Read off the cost table once it is built below.
+                spade_mean_dram_mib: 0.0,
+            });
         }
         // SPADE's layer cost, tabulated once per configuration class over
         // every model's frames: each SPADE cell, halving rung, and roofline
@@ -782,11 +694,18 @@ impl SweepPlan {
         let costs = SpadeCostTable::new(
             &configs,
             &dataflow,
-            runs_by_model.iter().map(|runs| {
-                runs.iter()
+            workloads.iter().map(|w| {
+                w.runs
+                    .iter()
                     .map(|run| (run.workloads.as_slice(), run.encoder_macs))
             }),
         );
+        for (model_idx, workload) in workloads.iter_mut().enumerate() {
+            workload.spade_mean_dram_mib = (0..num_frames)
+                .map(|f| costs.frame_dram_bytes(model_idx, f) as f64 / MIB)
+                .sum::<f64>()
+                / num_frames as f64;
+        }
         let labels = configs.iter().map(SpadeConfig::label).collect();
         let spade_area = configs
             .iter()
@@ -921,45 +840,71 @@ impl SweepPlan {
             dataflow,
             costs,
             num_frames,
-            runs_by_model,
-            overlap_by_model,
-            delta_by_model,
-            delta_stats,
+            workloads,
             items,
             duels,
             workload_ranges,
         }
     }
 
-    /// Builds the [`DseCell`] of a SPADE design point from its per-frame
-    /// costs (in frame order), with the configuration's label and area
-    /// computed once per sweep. Shared by the exhaustive path
-    /// ([`compute_cell`]) and the adaptive explorer's halving rungs and
-    /// screen, so a cell that survives screening is byte-identical however
-    /// it was reached.
-    fn spade_cell(
+    /// The one constructor of every [`DseCell`] — baseline, simulated SPADE
+    /// and screened SPADE alike — from its work-list item, accelerator name,
+    /// mean `[latency_ms, energy_mj, dram_mib]` over the drive and whether
+    /// it was fully simulated. The design label, dataflow flag and area
+    /// follow from the item; the drive-level columns come from its
+    /// [`Workload`]. A cell is therefore byte-identical however the
+    /// exhaustive or adaptive path reached it.
+    fn cell(
         &self,
-        kind: ModelKind,
         item: &CellItem,
-        dataflow: usize,
-        frames: &[FrameCost],
+        accelerator: &str,
+        [mean_latency_ms, mean_energy_mj, mean_dram_mib]: [f64; 3],
+        simulated: bool,
     ) -> DseCell {
-        let opts = self.dataflow[dataflow];
-        let enabled = opts.weight_grouping || opts.ganged_scatter || opts.adaptive_tiling;
-        let label = &self.labels[item.config_idx];
-        let mut design = String::with_capacity(label.len() + 4);
-        design.push_str(label);
-        design.push_str(if enabled { "/+df" } else { "/-df" });
-        mean_cell(
-            kind.name(),
-            "SPADE",
+        let config = &self.configs[item.config_idx];
+        let workload = &self.workloads[item.model_idx];
+        let (design, dataflow_enabled, area_mm2) = match &item.kind {
+            CellKind::Spade { dataflow } => {
+                let opts = self.dataflow[*dataflow];
+                let enabled = opts.weight_grouping || opts.ganged_scatter || opts.adaptive_tiling;
+                let label = &self.labels[item.config_idx];
+                let mut design = String::with_capacity(label.len() + 4);
+                design.push_str(label);
+                design.push_str(if enabled { "/+df" } else { "/-df" });
+                (design, enabled, self.spade_area[item.config_idx])
+            }
+            CellKind::Dense { label } => (
+                label.clone(),
+                true,
+                AcceleratorReport::for_dense("DenseAcc", config).total_mm2(),
+            ),
+            // SpConv2D-Acc and PointAcc carry their own sparsity hardware
+            // (condensing logic, sorter + cache); model their area like
+            // SPADE's sparsity-support overhead on the same datapath.
+            CellKind::SpConv2d { label } | CellKind::PointAcc { label } => {
+                (label.clone(), true, self.spade_area[item.config_idx])
+            }
+        };
+        DseCell {
+            workload: workload.kind.name(),
+            accelerator: accelerator.to_owned(),
             design,
-            &self.configs[item.config_idx],
-            enabled,
-            self.spade_area[item.config_idx],
-            frames,
-            self.overlap_by_model[item.model_idx],
-        )
+            pe_rows: config.pe_rows,
+            pe_cols: config.pe_cols,
+            sram_kib: config.total_sram_kib(),
+            freq_ghz: config.freq_ghz,
+            dram_bytes_per_cycle: config.dram_bytes_per_cycle,
+            dataflow_enabled,
+            mean_latency_ms,
+            mean_energy_mj,
+            area_mm2,
+            mean_dram_mib,
+            mean_pillar_overlap: workload.mean_pillar_overlap,
+            frames_delta_executed: workload.delta.frames_delta,
+            delta_speedup: workload.delta.modelled_speedup(),
+            simulated,
+            on_frontier: false,
+        }
     }
 }
 
@@ -1008,6 +953,10 @@ fn finish_result(
         }
     }
 
+    let mut delta_stats = DeltaStats::default();
+    for workload in &plan.workloads {
+        delta_stats.merge(&workload.delta);
+    }
     DseResult {
         cells,
         num_configs: plan.configs.len(),
@@ -1016,7 +965,7 @@ fn finish_result(
         spade_dense_wins: wins,
         spade_dense_comparisons: plan.duels.len(),
         delta: params.delta,
-        delta_stats: plan.delta_stats,
+        delta_stats,
         adaptive: params.adaptive,
         cells_screened: screen.cells_screened,
         cells_simulated: screen.cells_simulated,
@@ -1285,7 +1234,7 @@ mod tests {
         let mut params = DseParams::default_for(WorkloadScale::Reduced);
         params.axes = axes;
         params.num_frames = 2;
-        let result = run_dse(&params);
+        let result = run_dse_on_pool(&params, &WorkerPool::new(1));
         let spade_cells = result
             .cells
             .iter()
@@ -1322,7 +1271,7 @@ mod tests {
             ],
         };
         params.num_frames = 3;
-        let result = run_dse(&params);
+        let result = run_dse_on_pool(&params, &WorkerPool::new(1));
         for name in ["SPADE", "DenseAcc", "SpConv2D-Acc", "PointAcc"] {
             assert!(
                 result.cells.iter().any(|c| c.accelerator == name),
@@ -1383,7 +1332,7 @@ mod tests {
             dataflow: vec![DataflowOptions::all_enabled()],
         };
         params.num_frames = 2;
-        let result = run_dse(&params);
+        let result = run_dse_on_pool(&params, &WorkerPool::new(1));
         let spade: Vec<_> = result
             .cells
             .iter()

@@ -30,7 +30,7 @@ pub mod protocol;
 pub mod serve;
 pub mod workload;
 
-pub use dse::{run_dse, run_dse_on_pool, DseParams, DseResult, SweepAxes};
+pub use dse::{run_dse_on_pool, DseParams, DseResult, SweepAxes};
 pub use experiments::run_experiment;
 pub use loadgen::{expected_hit_rate, run_loadgen, LoadgenConfig, LoadgenReport};
 pub use pool::{default_jobs, ConcurrencyBudget, WorkerPool};

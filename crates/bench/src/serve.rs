@@ -41,7 +41,7 @@ use crate::protocol::{
 };
 use crate::workload::model_run_on_frame_delta;
 use spade_nn::{DeltaPolicy, DeltaStats, FrameDeltaState, ModelKind, PruningConfig};
-use spade_pointcloud::dataset::{DatasetKind, DatasetPreset};
+use spade_pointcloud::dataset::DatasetPreset;
 use spade_pointcloud::{DriveFrame, DriveScenario, DriveScenarioConfig};
 use std::collections::HashMap;
 use std::io::Read as _;
@@ -377,13 +377,9 @@ struct StreamEntry {
 
 impl StreamEntry {
     fn new(request: FrameRequest) -> Self {
-        let preset = match request.model.dataset() {
-            DatasetKind::KittiLike => DatasetPreset::kitti_like(),
-            DatasetKind::NuscenesLike => DatasetPreset::nuscenes_like(),
-        };
         Self {
             scenario_config: request.scenario.config(request.frames, request.seed),
-            preset,
+            preset: request.model.dataset().preset(),
             frames: None,
             state: FrameDeltaState::new(DeltaPolicy::default()),
         }

@@ -5,7 +5,7 @@ use spade_nn::graph::{
     encoder_macs, execute_pattern, ExecutionContext, LayerWorkload, NetworkTrace,
 };
 use spade_nn::{ExecutionArena, FrameDeltaState, Model, ModelKind, PruningConfig};
-use spade_pointcloud::dataset::{DatasetKind, DatasetPreset, Frame};
+use spade_pointcloud::dataset::{DatasetPreset, Frame};
 use spade_tensor::GridShape;
 use std::cell::RefCell;
 
@@ -37,10 +37,7 @@ pub struct ModelRun {
 /// Generates the frame a model is evaluated on.
 #[must_use]
 pub fn frame_for(kind: ModelKind, seed: u64) -> (DatasetPreset, Frame) {
-    let preset = match kind.dataset() {
-        DatasetKind::KittiLike => DatasetPreset::kitti_like(),
-        DatasetKind::NuscenesLike => DatasetPreset::nuscenes_like(),
-    };
+    let preset = kind.dataset().preset();
     let frame = preset.generate_frame(seed);
     (preset, frame)
 }

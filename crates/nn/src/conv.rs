@@ -135,14 +135,12 @@ impl LayerSpec {
         self.in_channels * self.out_channels
     }
 
-    /// The output grid shape for a given input grid.
+    /// The output grid shape for a given input grid
+    /// ([`crate::rulegen::output_grid`] of the layer's kind).
     #[must_use]
+    #[inline]
     pub fn output_grid(&self, input: GridShape) -> GridShape {
-        match self.kind {
-            ConvKind::SpStConv => input.downsample(2),
-            ConvKind::SpDeconv => input.upsample(2),
-            _ => input,
-        }
+        crate::rulegen::output_grid(input, self.kind)
     }
 }
 

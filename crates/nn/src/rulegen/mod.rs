@@ -103,6 +103,7 @@ impl RuleGenMethod {
 
 /// The output grid shape induced by a convolution kind.
 #[must_use]
+#[inline]
 pub fn output_grid(input: GridShape, kind: ConvKind) -> GridShape {
     match kind {
         ConvKind::SpStConv => input.downsample(2),

@@ -15,6 +15,17 @@ pub enum DatasetKind {
     NuscenesLike,
 }
 
+impl DatasetKind {
+    /// The preset that approximates this benchmark.
+    #[must_use]
+    pub fn preset(self) -> DatasetPreset {
+        match self {
+            DatasetKind::KittiLike => DatasetPreset::kitti_like(),
+            DatasetKind::NuscenesLike => DatasetPreset::nuscenes_like(),
+        }
+    }
+}
+
 impl std::fmt::Display for DatasetKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -35,6 +35,7 @@
 
 use crate::dataset::{DatasetPreset, Frame};
 use crate::pillarize::pillarize;
+use crate::scene::SceneConfig;
 use crate::world::{PersistentWorld, WorldStep};
 use crate::{lidar, Point3};
 use rand::rngs::StdRng;
@@ -655,9 +656,7 @@ impl DriveScenario {
     fn independent_frame(&self, index: usize) -> DriveFrame {
         let factor = self.config.density_factor(index);
         let mut scene_cfg = self.preset.scene_config();
-        scene_cfg.min_objects = ((scene_cfg.min_objects as f64 * factor).round() as usize).max(1);
-        scene_cfg.max_objects =
-            ((scene_cfg.max_objects as f64 * factor).round() as usize).max(scene_cfg.min_objects);
+        (scene_cfg.min_objects, scene_cfg.max_objects) = object_bounds(&scene_cfg, factor);
         let seed = self.config.frame_seed(index);
         DriveFrame {
             index,
@@ -695,8 +694,7 @@ impl DriveScenario {
         let mut frames = Vec::with_capacity(count.saturating_sub(emit_from));
         for index in 0..count {
             let factor = self.config.density_factor(index);
-            let min = ((scene_cfg.min_objects as f64 * factor).round() as usize).max(1);
-            let max = ((scene_cfg.max_objects as f64 * factor).round() as usize).max(min);
+            let (min, max) = object_bounds(&scene_cfg, factor);
             let seed = self.config.frame_seed(index);
             // Mirror the i.i.d. generator's per-frame object-count draw.
             let mut count_rng = StdRng::seed_from_u64(seed ^ 0x7a26_e701);
@@ -755,6 +753,15 @@ impl DriveScenario {
             overlaps.iter().sum::<f64>() / overlaps.len() as f64
         }
     }
+}
+
+/// The `(min_objects, max_objects)` bounds of a frame at density `factor`:
+/// the scene's bounds scaled and rounded, with at least one object and
+/// `max ≥ min`.
+fn object_bounds(scene_cfg: &SceneConfig, factor: f64) -> (usize, usize) {
+    let min = ((scene_cfg.min_objects as f64 * factor).round() as usize).max(1);
+    let max = ((scene_cfg.max_objects as f64 * factor).round() as usize).max(min);
+    (min, max)
 }
 
 #[cfg(test)]

@@ -14,8 +14,6 @@ use spade::baselines::{
 use spade::core::{Accelerator, SpadeAccelerator, SpadeConfig};
 use spade::nn::graph::{encoder_macs, execute_pattern, ExecutionContext};
 use spade::nn::{ExecutionArena, Model, ModelKind};
-use spade::pointcloud::dataset::DatasetKind;
-use spade::pointcloud::DatasetPreset;
 
 fn main() {
     let cfg = SpadeConfig::high_end();
@@ -29,10 +27,7 @@ fn main() {
     let accelerators: [&dyn Accelerator; 4] = [&spade, &dense, &spconv2d, &pointacc];
 
     for kind in ModelKind::SPARSE {
-        let preset = match kind.dataset() {
-            DatasetKind::KittiLike => DatasetPreset::kitti_like(),
-            DatasetKind::NuscenesLike => DatasetPreset::nuscenes_like(),
-        };
+        let preset = kind.dataset().preset();
         let frame = preset.generate_frame(3);
         let pillar_cfg = preset.pillar_config();
         let model = Model::build(kind);

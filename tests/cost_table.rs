@@ -9,8 +9,7 @@
 
 use spade::core::{DataflowOptions, FrameCost, SpadeAccelerator, SpadeCostTable};
 use spade::nn::{ModelKind, PruningConfig};
-use spade::pointcloud::dataset::DatasetKind;
-use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
+use spade::pointcloud::{DriveScenario, NamedScenario};
 use spade_bench::dse::{adaptive, DseParams, SweepAxes};
 use spade_bench::workload::{model_run_on_frame, simulate_on, ModelRun};
 use spade_bench::WorkloadScale;
@@ -23,10 +22,7 @@ fn drive(model: ModelKind, scenario: Option<NamedScenario>) -> Vec<ModelRun> {
         ..DseParams::default_for(WorkloadScale::Reduced)
     };
     let cfg = params.drive_config();
-    let preset = match model.dataset() {
-        DatasetKind::KittiLike => DatasetPreset::kitti_like(),
-        DatasetKind::NuscenesLike => DatasetPreset::nuscenes_like(),
-    };
+    let preset = model.dataset().preset();
     DriveScenario::new(preset.clone(), cfg.clone())
         .frames()
         .iter()

@@ -6,7 +6,7 @@
 use spade::core::{DataflowOptions, SpadeAccelerator, SpadeConfig};
 use spade::nn::{ModelKind, PruningConfig};
 use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
-use spade_bench::dse::{adaptive, run_dse, run_dse_on_pool, DseCell, DseParams, SweepAxes};
+use spade_bench::dse::{adaptive, run_dse_on_pool, DseCell, DseParams, SweepAxes};
 use spade_bench::workload::{model_run_on_frame, simulate_on};
 use spade_bench::{WorkerPool, WorkloadScale};
 use std::collections::BTreeSet;
@@ -139,7 +139,7 @@ fn adaptive_sweep_is_bit_identical_across_worker_counts() {
     assert_eq!(serial, parallel);
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_json(), parallel.to_json());
-    assert_eq!(serial, run_dse(&params));
+    assert_eq!(serial, run_dse_on_pool(&params, &WorkerPool::new(1)));
 }
 
 #[test]

@@ -9,7 +9,7 @@ use spade::core::DataflowOptions;
 use spade::pointcloud::{
     DatasetPreset, DensityProfile, DriveScenario, DriveScenarioConfig, NamedScenario,
 };
-use spade_bench::dse::{run_dse, run_dse_on_pool, DseParams, SweepAxes};
+use spade_bench::dse::{run_dse_on_pool, DseParams, SweepAxes};
 use spade_bench::{WorkerPool, WorkloadScale};
 use std::collections::BTreeSet;
 
@@ -31,8 +31,8 @@ fn small_params() -> DseParams {
 #[test]
 fn dse_sweep_is_deterministic_for_a_seed() {
     let params = small_params();
-    let a = run_dse(&params);
-    let b = run_dse(&params);
+    let a = run_dse_on_pool(&params, &WorkerPool::new(1));
+    let b = run_dse_on_pool(&params, &WorkerPool::new(1));
     assert_eq!(a.cells.len(), b.cells.len());
     assert_eq!(a.to_csv(), b.to_csv());
     assert_eq!(a.to_json(), b.to_json());
@@ -52,14 +52,14 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     // More workers than cells degrades gracefully to the same result too.
     let overprovisioned = run_dse_on_pool(&params, &WorkerPool::new(64));
     assert_eq!(serial, overprovisioned);
-    // run_dse is the jobs=1 shorthand.
-    assert_eq!(serial, run_dse(&params));
+    // A repeated one-wide run gives the same result.
+    assert_eq!(serial, run_dse_on_pool(&params, &WorkerPool::new(1)));
 }
 
 #[test]
 fn dse_covers_the_grid_and_marks_a_frontier() {
     let params = small_params();
-    let result = run_dse(&params);
+    let result = run_dse_on_pool(&params, &WorkerPool::new(1));
     // 4 configs x 4 accelerator cells (1 SPADE dataflow setting + 3
     // baselines) x 1 workload.
     assert_eq!(result.num_configs, 4);
@@ -78,7 +78,7 @@ fn dse_covers_the_grid_and_marks_a_frontier() {
 
 #[test]
 fn dse_export_matches_cell_count() {
-    let result = run_dse(&small_params());
+    let result = run_dse_on_pool(&small_params(), &WorkerPool::new(1));
     let csv = result.to_csv();
     // Header + one line per cell.
     assert_eq!(csv.lines().count(), result.cells.len() + 1);
@@ -213,7 +213,7 @@ fn legacy_dse_csv_matches_committed_golden() {
     // generation itself is pinned to pre-PR bytes by
     // `legacy_frames_match_pre_pr_fingerprints`, and the grid structure to
     // the pre-PR CSV by `legacy_dse_grid_structure_matches_pre_pr`.
-    let csv = run_dse(&small_params()).to_csv();
+    let csv = run_dse_on_pool(&small_params(), &WorkerPool::new(1)).to_csv();
     let golden = std::fs::read_to_string(golden_path("dse_legacy_reduced.csv"))
         .expect("tests/golden/dse_legacy_reduced.csv is committed");
     assert_eq!(csv, golden, "legacy DSE CSV drifted from the golden file");
@@ -227,7 +227,7 @@ fn legacy_dse_grid_structure_matches_pre_pr() {
     // relabel any cell of a legacy sweep.
     let golden = std::fs::read_to_string(golden_path("dse_legacy_pre_pr.csv"))
         .expect("tests/golden/dse_legacy_pre_pr.csv is committed");
-    let result = run_dse(&small_params());
+    let result = run_dse_on_pool(&small_params(), &WorkerPool::new(1));
     let csv = result.to_csv();
     let identity = |line: &str| {
         line.split(',')
@@ -248,9 +248,9 @@ fn scripted_scenario_raises_temporal_locality_over_iid_baseline() {
     // as the `mean_pillar_overlap` column.
     let mut params = small_params();
     params.scenario = Some(NamedScenario::StopAndGo);
-    let scripted = run_dse(&params);
+    let scripted = run_dse_on_pool(&params, &WorkerPool::new(1));
     params.scenario = Some(NamedScenario::Constant);
-    let baseline = run_dse(&params);
+    let baseline = run_dse_on_pool(&params, &WorkerPool::new(1));
     let overlap_of = |r: &spade_bench::dse::DseResult| {
         let v = r.cells[0].mean_pillar_overlap;
         assert!(r.cells.iter().all(|c| c.mean_pillar_overlap == v));
@@ -281,7 +281,10 @@ fn scripted_scenario_sweep_is_deterministic_and_parallel_safe() {
     let serial = run_dse_on_pool(&params, &WorkerPool::new(1));
     let parallel = run_dse_on_pool(&params, &WorkerPool::new(4));
     assert_eq!(serial, parallel);
-    assert_eq!(serial.to_csv(), run_dse(&params).to_csv());
+    assert_eq!(
+        serial.to_csv(),
+        run_dse_on_pool(&params, &WorkerPool::new(1)).to_csv()
+    );
 }
 
 #[test]
@@ -293,9 +296,9 @@ fn delta_sweep_simulates_the_same_cells_as_the_full_sweep() {
     for scenario in [NamedScenario::StopAndGo, NamedScenario::Urban] {
         let mut params = small_params();
         params.scenario = Some(scenario);
-        let full = run_dse(&params);
+        let full = run_dse_on_pool(&params, &WorkerPool::new(1));
         params.delta = true;
-        let delta = run_dse(&params);
+        let delta = run_dse_on_pool(&params, &WorkerPool::new(1));
         assert_eq!(full.cells.len(), delta.cells.len());
         for (f, d) in full.cells.iter().zip(&delta.cells) {
             let mut d_masked = d.clone();

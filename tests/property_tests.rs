@@ -69,20 +69,6 @@ proptest! {
         }
     }
 
-    /// Submanifold convolution never changes the active set; standard sparse
-    /// convolution never shrinks it; and the streaming rule book stays
-    /// monotone (the property SPADE's hardware depends on).
-    #[test]
-    fn sparse_conv_active_set_properties(coords in arb_coords(40)) {
-        let grid = GridShape::new(24, 24);
-        let t = CprTensor::from_coords(grid, &coords);
-        let sub = rulegen::streaming::generate(&t, ConvKind::SpConvS, KernelShape::k3x3());
-        prop_assert_eq!(sub.output_coords(), t.coords());
-        let book = rulegen::streaming::generate(&t, ConvKind::SpConv, KernelShape::k3x3());
-        prop_assert!(book.num_outputs() >= t.num_active());
-        prop_assert!(book.check_monotone());
-    }
-
     /// Every rule of a stride-1 layer is a dense gather: output `q` reads
     /// input `q + offsets()[t]` through tap `t` whenever that cell is
     /// active. Visiting every output cell and tap over an occupancy grid

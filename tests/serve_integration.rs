@@ -8,7 +8,7 @@
 use spade::core::DataflowOptions;
 use spade::nn::{DeltaPolicy, FrameDeltaState, ModelKind, PruningConfig};
 use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
-use spade_bench::dse::{run_dse, DseParams, SweepAxes};
+use spade_bench::dse::{run_dse_on_pool, DseParams, SweepAxes};
 use spade_bench::loadgen::{expected_hit_rate, run_loadgen, zipf_weights, LoadgenConfig};
 use spade_bench::protocol::{
     canonicalize_params, decode_request, encode_request, read_frame, write_frame, FrameRequest,
@@ -16,7 +16,7 @@ use spade_bench::protocol::{
 };
 use spade_bench::serve::parse_stats_body;
 use spade_bench::workload::model_run_on_frame_delta;
-use spade_bench::{ServeConfig, Server, WorkloadScale};
+use spade_bench::{ServeConfig, Server, WorkerPool, WorkloadScale};
 use std::collections::BTreeSet;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -93,7 +93,7 @@ fn served_sweep_is_byte_identical_to_direct_execution_and_caches() {
     let mut params = small_params();
     params.axes.pe_dims.reverse();
     params.axes.sram_scales.reverse();
-    let direct = run_dse(&canonicalize_params(&params)).to_csv();
+    let direct = run_dse_on_pool(&canonicalize_params(&params), &WorkerPool::new(1)).to_csv();
 
     let cold = send(&mut client, &Request::Sweep(params.clone()));
     match &cold {
@@ -140,7 +140,7 @@ fn served_adaptive_sweep_matches_direct_execution_and_exports_counters() {
     params.axes.buffer_splits = vec![0.0, 0.25, 0.75];
     params.axes.sram_banks = vec![spade::core::GATHER_SCATTER_LANES, 4];
     params.adaptive = true;
-    let direct = run_dse(&canonicalize_params(&params));
+    let direct = run_dse_on_pool(&canonicalize_params(&params), &WorkerPool::new(1));
 
     let cold = send(&mut client, &Request::Sweep(params.clone()));
     match &cold {
