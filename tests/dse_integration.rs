@@ -201,6 +201,68 @@ fn legacy_frames_match_pre_pr_fingerprints() {
     }
 }
 
+/// FNV-1a over a frame's pillarisation: every active coordinate's row and
+/// column, then every retained point count, each as little-endian `u32`.
+fn pillar_digest(pillars: &spade::pointcloud::PillarizedCloud) -> u64 {
+    let coords = pillars.active_coords.iter().flat_map(|c| [c.row, c.col]);
+    coords
+        .chain(pillars.point_counts.iter().copied())
+        .flat_map(u32::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+#[test]
+fn drive_frames_match_the_committed_golden() {
+    // Every named scenario over both presets at seeds 1 and 1009, eight
+    // full-scale frames each, then the preset's single-frame generator at
+    // seeds 0-3: point count, active pillars and the pillarisation digest
+    // per frame. The served FRAME checks compare the server against
+    // `DriveScenario::frames`, so a generation change both sides share
+    // shows up only here.
+    use std::fmt::Write;
+
+    let presets = [DatasetPreset::kitti_like(), DatasetPreset::nuscenes_like()];
+    let mut actual = String::new();
+    let mut line = |tag: &str, index: usize, frame: &spade::pointcloud::dataset::Frame| {
+        writeln!(
+            actual,
+            "{tag} f{index} {} {} {:016x}",
+            frame.num_points,
+            frame.pillars.num_active(),
+            pillar_digest(&frame.pillars)
+        )
+        .unwrap();
+    };
+    for preset in &presets {
+        for scenario in NamedScenario::ALL {
+            for seed in [1, 1009] {
+                let cfg = scenario.config(8, seed);
+                let tag = format!("{} {scenario} s{seed}", preset.kind());
+                for f in &DriveScenario::new(preset.clone(), cfg).frames() {
+                    line(&tag, f.index, &f.frame);
+                }
+            }
+        }
+        for seed in 0..4 {
+            let tag = format!("{} preset s{seed}", preset.kind());
+            line(&tag, 0, &preset.generate_frame(seed));
+        }
+    }
+    let golden = std::fs::read_to_string(golden_path("drive_frames.txt"))
+        .expect("tests/golden/drive_frames.txt is committed");
+    let expected: String = golden
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert!(
+        actual == expected,
+        "generated frames drifted from tests/golden/drive_frames.txt; now:\n{actual}"
+    );
+}
+
 #[test]
 fn legacy_dse_csv_matches_committed_golden() {
     // The full legacy sweep pipeline (i.i.d. Ramp drive, no scenario) is
