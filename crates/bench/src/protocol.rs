@@ -419,10 +419,11 @@ const MAX_SRAM_SCALE: f64 = 1024.0;
 /// Largest PE-array dimension a sweep may ask for; far larger arrays
 /// overflow the PE count.
 const MAX_PE_DIM: usize = 4096;
-/// Longest drive a SWEEP or FRAME may ask for. A drive's frames are
-/// generated up front, so a larger count pins a handler for hours or aborts
-/// the server when the frame buffer cannot be allocated.
-const MAX_DRIVE_FRAMES: usize = 1024;
+/// Longest drive a SWEEP or FRAME may ask for. A SWEEP generates its whole
+/// drive up front, and a FRAME steps a persistent world through every frame
+/// before the one it asks for, so a larger count pins a handler for hours
+/// or aborts the server when a stream's frame table cannot be allocated.
+pub const MAX_DRIVE_FRAMES: usize = 1024;
 
 /// Parses a request's `frames` field, bounded by [`MAX_DRIVE_FRAMES`].
 fn parse_frames(raw: &str) -> Result<usize, String> {

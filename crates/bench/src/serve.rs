@@ -30,7 +30,10 @@
 //!   temporal-delta path — each frame runs the full sweep, and the state
 //!   counts the rows an RGU would re-sweep against the stream's previous
 //!   frame. Per-frame [`DeltaStats`] are drained into the service-wide
-//!   aggregate that `STATS` reports.
+//!   aggregate that `STATS` reports. A stream keeps a [`DriveCursor`] and
+//!   builds frame `i` on its first request, keeping it for later ones, so
+//!   a stream's first `FRAME` costs one frame rather than the whole drive
+//!   (`stream_frames_built` in `STATS` counts the frames built).
 //!
 //! [`spade_nn::FrameDeltaState`]: FrameDeltaState
 
@@ -41,8 +44,7 @@ use crate::protocol::{
 };
 use crate::workload::model_run_on_frame_delta;
 use spade_nn::{DeltaPolicy, DeltaStats, FrameDeltaState, ModelKind, PruningConfig};
-use spade_pointcloud::dataset::DatasetPreset;
-use spade_pointcloud::{DriveFrame, DriveScenario, DriveScenarioConfig};
+use spade_pointcloud::{DriveCursor, DriveFrame, DriveScenario};
 use std::collections::HashMap;
 use std::io::Read as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -223,6 +225,9 @@ struct ServiceStats {
     dedup_joined: u64,
     /// `FRAME` requests served.
     frames_served: u64,
+    /// Drive frames the streams generated, rebuilds after a restart
+    /// included (a frame is built on its stream's first request for it).
+    stream_frames_built: u64,
     /// Requests answered with `ERR`.
     errors: u64,
     /// Adaptive-exploration counters aggregated across every *executed*
@@ -366,32 +371,28 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// One client drive stream: the generated drive plus the delta state that
-/// carries the previous frame's input bitmaps from frame to frame.
+/// One client drive stream: a cursor over its drive, the frames built so
+/// far (frame `i` on its first request), and the delta state that carries
+/// the previous frame's input bitmaps from frame to frame.
 struct StreamEntry {
-    scenario_config: DriveScenarioConfig,
-    preset: DatasetPreset,
-    frames: Option<Vec<DriveFrame>>,
+    cursor: DriveCursor,
+    frames: Vec<Option<DriveFrame>>,
     state: FrameDeltaState,
 }
 
 impl StreamEntry {
     fn new(request: FrameRequest) -> Self {
+        let scenario = DriveScenario::named(
+            request.model.dataset().preset(),
+            request.scenario,
+            request.frames,
+            request.seed,
+        );
         Self {
-            scenario_config: request.scenario.config(request.frames, request.seed),
-            preset: request.model.dataset().preset(),
-            frames: None,
+            cursor: DriveCursor::new(scenario),
+            frames: Vec::new(),
             state: FrameDeltaState::new(DeltaPolicy::default()),
         }
-    }
-
-    fn ensure_frames(&mut self) -> &[DriveFrame] {
-        if self.frames.is_none() {
-            let scenario = DriveScenario::new(self.preset.clone(), self.scenario_config.clone());
-            self.frames = Some(scenario.frames());
-        }
-        // lint:allow(panic): the branch above just filled the option.
-        self.frames.as_deref().expect("generated above")
     }
 }
 
@@ -749,22 +750,25 @@ fn handle_frame(shared: &Shared, request: FrameRequest) -> Response {
     // parallel; requests for the same drive serialise, which is exactly
     // the in-order contract FrameDeltaState needs.
     let mut entry = lock_ranked(&entry, lockdep::Rank::StreamEntry);
-    entry.ensure_frames();
-    let pruning_seed = entry.scenario_config.pruning_seed(request.index);
     let StreamEntry {
-        preset,
+        cursor,
         frames,
         state,
-        ..
     } = &mut *entry;
-    // lint:allow(panic): `ensure_frames` just populated the option, and the
-    // index was bounds-checked against `request.frames` at function entry.
-    let frame = &frames.as_deref().expect("ensured above")[request.index].frame;
+    if frames.len() <= request.index {
+        frames.resize_with(request.index + 1, || None);
+    }
+    let slot = &mut frames[request.index];
+    let frames_built = u64::from(slot.is_none());
+    let frame = &slot
+        .get_or_insert_with(|| cursor.frame(request.index))
+        .frame;
+    let scenario = cursor.scenario();
     let run = model_run_on_frame_delta(
         request.model,
-        preset,
+        scenario.preset(),
         frame,
-        pruning_seed,
+        scenario.pruning_seed(request.index),
         request.scale,
         PruningConfig::default(),
         state,
@@ -776,6 +780,7 @@ fn handle_frame(shared: &Shared, request: FrameRequest) -> Response {
     {
         let mut st = lock_ranked(&shared.state, lockdep::Rank::State);
         st.stats.delta.merge(&frame_stats);
+        st.stats.stream_frames_built += frames_built;
     }
     let meta = format!(
         "index={} delta={}",
@@ -807,7 +812,7 @@ fn stats_response(shared: &Shared) -> Response {
         0.0
     };
     let body = format!(
-        "requests_total={}\nsweeps_requested={}\nsweeps_executed={}\ncache_hits={}\ncache_hit_rate={hit_rate}\ndedup_joined={}\nframes_served={}\nerrors={}\ninflight={}\ncache_entries={}\ncache_bytes={}\nstreams={}\nbudget_available={}\ncells_screened={}\ncells_simulated={}\nframes_saved={}\ndelta_frames_total={}\ndelta_frames_delta={}\ndelta_layers_reused={}\ndelta_layers_patched={}\ndelta_layers_full={}\ndelta_rows_swept={}\ndelta_rows_full_equivalent={}\ndelta_modelled_speedup={}",
+        "requests_total={}\nsweeps_requested={}\nsweeps_executed={}\ncache_hits={}\ncache_hit_rate={hit_rate}\ndedup_joined={}\nframes_served={}\nerrors={}\ninflight={}\ncache_entries={}\ncache_bytes={}\nstreams={}\nstream_frames_built={}\nbudget_available={}\ncells_screened={}\ncells_simulated={}\nframes_saved={}\ndelta_frames_total={}\ndelta_frames_delta={}\ndelta_layers_reused={}\ndelta_layers_patched={}\ndelta_layers_full={}\ndelta_rows_swept={}\ndelta_rows_full_equivalent={}\ndelta_modelled_speedup={}",
         stats.requests_total,
         stats.sweeps_requested,
         stats.sweeps_executed,
@@ -819,6 +824,7 @@ fn stats_response(shared: &Shared) -> Response {
         st.cache.entries.len(),
         st.cache.bytes,
         st.streams.len(),
+        stats.stream_frames_built,
         shared.budget.available(),
         stats.cells_screened,
         stats.cells_simulated,

@@ -1,7 +1,7 @@
 //! Dataset presets bundling scene, LiDAR, and pillarisation configurations.
 
-use crate::lidar::LidarConfig;
-use crate::pillarize::{pillarize, PillarizationConfig, PillarizedCloud};
+use crate::lidar::{self, LidarConfig};
+use crate::pillarize::{PillarCounter, PillarizationConfig, PillarizedCloud};
 use crate::scene::{Scene, SceneConfig, SceneGenerator};
 use serde::{Deserialize, Serialize};
 use spade_tensor::GridShape;
@@ -126,28 +126,21 @@ impl DatasetPreset {
     }
 
     /// Generates a frame from an explicit scene configuration while keeping
-    /// this preset's LiDAR and pillarisation settings — the one frame-
-    /// construction path shared with [`crate::drive::DriveScenario`], which
-    /// modulates scene density per frame.
+    /// this preset's LiDAR and pillarisation settings — the one i.i.d.
+    /// frame-construction path, shared with [`crate::drive::DriveScenario`],
+    /// which modulates scene density per frame. The sampler bins each LiDAR
+    /// return into a [`PillarCounter`] as it draws it; no point vector is
+    /// built.
     #[must_use]
     pub fn generate_frame_with_scene_config(&self, scene_cfg: SceneConfig, seed: u64) -> Frame {
         let scene = SceneGenerator::new(scene_cfg, seed).generate();
-        let points = scene.sample_lidar(&self.lidar, seed.wrapping_add(1));
-        let pillars = pillarize(&points, &self.pillar);
+        let mut counter = PillarCounter::new(&self.pillar);
+        lidar::sample_scene_into(&scene, &self.lidar, seed.wrapping_add(1), &mut counter);
         Frame {
             scene,
-            num_points: points.len(),
-            pillars,
+            num_points: counter.points(),
+            pillars: counter.finish(),
         }
-    }
-
-    /// Generates a batch of frames with consecutive seeds starting at
-    /// `base_seed`.
-    #[must_use]
-    pub fn generate_frames(&self, base_seed: u64, count: usize) -> Vec<Frame> {
-        (0..count)
-            .map(|i| self.generate_frame(base_seed.wrapping_add(i as u64 * 1000)))
-            .collect()
     }
 }
 
@@ -168,10 +161,9 @@ mod tests {
         // The paper reports that only roughly 3-5% of BEV cells hold an active
         // pillar; both presets should land in that few-percent regime.
         for preset in [DatasetPreset::kitti_like(), DatasetPreset::nuscenes_like()] {
-            let occ: f64 = preset
-                .generate_frames(0, 3)
+            let occ: f64 = [0, 1000, 2000]
+                .map(|seed| preset.generate_frame(seed).pillars.occupancy())
                 .iter()
-                .map(|f| f.pillars.occupancy())
                 .sum::<f64>()
                 / 3.0;
             assert!(occ > 0.005, "{:?} occupancy {occ} too low", preset.kind());
@@ -201,12 +193,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_uses_distinct_seeds() {
-        let frames = DatasetPreset::kitti_like().generate_frames(7, 3);
-        assert_eq!(frames.len(), 3);
+    fn distinct_seeds_give_distinct_frames() {
+        let p = DatasetPreset::kitti_like();
         assert_ne!(
-            frames[0].pillars.active_coords,
-            frames[1].pillars.active_coords
+            p.generate_frame(7).pillars.active_coords,
+            p.generate_frame(1007).pillars.active_coords
         );
     }
 

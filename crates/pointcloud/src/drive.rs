@@ -21,10 +21,16 @@
 //!   [`crate::world::PersistentWorld`] across the drive: objects carry
 //!   per-class velocities, advance frame-to-frame, despawn when they leave
 //!   the detection range, and spawn at scripted/profile-driven rates, while
-//!   the static background (ground + clutter returns) is sampled once per
-//!   drive — so consecutive frames share most of their active pillars. The
-//!   [`DriveFrame::pillar_overlap`] metric quantifies exactly that temporal
-//!   locality, which future caching/serving backends can exploit.
+//!   the static background (ground + clutter returns) is sampled and
+//!   counted into pillars once per drive — so consecutive frames share most
+//!   of their active pillars. The [`DriveFrame::pillar_overlap`] metric
+//!   quantifies exactly that temporal locality.
+//!
+//! [`DriveCursor`] is the one generator of both modes. It steps a drive
+//! frame by frame, restarting a persistent world from frame 0 when asked
+//! for an earlier frame; [`DriveScenario::frames`] and
+//! [`DriveScenario::generate_frame`] run a cursor, and `spade-serve` keeps
+//! one per stream so each FRAME builds only the frame it asks for.
 //!
 //! Scripted [`DriveEvent`]s on an [`EventTimeline`] layer traffic context
 //! over the [`DensityProfile`]: stopped traffic freezes and swells the
@@ -34,10 +40,10 @@
 //! `dse` experiment accepts (`--scenario stop-and-go`).
 
 use crate::dataset::{DatasetPreset, Frame};
-use crate::pillarize::pillarize;
+use crate::lidar;
+use crate::pillarize::{PillarCounter, SparseCounts};
 use crate::scene::SceneConfig;
 use crate::world::{PersistentWorld, WorldStep};
-use crate::{lidar, Point3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -325,10 +331,9 @@ impl DriveScenarioConfig {
 
     /// The seed frame `index` is generated from.
     ///
-    /// This is the single definition of the per-frame seed stream (the large
-    /// odd stride keeps it disjoint from the `generate_frames` batch
-    /// convention of `base + i * 1000`); the DSE sweep reuses it instead of
-    /// duplicating the constant.
+    /// This is the single definition of the per-frame seed stream (a large
+    /// odd stride); the DSE sweep reuses it instead of duplicating the
+    /// constant.
     #[must_use]
     pub const fn frame_seed(&self, index: usize) -> u64 {
         self.base_seed.wrapping_add(index as u64 * 7919)
@@ -612,40 +617,28 @@ impl DriveScenario {
         self.config.pruning_seed(index)
     }
 
-    /// Generates frame `index` of the drive.
+    /// Generates frame `index` of the drive with a fresh [`DriveCursor`].
     ///
-    /// For independent (legacy) drives each frame's seed is derived from the
-    /// base seed and the index, so frames can be generated independently and
-    /// in any order. For persistent drives the world must be evolved from
-    /// frame 0, so an out-of-order call pays `index` world steps (cheap) and
-    /// one frame materialisation (LiDAR sampling + pillarisation happen only
-    /// for the requested frame); generate whole drives with
-    /// [`DriveScenario::frames`] instead. Frames returned by this method
-    /// carry no [`DriveFrame::pillar_overlap`] (the metric needs the
-    /// previous frame).
+    /// Independent (legacy) frames derive their seed from the base seed and
+    /// the index, so they are built directly, in any order. A persistent
+    /// drive's world must be evolved from frame 0, so this pays `index`
+    /// world steps (cheap) and one frame's LiDAR sampling and pillar
+    /// counting; keep a [`DriveCursor`] to build many frames of one drive.
+    /// Frames returned by this method carry no
+    /// [`DriveFrame::pillar_overlap`] (the metric needs the previous frame).
     #[must_use]
     pub fn generate_frame(&self, index: usize) -> DriveFrame {
-        match self.config.persistence {
-            ScenePersistence::Independent => self.independent_frame(index),
-            ScenePersistence::Persistent { .. } => self
-                .persistent_frames(index + 1, index)
-                .pop()
-                .expect("persistent_frames emits the requested frame"),
-        }
+        DriveCursor::new(self.clone()).frame(index)
     }
 
     /// Generates every frame of the drive in order, with
     /// [`DriveFrame::pillar_overlap`] filled in for frames 1..n.
     #[must_use]
     pub fn frames(&self) -> Vec<DriveFrame> {
-        let mut frames = match self.config.persistence {
-            ScenePersistence::Independent => (0..self.config.num_frames)
-                .map(|i| self.independent_frame(i))
-                .collect(),
-            ScenePersistence::Persistent { .. } => {
-                self.persistent_frames(self.config.num_frames, 0)
-            }
-        };
+        let mut cursor = DriveCursor::new(self.clone());
+        let mut frames: Vec<DriveFrame> = (0..self.config.num_frames)
+            .map(|i| cursor.frame(i))
+            .collect();
         Self::annotate_overlap(&mut frames);
         frames
     }
@@ -667,64 +660,6 @@ impl DriveScenario {
                 .preset
                 .generate_frame_with_scene_config(scene_cfg, seed),
         }
-    }
-
-    /// The first `count` frames of a persistent drive: one world evolved
-    /// step by step, object returns re-sampled per frame, background sampled
-    /// once for the whole drive. Frames before `emit_from` advance the
-    /// world but skip LiDAR sampling and pillarisation entirely, so an
-    /// out-of-order [`DriveScenario::generate_frame`] pays only cheap world
-    /// steps for the prefix it discards.
-    fn persistent_frames(&self, count: usize, emit_from: usize) -> Vec<DriveFrame> {
-        let ScenePersistence::Persistent { frame_interval_s } = self.config.persistence else {
-            unreachable!("persistent_frames is only called in persistent mode");
-        };
-        let scene_cfg = self.preset.scene_config();
-        let lidar_cfg = self.preset.lidar_config();
-        let pillar_cfg = self.preset.pillar_config();
-        // The static world (ground carpet + clutter) does not move between
-        // sweeps: sample it once per drive on the base seed's stream.
-        let background: Vec<Point3> = lidar::sample_background(
-            scene_cfg.x_range,
-            scene_cfg.y_range,
-            &lidar_cfg,
-            self.config.base_seed,
-        );
-        let mut world = PersistentWorld::new(scene_cfg.clone(), frame_interval_s);
-        let mut frames = Vec::with_capacity(count.saturating_sub(emit_from));
-        for index in 0..count {
-            let factor = self.config.density_factor(index);
-            let (min, max) = object_bounds(&scene_cfg, factor);
-            let seed = self.config.frame_seed(index);
-            // Mirror the i.i.d. generator's per-frame object-count draw.
-            let mut count_rng = StdRng::seed_from_u64(seed ^ 0x7a26_e701);
-            let target_count = count_rng.gen_range(min..=max);
-            world.step(&WorldStep {
-                target_count,
-                speed_multiplier: self.config.events.speed_multiplier(index),
-                crossing_spawns: self.config.events.crossing_spawns(index),
-                seed,
-            });
-            if index < emit_from {
-                continue;
-            }
-            let scene = world.scene();
-            let mut points = lidar::sample_object_returns(&scene, &lidar_cfg, seed.wrapping_add(1));
-            points.extend_from_slice(&background);
-            let pillars = pillarize(&points, &pillar_cfg);
-            frames.push(DriveFrame {
-                index,
-                density_factor: factor,
-                active_events: self.config.events.labels_at(index),
-                pillar_overlap: None,
-                frame: Frame {
-                    scene,
-                    num_points: points.len(),
-                    pillars,
-                },
-            });
-        }
-        frames
     }
 
     /// Fills [`DriveFrame::pillar_overlap`] from consecutive pairs of an
@@ -751,6 +686,134 @@ impl DriveScenario {
             0.0
         } else {
             overlaps.iter().sum::<f64>() / overlaps.len() as f64
+        }
+    }
+}
+
+/// Builds the frames of one drive on demand, in any order.
+///
+/// On a persistent drive the cursor owns the stepping: the evolving
+/// [`PersistentWorld`], the background's pillar counts and the index of the
+/// next frame the world has not reached. The background is sampled and
+/// counted once, on the first frame built; each frame adds those counts to
+/// its own object returns, and the per-pillar cap applies to the sum.
+/// Asking for a later frame steps the world forward to it; asking for an
+/// earlier one restarts the world from frame 0, paying world steps only —
+/// LiDAR sampling and pillar counting happen for the requested frame alone.
+/// An independent drive's frames share nothing, so each is built directly.
+///
+/// Every frame equals the same index of [`DriveScenario::frames`], except
+/// that it carries no [`DriveFrame::pillar_overlap`].
+///
+/// # Example
+///
+/// ```
+/// use spade_pointcloud::{DatasetPreset, DriveCursor, DriveScenario, NamedScenario};
+///
+/// let scenario =
+///     DriveScenario::named(DatasetPreset::kitti_like(), NamedScenario::StopAndGo, 6, 7);
+/// let mut cursor = DriveCursor::new(scenario.clone());
+/// let late = cursor.frame(4);
+/// let early = cursor.frame(1); // restarts the world, samples one frame
+/// let all = scenario.frames();
+/// assert_eq!(late.frame.pillars, all[4].frame.pillars);
+/// assert_eq!(early.frame.pillars, all[1].frame.pillars);
+/// ```
+#[derive(Debug, Clone)]
+pub struct DriveCursor {
+    scenario: DriveScenario,
+    walk: Option<WorldWalk>,
+}
+
+/// A persistent drive's stepping state: the world after `next` steps and
+/// the drive's background counts.
+#[derive(Debug, Clone)]
+struct WorldWalk {
+    world: PersistentWorld,
+    next: usize,
+    background: SparseCounts,
+}
+
+impl DriveCursor {
+    /// A cursor before the first frame of `scenario`. Nothing is sampled
+    /// until a frame is asked for.
+    #[must_use]
+    pub const fn new(scenario: DriveScenario) -> Self {
+        Self {
+            scenario,
+            walk: None,
+        }
+    }
+
+    /// The drive the cursor walks.
+    #[must_use]
+    pub const fn scenario(&self) -> &DriveScenario {
+        &self.scenario
+    }
+
+    /// Builds frame `index` of the drive (see the type docs for what that
+    /// costs on each kind of drive).
+    pub fn frame(&mut self, index: usize) -> DriveFrame {
+        let ScenePersistence::Persistent { frame_interval_s } = self.scenario.config.persistence
+        else {
+            return self.scenario.independent_frame(index);
+        };
+        let scenario = &self.scenario;
+        let scene_cfg = scenario.preset.scene_config();
+        let lidar_cfg = scenario.preset.lidar_config();
+        let pillar_cfg = scenario.preset.pillar_config();
+        let walk = self.walk.get_or_insert_with(|| {
+            // The static world (ground carpet + clutter) does not move
+            // between sweeps: count it once per drive, on the base seed's
+            // stream.
+            let mut background = PillarCounter::new(&pillar_cfg);
+            lidar::sample_background_into(
+                scene_cfg.x_range,
+                scene_cfg.y_range,
+                &lidar_cfg,
+                scenario.config.base_seed,
+                &mut background,
+            );
+            WorldWalk {
+                world: PersistentWorld::new(scene_cfg.clone(), frame_interval_s),
+                next: 0,
+                background: background.into_sparse(),
+            }
+        });
+        if index < walk.next {
+            walk.world = PersistentWorld::new(scene_cfg.clone(), frame_interval_s);
+            walk.next = 0;
+        }
+        let config = &scenario.config;
+        while walk.next <= index {
+            let step = walk.next;
+            let (min, max) = object_bounds(&scene_cfg, config.density_factor(step));
+            let seed = config.frame_seed(step);
+            // Mirror the i.i.d. generator's per-frame object-count draw.
+            let mut count_rng = StdRng::seed_from_u64(seed ^ 0x7a26_e701);
+            walk.world.step(&WorldStep {
+                target_count: count_rng.gen_range(min..=max),
+                speed_multiplier: config.events.speed_multiplier(step),
+                crossing_spawns: config.events.crossing_spawns(step),
+                seed,
+            });
+            walk.next += 1;
+        }
+        let scene = walk.world.scene();
+        let mut counter = PillarCounter::new(&pillar_cfg);
+        let seed = config.frame_seed(index).wrapping_add(1);
+        lidar::sample_object_returns_into(&scene, &lidar_cfg, seed, &mut counter);
+        counter.add(&walk.background);
+        DriveFrame {
+            index,
+            density_factor: config.density_factor(index),
+            active_events: config.events.labels_at(index),
+            pillar_overlap: None,
+            frame: Frame {
+                scene,
+                num_points: counter.points(),
+                pillars: counter.finish(),
+            },
         }
     }
 }

@@ -16,18 +16,21 @@
 //! * [`geometry`] — points and oriented 3D boxes.
 //! * [`object`] — road-agent classes and per-class size models.
 //! * [`scene`] — scene composition (object placement, ground truth).
-//! * [`lidar`] — LiDAR-style point sampling from a scene.
+//! * [`lidar`] — LiDAR-style point sampling from a scene, into any
+//!   [`lidar::PointSink`].
 //! * [`dataset`] — KITTI-like and nuScenes-like presets (detection range,
 //!   pillar size, BEV grid shape, frame statistics).
 //! * [`drive`] — multi-frame drive scenarios with evolving object density,
 //!   scripted events (stopped traffic, tunnels, crossing waves), and a
 //!   consecutive-frame pillar-overlap metric (the workload axis of the
-//!   design-space exploration engine).
+//!   design-space exploration engine); [`DriveCursor`] builds a drive's
+//!   frames on demand, in any order.
 //! * [`world`] — frame-to-frame persistent world state: objects carry
 //!   per-class velocities, advance between frames, despawn out of range,
 //!   and spawn at scripted rates.
 //! * [`pillarize`] — point cloud → active pillar coordinates + per-pillar
-//!   retained point counts.
+//!   retained point counts, through one [`PillarCounter`] that the LiDAR
+//!   samplers feed point by point.
 //! * [`proxy`] — the accuracy-proxy model used to reproduce the paper's
 //!   accuracy-vs-sparsity trade-off curves without GPU training.
 //!
@@ -61,13 +64,13 @@ pub mod world;
 
 pub use dataset::DatasetPreset;
 pub use drive::{
-    DensityProfile, DriveEvent, DriveFrame, DriveScenario, DriveScenarioConfig, EventTimeline,
-    NamedScenario, ScenePersistence, TimedEvent,
+    DensityProfile, DriveCursor, DriveEvent, DriveFrame, DriveScenario, DriveScenarioConfig,
+    EventTimeline, NamedScenario, ScenePersistence, TimedEvent,
 };
 pub use geometry::{BoundingBox3, Point3};
 pub use lidar::LidarConfig;
 pub use object::{ObjectClass, SceneObject};
-pub use pillarize::{PillarizationConfig, PillarizedCloud};
+pub use pillarize::{PillarCounter, PillarizationConfig, PillarizedCloud};
 pub use proxy::AccuracyProxy;
 pub use scene::{Scene, SceneConfig, SceneGenerator};
 pub use world::{PersistentWorld, WorldObject, WorldStep};

@@ -6,6 +6,11 @@
 //! (3) sparse clutter (vegetation, poles, walls). The sampler reproduces all
 //! three so that the active-pillar count and clustering match the few-percent
 //! occupancy the paper reports for KITTI/nuScenes.
+//!
+//! Every sampler draws into a [`PointSink`]. Frame generation passes a
+//! [`crate::PillarCounter`], which bins each point as it is drawn, so no
+//! point vector is built; [`sample_scene`] is the `Vec` wrapper for
+//! callers that want the points themselves.
 
 use crate::geometry::Point3;
 use crate::scene::Scene;
@@ -73,59 +78,82 @@ impl Default for LidarConfig {
     }
 }
 
+/// Receives points as a LiDAR sampler draws them: a `Vec<Point3>` keeps
+/// them, a [`crate::PillarCounter`] bins them on arrival.
+pub trait PointSink {
+    /// Takes one sampled point.
+    fn push(&mut self, point: Point3);
+}
+
+impl PointSink for Vec<Point3> {
+    fn push(&mut self, point: Point3) {
+        Vec::push(self, point);
+    }
+}
+
 /// Samples a point cloud from a scene. Deterministic for a given seed.
 ///
 /// Object surface, ground, and clutter returns are all drawn from one RNG
 /// stream, so the output is a function of `(scene, config, seed)` alone.
 #[must_use]
 pub fn sample_scene(scene: &Scene, config: &LidarConfig, seed: u64) -> Vec<Point3> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5bad_c0de);
     let mut points = Vec::new();
-    object_returns_into(scene, config, &mut rng, &mut points);
-    background_into(
+    sample_scene_into(scene, config, seed, &mut points);
+    points
+}
+
+/// [`sample_scene`] into a sink, in the same RNG order.
+pub fn sample_scene_into(
+    scene: &Scene,
+    config: &LidarConfig,
+    seed: u64,
+    sink: &mut impl PointSink,
+) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5bad_c0de);
+    draw_object_returns(scene, config, &mut rng, sink);
+    draw_background(
         scene.config().x_range,
         scene.config().y_range,
         config,
         &mut rng,
-        &mut points,
+        sink,
     );
-    points
 }
 
-/// Samples only the object surface returns of a scene, on its own seed
-/// stream. The persistent-world drive generator re-samples these every frame
+/// Samples only the object surface returns of a scene into a sink, on
+/// their own seed stream. A persistent drive re-samples these every frame
 /// (objects move) while reusing one fixed background for the whole drive.
-#[must_use]
-pub fn sample_object_returns(scene: &Scene, config: &LidarConfig, seed: u64) -> Vec<Point3> {
+pub fn sample_object_returns_into(
+    scene: &Scene,
+    config: &LidarConfig,
+    seed: u64,
+    sink: &mut impl PointSink,
+) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0b1e_c7ed);
-    let mut points = Vec::new();
-    object_returns_into(scene, config, &mut rng, &mut points);
-    points
+    draw_object_returns(scene, config, &mut rng, sink);
 }
 
 /// Samples only the static background (ground carpet + clutter clusters) of
-/// a detection range, on its own seed stream. Deterministic for a given
-/// `(ranges, config, seed)`; the persistent-world drive generator samples
-/// this once per drive so consecutive frames share their background pillars.
-#[must_use]
-pub fn sample_background(
+/// a detection range into a sink, on its own seed stream. Deterministic for
+/// a given `(ranges, config, seed)`; a persistent drive counts this once
+/// so consecutive frames share their background pillars.
+pub fn sample_background_into(
     x_range: (f64, f64),
     y_range: (f64, f64),
     config: &LidarConfig,
     seed: u64,
-) -> Vec<Point3> {
+    sink: &mut impl PointSink,
+) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xba5e_11e5);
-    let mut points = Vec::new();
-    background_into(x_range, y_range, config, &mut rng, &mut points);
-    points
+    draw_background(x_range, y_range, config, &mut rng, sink);
 }
 
-/// Object surface returns, appended to `points` from the caller's RNG.
-fn object_returns_into(
+/// Object surface returns, drawn from the caller's RNG into `sink`.
+fn draw_object_returns(
     scene: &Scene,
     config: &LidarConfig,
     rng: &mut StdRng,
-    points: &mut Vec<Point3>,
+    sink: &mut impl PointSink,
 ) {
     let (x_min, x_max) = scene.config().x_range;
     let (y_min, y_max) = scene.config().y_range;
@@ -166,19 +194,19 @@ fn object_returns_into(
             let y = bbox.cy + lx * s + ly * c + rng.gen_range(-1.0..1.0) * config.position_noise;
             let z = bbox.cz + rng.gen_range(-bbox.height / 2.0..bbox.height / 2.0);
             if x >= x_min && x < x_max && y >= y_min && y < y_max {
-                points.push(Point3::with_intensity(x, y, z, rng.gen_range(0.2..0.9)));
+                sink.push(Point3::with_intensity(x, y, z, rng.gen_range(0.2..0.9)));
             }
         }
     }
 }
 
-/// Ground and clutter returns, appended to `points` from the caller's RNG.
-fn background_into(
+/// Ground and clutter returns, drawn from the caller's RNG into `sink`.
+fn draw_background(
     x_range: (f64, f64),
     y_range: (f64, f64),
     config: &LidarConfig,
     rng: &mut StdRng,
-    points: &mut Vec<Point3>,
+    sink: &mut impl PointSink,
 ) {
     let (x_min, x_max) = x_range;
     let (y_min, y_max) = y_range;
@@ -193,7 +221,7 @@ fn background_into(
         let keep_prob = (8.0 / range).min(1.0);
         if rng.gen_bool(keep_prob) {
             let z = -1.6 + rng.gen_range(-0.05..0.05);
-            points.push(Point3::with_intensity(x, y, z, rng.gen_range(0.05..0.3)));
+            sink.push(Point3::with_intensity(x, y, z, rng.gen_range(0.05..0.3)));
         }
     }
 
@@ -207,7 +235,7 @@ fn background_into(
             let y = cy + rng.gen_range(-1.5..1.5);
             let z = rng.gen_range(-1.6..1.5);
             if x >= x_min && x < x_max && y >= y_min && y < y_max {
-                points.push(Point3::with_intensity(x, y, z, rng.gen_range(0.1..0.6)));
+                sink.push(Point3::with_intensity(x, y, z, rng.gen_range(0.1..0.6)));
             }
         }
     }
@@ -285,12 +313,20 @@ mod tests {
     fn split_samplers_are_deterministic_and_disjoint_streams() {
         let scene = test_scene();
         let cfg = LidarConfig::kitti_like();
-        let a = sample_object_returns(&scene, &cfg, 5);
-        let b = sample_object_returns(&scene, &cfg, 5);
+        let objects = || {
+            let mut points = Vec::new();
+            sample_object_returns_into(&scene, &cfg, 5, &mut points);
+            points
+        };
+        let (a, b) = (objects(), objects());
         assert_eq!(a, b);
         let (xr, yr) = (scene.config().x_range, scene.config().y_range);
-        let g = sample_background(xr, yr, &cfg, 5);
-        let h = sample_background(xr, yr, &cfg, 5);
+        let background = || {
+            let mut points = Vec::new();
+            sample_background_into(xr, yr, &cfg, 5, &mut points);
+            points
+        };
+        let (g, h) = (background(), background());
         assert_eq!(g, h);
         assert!(!a.is_empty() && !g.is_empty());
         // The split samplers run on their own salted streams, so neither

@@ -1,6 +1,15 @@
 //! Point cloud → pillar discretisation.
+//!
+//! [`PillarCounter`] is the one binning path: it bins each point with
+//! [`PillarizationConfig::coord_of`]'s comparisons and divisions, keeps a
+//! per-cell count plus an occupancy bitmap, and emits the active pillars in
+//! CPR order by scanning the bitmap's words. The LiDAR samplers feed it
+//! through [`crate::lidar::PointSink`] as they draw, so frame generation
+//! never builds a point vector; [`pillarize`] runs a finished point slice
+//! through the same counter.
 
 use crate::geometry::Point3;
+use crate::lidar::PointSink;
 use serde::{Deserialize, Serialize};
 use spade_tensor::{GridShape, PillarCoord};
 
@@ -72,6 +81,12 @@ impl PillarizationConfig {
     /// the grid or the Z crop.
     #[must_use]
     pub fn coord_of(&self, p: &Point3) -> Option<PillarCoord> {
+        self.coord_in(p, self.grid_shape())
+    }
+
+    /// [`PillarizationConfig::coord_of`] with the grid shape computed by the
+    /// caller, who bins many points against one grid.
+    fn coord_in(&self, p: &Point3, grid: GridShape) -> Option<PillarCoord> {
         if p.z < self.z_range.0 || p.z >= self.z_range.1 {
             return None;
         }
@@ -83,9 +98,10 @@ impl PillarizationConfig {
         }
         let row = ((p.x - self.x_range.0) / self.pillar_size_x) as u32;
         let col = ((p.y - self.y_range.0) / self.pillar_size_y) as u32;
-        let grid = self.grid_shape();
-        let coord = PillarCoord::new(row.min(grid.height - 1), col.min(grid.width - 1));
-        Some(coord)
+        Some(PillarCoord::new(
+            row.min(grid.height - 1),
+            col.min(grid.width - 1),
+        ))
     }
 }
 
@@ -163,30 +179,159 @@ impl PillarizedCloud {
 /// Points outside the grid or the Z crop are dropped.
 #[must_use]
 pub fn pillarize(points: &[Point3], config: &PillarizationConfig) -> PillarizedCloud {
-    let grid = config.grid_shape();
-    // One counter per grid cell; a row-major scan then yields CPR order.
-    let mut cell_points = vec![0u32; grid.num_cells()];
-    for p in points {
-        if let Some(coord) = config.coord_of(p) {
-            cell_points[coord.linear_index(grid)] += 1;
+    let mut counter = PillarCounter::new(config);
+    for &p in points {
+        counter.push(p);
+    }
+    counter.finish()
+}
+
+/// Counts points into pillars as they arrive: one `u32` count per grid
+/// cell plus an occupancy bitmap, so emitting the active pillars scans one
+/// bit per cell instead of every count.
+///
+/// Counts are uncapped until [`PillarCounter::finish`], which caps each at
+/// `max_points_per_pillar`; [`PillarCounter::points`] counts every point
+/// pushed, including those outside the grid or the Z crop.
+///
+/// # Example
+///
+/// ```
+/// use spade_pointcloud::{PillarCounter, PillarizationConfig, Point3};
+/// use spade_pointcloud::lidar::PointSink;
+///
+/// let mut counter = PillarCounter::new(&PillarizationConfig::kitti_like());
+/// counter.push(Point3::new(5.0, 5.0, 0.0));
+/// counter.push(Point3::new(5.01, 5.01, 0.1));
+/// counter.push(Point3::new(-1.0, 0.0, 0.0)); // outside the grid
+/// assert_eq!(counter.points(), 3);
+/// let pillars = counter.finish();
+/// assert_eq!(pillars.num_active(), 1);
+/// assert_eq!(pillars.point_counts, vec![2]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PillarCounter {
+    config: PillarizationConfig,
+    grid: GridShape,
+    counts: Vec<u32>,
+    occupied: Vec<u64>,
+    points: usize,
+}
+
+impl PillarCounter {
+    /// An empty counter over `config`'s grid.
+    #[must_use]
+    pub fn new(config: &PillarizationConfig) -> Self {
+        let grid = config.grid_shape();
+        let cells = grid.num_cells();
+        Self {
+            config: config.clone(),
+            grid,
+            counts: vec![0; cells],
+            occupied: vec![0; cells.div_ceil(64)],
+            points: 0,
         }
     }
-    let cap = u32::try_from(config.max_points_per_pillar).unwrap_or(u32::MAX);
-    let mut active_coords = Vec::new();
-    let mut point_counts = Vec::new();
-    for (row, cells) in (0..grid.height).zip(cell_points.chunks_exact(grid.width as usize)) {
-        for (col, &n) in (0..grid.width).zip(cells) {
-            if n > 0 {
-                active_coords.push(PillarCoord::new(row, col));
-                point_counts.push(n.min(cap));
+
+    /// Points pushed so far, binned or dropped, plus the points behind any
+    /// precomputed counts added (a persistent drive's background).
+    #[must_use]
+    pub const fn points(&self) -> usize {
+        self.points
+    }
+
+    /// Adds `n` points to one cell (a linear grid index).
+    fn add_to(&mut self, cell: usize, n: u32) {
+        self.counts[cell] += n;
+        self.occupied[cell / 64] |= 1 << (cell % 64);
+    }
+
+    /// Adds counts taken from an earlier counter over the same grid.
+    pub(crate) fn add(&mut self, counts: &SparseCounts) {
+        for &(cell, n) in &counts.cells {
+            self.add_to(cell, n);
+        }
+        self.points += counts.points;
+    }
+
+    /// Calls `f(cell, coord, count)` for every occupied cell in CPR order,
+    /// with its linear index, coordinate and uncapped count. The coordinate
+    /// is carried along the scan rather than divided out of the index.
+    fn each_occupied(&self, mut f: impl FnMut(usize, PillarCoord, u32)) {
+        let width = self.grid.width;
+        // Coordinate of the first cell the current bitmap word covers.
+        let (mut row, mut col) = (0u32, 0u32);
+        for (w, &word) in self.occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let (mut r, mut c) = (row, col + bit);
+                while c >= width {
+                    c -= width;
+                    r += 1;
+                }
+                let cell = w * 64 + bit as usize;
+                f(cell, PillarCoord::new(r, c), self.counts[cell]);
+            }
+            col += 64;
+            while col >= width {
+                col -= width;
+                row += 1;
             }
         }
     }
-    PillarizedCloud {
-        grid,
-        active_coords,
-        point_counts,
+
+    /// The uncapped counts as a sparse list, for adding to later counters.
+    pub(crate) fn into_sparse(self) -> SparseCounts {
+        let mut cells = Vec::new();
+        self.each_occupied(|cell, _, n| cells.push((cell, n)));
+        SparseCounts {
+            cells,
+            points: self.points,
+        }
     }
+
+    /// The pillarisation: active pillars in CPR order, each count capped at
+    /// `max_points_per_pillar`.
+    #[must_use]
+    pub fn finish(self) -> PillarizedCloud {
+        let active = self.occupied.iter().map(|w| w.count_ones() as usize).sum();
+        let cap = u32::try_from(self.config.max_points_per_pillar).unwrap_or(u32::MAX);
+        let mut active_coords = Vec::with_capacity(active);
+        let mut point_counts = Vec::with_capacity(active);
+        self.each_occupied(|_, coord, n| {
+            active_coords.push(coord);
+            point_counts.push(n.min(cap));
+        });
+        PillarizedCloud {
+            grid: self.grid,
+            active_coords,
+            point_counts,
+        }
+    }
+}
+
+impl PointSink for PillarCounter {
+    /// Bins one point, or drops it if it falls outside the grid or the Z
+    /// crop; either way it counts towards [`PillarCounter::points`].
+    fn push(&mut self, point: Point3) {
+        self.points += 1;
+        if let Some(coord) = self.config.coord_in(&point, self.grid) {
+            self.add_to(coord.linear_index(self.grid), 1);
+        }
+    }
+}
+
+/// Uncapped per-cell counts of a fixed point set, one `(linear cell index,
+/// count)` entry per occupied cell, plus how many points were pushed. A
+/// persistent drive counts its background once into this and adds it to
+/// every frame's [`PillarCounter`], so the per-pillar cap applies to the
+/// sum.
+#[derive(Debug, Clone)]
+pub(crate) struct SparseCounts {
+    cells: Vec<(usize, u32)>,
+    points: usize,
 }
 
 #[cfg(test)]

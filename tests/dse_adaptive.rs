@@ -139,7 +139,6 @@ fn adaptive_sweep_is_bit_identical_across_worker_counts() {
     assert_eq!(serial, parallel);
     assert_eq!(serial.to_csv(), parallel.to_csv());
     assert_eq!(serial.to_json(), parallel.to_json());
-    assert_eq!(serial, run_dse_on_pool(&params, &WorkerPool::new(1)));
 }
 
 #[test]

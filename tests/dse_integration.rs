@@ -52,8 +52,6 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     // More workers than cells degrades gracefully to the same result too.
     let overprovisioned = run_dse_on_pool(&params, &WorkerPool::new(64));
     assert_eq!(serial, overprovisioned);
-    // A repeated one-wide run gives the same result.
-    assert_eq!(serial, run_dse_on_pool(&params, &WorkerPool::new(1)));
 }
 
 #[test]
@@ -343,10 +341,6 @@ fn scripted_scenario_sweep_is_deterministic_and_parallel_safe() {
     let serial = run_dse_on_pool(&params, &WorkerPool::new(1));
     let parallel = run_dse_on_pool(&params, &WorkerPool::new(4));
     assert_eq!(serial, parallel);
-    assert_eq!(
-        serial.to_csv(),
-        run_dse_on_pool(&params, &WorkerPool::new(1)).to_csv()
-    );
 }
 
 #[test]

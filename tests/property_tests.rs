@@ -13,8 +13,8 @@ use spade::nn::{
 };
 use spade::pointcloud::pillarize::pillarize;
 use spade::pointcloud::{
-    DatasetPreset, DriveScenario, NamedScenario, ObjectClass, PersistentWorld, PillarizationConfig,
-    Point3, SceneConfig, SceneObject, WorldObject, WorldStep,
+    DatasetPreset, DriveCursor, DriveFrame, DriveScenario, NamedScenario, ObjectClass,
+    PersistentWorld, PillarizationConfig, Point3, SceneConfig, SceneObject, WorldObject, WorldStep,
 };
 use spade::tensor::{CprTensor, GridShape, PillarCoord};
 use std::collections::{BTreeMap, BTreeSet};
@@ -166,6 +166,64 @@ proptest! {
             prev = world.objects().to_vec();
         }
     }
+}
+
+proptest! {
+    // Whole drives on both presets per case, like the drive-level block
+    // above.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A `DriveCursor` walked over an index sequence builds every frame as
+    /// the whole-drive run does, apart from the consecutive-frame overlap
+    /// only that run fills in: for every named scenario on both presets,
+    /// over a random sequence (repeats and backward steps included), the
+    /// drive in order, and the drive backwards.
+    #[test]
+    fn drive_cursor_matches_the_whole_drive(
+        (seed, random) in (0u64..100_000, prop::collection::vec(0usize..6, 1..10))
+    ) {
+        let sequences = [random, (0..6).collect(), (0..6).rev().collect()];
+        for preset in [DatasetPreset::kitti_like(), DatasetPreset::nuscenes_like()] {
+            for scenario in NamedScenario::ALL {
+                let drive = DriveScenario::named(preset.clone(), scenario, 6, seed);
+                let whole = drive.frames();
+                for indices in &sequences {
+                    let mut cursor = DriveCursor::new(drive.clone());
+                    for &i in indices {
+                        let built = cursor.frame(i);
+                        prop_assert!(built.pillar_overlap.is_none());
+                        prop_assert_eq!(
+                            frame_fields(&built),
+                            frame_fields(&whole[i]),
+                            "{} {} seed {} sequence {:?} frame {}",
+                            preset.kind(), scenario, seed, indices, i
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Everything a drive frame carries except its consecutive-frame overlap.
+fn frame_fields(
+    f: &DriveFrame,
+) -> (
+    usize,
+    u64,
+    &[&'static str],
+    &spade::pointcloud::Scene,
+    usize,
+    &spade::pointcloud::PillarizedCloud,
+) {
+    (
+        f.index,
+        f.density_factor.to_bits(),
+        &f.active_events,
+        &f.frame.scene,
+        f.frame.num_points,
+        &f.frame.pillars,
+    )
 }
 
 /// The `pillarize` that the counting one replaced: every in-grid point goes

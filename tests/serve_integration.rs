@@ -6,13 +6,13 @@
 //! measured hit-rate against its analytic expectation.
 
 use spade::core::DataflowOptions;
-use spade::nn::{DeltaPolicy, FrameDeltaState, ModelKind, PruningConfig};
+use spade::nn::{DeltaPolicy, DeltaStats, FrameDeltaState, ModelKind, PruningConfig};
 use spade::pointcloud::{DatasetPreset, DriveScenario, NamedScenario};
 use spade_bench::dse::{run_dse_on_pool, DseParams, SweepAxes};
 use spade_bench::loadgen::{expected_hit_rate, run_loadgen, zipf_weights, LoadgenConfig};
 use spade_bench::protocol::{
     canonicalize_params, decode_request, encode_request, read_frame, write_frame, FrameRequest,
-    Request, Response,
+    Request, Response, MAX_DRIVE_FRAMES,
 };
 use spade_bench::serve::parse_stats_body;
 use spade_bench::workload::model_run_on_frame_delta;
@@ -297,101 +297,211 @@ fn malformed_frames_get_error_replies_without_killing_the_server() {
     server.join();
 }
 
+/// The FRAME reply a local run of the same stream must produce: the meta
+/// line and the body, rendered here independently of the server.
+fn expected_frame_reply(
+    request: &FrameRequest,
+    layers: usize,
+    encoder_macs: u64,
+    s: &DeltaStats,
+) -> (String, String) {
+    let meta = format!(
+        "index={} delta={}",
+        request.index,
+        u8::from(s.frames_delta > 0)
+    );
+    let body = format!(
+        "model={}\nframe={}/{}\nlayers={layers}\nencoder_macs={encoder_macs}\n\
+         layers_reused={}\nlayers_patched={}\nlayers_full={}\nrows_swept={}\n\
+         rows_full_equivalent={}",
+        request.model.name(),
+        request.index,
+        request.frames,
+        s.layers_reused,
+        s.layers_patched,
+        s.layers_full,
+        s.rows_swept,
+        s.rows_full_equivalent,
+    );
+    (meta, body)
+}
+
+/// One stream replayed locally: the whole drive from
+/// `DriveScenario::frames` and the delta state, fed the indices in the
+/// order the server received them.
+struct LocalStream {
+    frames: Vec<spade::pointcloud::DriveFrame>,
+    state: FrameDeltaState,
+}
+
+impl LocalStream {
+    fn new(request: &FrameRequest) -> Self {
+        let drive = DriveScenario::new(
+            DatasetPreset::kitti_like(),
+            request.scenario.config(request.frames, request.seed),
+        );
+        Self {
+            frames: drive.frames(),
+            state: FrameDeltaState::new(DeltaPolicy::default()),
+        }
+    }
+
+    fn reply(&mut self, request: &FrameRequest) -> (String, String) {
+        let config = request.scenario.config(request.frames, request.seed);
+        let run = model_run_on_frame_delta(
+            request.model,
+            &DatasetPreset::kitti_like(),
+            &self.frames[request.index].frame,
+            config.pruning_seed(request.index),
+            request.scale,
+            PruningConfig::default(),
+            &mut self.state,
+        );
+        let stats = self.state.take_stats();
+        expected_frame_reply(request, run.workloads.len(), run.encoder_macs, &stats)
+    }
+}
+
 #[test]
 fn frame_stream_matches_direct_delta_execution() {
-    const FRAMES: usize = 6;
+    // Every named scenario streamed in order, then out of order (repeats
+    // and backward steps), then restarted under the same drive id with a
+    // new seed: each FRAME reply must equal the one rendered from a local
+    // whole-drive run fed the same indices in the same order.
+    const FRAMES: usize = 5;
     let server = test_server();
     let mut client = connect(&server);
-
-    // Direct reference: the same drive executed locally through the
-    // temporal delta path. (The tunnel drive patches most of its frames
-    // at this length; short urban drives ramp too fast to patch any.)
-    let scenario = NamedScenario::Tunnel;
-    let seed = 11u64;
-    let config = scenario.config(FRAMES, seed);
-    let drive = DriveScenario::new(DatasetPreset::kitti_like(), config.clone());
-    let frames = drive.frames();
-    let mut state = FrameDeltaState::new(DeltaPolicy::default());
-    let mut reference = Vec::new();
-    for frame in &frames {
-        let run = model_run_on_frame_delta(
-            ModelKind::Spp2,
-            &DatasetPreset::kitti_like(),
-            &frame.frame,
-            config.pruning_seed(frame.index),
-            WorkloadScale::Reduced,
-            PruningConfig::default(),
-            &mut state,
-        );
-        let frame_stats = state.take_stats();
-        reference.push((
-            run.encoder_macs,
-            run.workloads.len(),
-            frame_stats.frames_delta > 0,
-        ));
+    let in_order: Vec<usize> = (0..FRAMES).collect();
+    let out_of_order = [3, 1, 1, 4, 0, 2];
+    let after_restart = [2, 0, 4];
+    let mut served = 0;
+    let mut built = 0;
+    let mut delta_frames = 0;
+    for scenario in NamedScenario::ALL {
+        let first = FrameRequest {
+            drive: format!("veh-{scenario}"),
+            scenario,
+            model: ModelKind::Spp2,
+            scale: WorkloadScale::Reduced,
+            seed: 11,
+            frames: FRAMES,
+            index: 0,
+        };
+        let restarted = FrameRequest {
+            seed: 12,
+            ..first.clone()
+        };
+        let phases = [
+            (&first, &in_order[..]),
+            (&first, &out_of_order[..]),
+            (&restarted, &after_restart[..]),
+        ];
+        let mut local = LocalStream::new(&first);
+        for (phase, (stream, indices)) in phases.into_iter().enumerate() {
+            if phase == 2 {
+                local = LocalStream::new(stream);
+            }
+            for &index in indices {
+                let request = FrameRequest {
+                    index,
+                    ..stream.clone()
+                };
+                let (meta, body) = local.reply(&request);
+                delta_frames += u64::from(meta.ends_with("delta=1"));
+                let response = send(&mut client, &Request::Frame(request));
+                assert_eq!(
+                    response,
+                    Response::Ok { meta, body },
+                    "{scenario} phase {phase} frame {index}"
+                );
+                served += 1;
+            }
+        }
+        // Every distinct index of each drive was built once.
+        built += FRAMES + after_restart.len();
     }
     assert!(
-        reference.iter().any(|&(_, _, delta)| delta),
-        "the tunnel drive should patch at least one frame"
+        delta_frames > 0,
+        "some scenario should take the delta path at least once"
     );
-
-    // Served: one FRAME request per index over the same (drive, model) key.
-    for (index, &(encoder_macs, layers, delta)) in reference.iter().enumerate() {
-        let response = send(
-            &mut client,
-            &Request::Frame(FrameRequest {
-                drive: "veh-1".to_owned(),
-                scenario,
-                model: ModelKind::Spp2,
-                scale: WorkloadScale::Reduced,
-                seed,
-                frames: FRAMES,
-                index,
-            }),
-        );
-        let Response::Ok { body, .. } = &response else {
-            panic!("FRAME {index} failed: {response:?}");
-        };
-        let fields = parse_stats_body(body);
-        assert_eq!(
-            fields.get("encoder_macs").map(String::as_str),
-            Some(encoder_macs.to_string().as_str()),
-            "frame {index}"
-        );
-        assert_eq!(
-            fields.get("layers").map(String::as_str),
-            Some(layers.to_string().as_str()),
-            "frame {index}"
-        );
-        assert_eq!(
-            response.meta_field("delta"),
-            Some(if delta { "1" } else { "0" }),
-            "frame {index}: server's delta path must follow the reference"
-        );
-    }
 
     // Out-of-range index is an error, not a crash.
     let bad = send(
         &mut client,
         &Request::Frame(FrameRequest {
             drive: "veh-1".to_owned(),
-            scenario,
+            scenario: NamedScenario::Tunnel,
             model: ModelKind::Spp2,
             scale: WorkloadScale::Reduced,
-            seed,
+            seed: 11,
             frames: FRAMES,
             index: FRAMES,
         }),
     );
     assert!(matches!(bad, Response::Err(_)), "{bad:?}");
 
-    // The drained per-frame stats landed in the service-wide aggregate.
+    // The drained per-frame stats landed in the service-wide aggregate, and
+    // each stream built each frame it served once.
     let counters = stats(&mut client);
-    let total: usize = counters
-        .get("delta_frames_total")
-        .and_then(|v| v.parse().ok())
-        .expect("delta_frames_total in STATS");
-    assert_eq!(total, FRAMES);
+    let counter = |key: &str| -> usize {
+        counters
+            .get(key)
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("{key} in STATS"))
+    };
+    assert_eq!(counter("delta_frames_total"), served);
+    assert_eq!(counter("stream_frames_built"), built);
+
+    server.shutdown();
+    server.join();
+}
+
+/// A stream builds each frame on its first request and keeps it: an
+/// in-order 16-frame drive builds 16 frames however often they are asked
+/// for, and the first FRAME of the longest drive a request may name builds
+/// one frame, not the whole drive.
+#[test]
+fn frame_streams_build_each_frame_on_first_request() {
+    const FRAMES: usize = 16;
+    let server = test_server();
+    let mut client = connect(&server);
+    let request = FrameRequest {
+        drive: "veh-built".to_owned(),
+        scenario: NamedScenario::StopAndGo,
+        model: ModelKind::Spp2,
+        scale: WorkloadScale::Reduced,
+        seed: 5,
+        frames: FRAMES,
+        index: 0,
+    };
+    for index in (0..FRAMES).chain([3, 15, 0]) {
+        let response = send(
+            &mut client,
+            &Request::Frame(FrameRequest {
+                index,
+                ..request.clone()
+            }),
+        );
+        assert!(matches!(response, Response::Ok { .. }), "{response:?}");
+    }
+    assert_eq!(
+        stats(&mut client)["stream_frames_built"],
+        FRAMES.to_string()
+    );
+
+    let longest = send(
+        &mut client,
+        &Request::Frame(FrameRequest {
+            drive: "veh-longest".to_owned(),
+            frames: MAX_DRIVE_FRAMES,
+            ..request
+        }),
+    );
+    assert!(matches!(longest, Response::Ok { .. }), "{longest:?}");
+    assert_eq!(
+        stats(&mut client)["stream_frames_built"],
+        (FRAMES + 1).to_string()
+    );
 
     server.shutdown();
     server.join();
